@@ -25,7 +25,6 @@ from .helmholtz import (
 from .john import (
     PhaseFunction,
     RangeReport,
-    build_capital_psi,
     chi_build,
     john_apply,
     psi_from_phi,
@@ -35,11 +34,9 @@ from .john import (
 from .ray import (
     Line,
     MomentData,
-    PhasePoint,
     QuadratureRule,
     batch_transform,
     direction_grid,
-    extend_J,
     householder_frame,
     make_extend_J,
     moment_numeric,

@@ -22,9 +22,12 @@ import numpy as np
 
 from .symtensor import (
     SymTensor,
+    _index_map,
     multi_indices,
     mult_weights,
     sym_dim,
+    sym_mult_monomials,
+    xi_power_weights,
 )
 
 __all__ = [
@@ -128,7 +131,7 @@ class GaussPolyField:
     @classmethod
     def from_components(cls, n, m, a, comp_map) -> "GaussPolyField":
         """comp_map: {multi-index tuple: Poly}; missing components are zero."""
-        idx = {al: p for p, al in enumerate(multi_indices(n, m))}
+        idx = _index_map(n, m)
         comps = [dict() for _ in range(sym_dim(n, m))]
         for alpha, poly in comp_map.items():
             comps[idx[tuple(sorted(alpha))]] = dict(poly)
@@ -161,11 +164,7 @@ class GaussPolyField:
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         pts = x[None, :] + np.asarray(ts)[:, None] * xi[None, :]
-        packed = self.eval_packed(pts)
-        w = mult_weights(self.n, self.m)
-        pw = np.array([math.prod(xi[list(al)]) if al else 1.0
-                       for al in multi_indices(self.n, self.m)])
-        return packed @ (w * pw)
+        return self.eval_packed(pts) @ xi_power_weights(self.n, self.m, xi)
 
     # -- algebra ------------------------------------------------------------
 
@@ -192,42 +191,36 @@ class GaussPolyField:
             raise ValueError("order must be non-negative")
         out = self
         for _ in range(order):
-            out = out._inner_derivative_once()
+            n, m = out.n, out.m
+            idx = _index_map(n, m)
+            comps = []
+            for gamma in multi_indices(n, m + 1):
+                acc: Poly = {}
+                for slot in range(m + 1):
+                    rest = gamma[:slot] + gamma[slot + 1:]
+                    dpoly = out._component_partial(out.comps[idx[rest]], gamma[slot])
+                    acc = poly_add(acc, dpoly)
+                comps.append(poly_scale(acc, 1.0 / (m + 1)))
+            out = GaussPolyField(n, m + 1, self.a, tuple(comps))
         return out
-
-    def _inner_derivative_once(self) -> "GaussPolyField":
-        n, m = self.n, self.m
-        idx = {al: p for p, al in enumerate(multi_indices(n, m))}
-        comps = []
-        for gamma in multi_indices(n, m + 1):
-            acc: Poly = {}
-            for slot in range(m + 1):
-                rest = gamma[:slot] + gamma[slot + 1:]
-                dpoly = self._component_partial(self.comps[idx[rest]], gamma[slot])
-                acc = poly_add(acc, dpoly)
-            comps.append(poly_scale(acc, 1.0 / (m + 1)))
-        return GaussPolyField(n, m + 1, self.a, tuple(comps))
 
     def divergence(self, order: int = 1) -> "GaussPolyField":
         """Contracted derivative, applied ``order`` times (rank goes down)."""
-        if order > self.m:
-            raise ValueError(f"divergence order {order} exceeds rank {self.m}")
+        if not 0 <= order <= self.m:
+            raise ValueError(f"divergence order {order} outside 0..{self.m}")
         out = self
         for _ in range(order):
-            out = out._divergence_once()
+            n, m = out.n, out.m
+            idx = _index_map(n, m)
+            comps = []
+            for alpha in multi_indices(n, m - 1):
+                acc: Poly = {}
+                for j in range(n):
+                    acc = poly_add(
+                        acc, out._component_partial(out.comps[idx[tuple(sorted(alpha + (j,)))]], j))
+                comps.append(acc)
+            out = GaussPolyField(n, m - 1, self.a, tuple(comps))
         return out
-
-    def _divergence_once(self) -> "GaussPolyField":
-        n, m = self.n, self.m
-        idx = {al: p for p, al in enumerate(multi_indices(n, m))}
-        comps = []
-        for alpha in multi_indices(n, m - 1):
-            acc: Poly = {}
-            for j in range(n):
-                acc = poly_add(
-                    acc, self._component_partial(self.comps[idx[tuple(sorted(alpha + (j,)))]], j))
-            comps.append(acc)
-        return GaussPolyField(n, m - 1, self.a, tuple(comps))
 
     # -- Fourier transform ---------------------------------------------------
 
@@ -287,7 +280,7 @@ class GaussPolyField:
         if ell > self.m:
             raise ValueError("cannot fix more indices than the rank")
         n = self.n
-        idx = {al: p for p, al in enumerate(multi_indices(n, self.m))}
+        idx = _index_map(n, self.m)
         comps = []
         for beta in multi_indices(n, self.m - ell):
             comps.append(dict(self.comps[idx[tuple(sorted(fixed + beta))]]))
@@ -366,7 +359,17 @@ class GridSpec:
         return [ax] * self.n
 
     def wavenumbers(self) -> list[np.ndarray]:
+        """Angular FFT frequencies per axis, with the Nyquist one set to zero.
+
+        An even grid's Nyquist mode has no conjugate partner, so an odd-power
+        symbol that is nonzero there turns real data complex.  Zeroing the
+        wavenumber itself (Trefethen, Spectral Methods in MATLAB, ch. 3)
+        cures that for every order and keeps d^k, delta^k and the
+        decomposition on one symbol.
+        """
         k = 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.spacing)
+        if self.count % 2 == 0:
+            k[self.count // 2] = 0.0
         return [k] * self.n
 
 
@@ -422,57 +425,54 @@ class GridField:
             raise ValueError("grid fields not congruent")
 
     # -- spectral derivatives -------------------------------------------------
-
-    def _partial_hat(self, comp_hat: np.ndarray, axis: int) -> np.ndarray:
-        k = self.spec.wavenumbers()[axis]
-        shape = [1] * self.n
-        shape[axis] = self.spec.count
-        return 1j * k.reshape(shape) * comp_hat
+    # Both operators multiply the spectrum by a polynomial symbol built from
+    # the monomial table A(y) = i_{y^(r)} of symtensor: d^r has the symbol
+    # i^r A(y), delta^r its weighted adjoint i^r W_lo^{-1} A(y)^T W_hi.
 
     def inner_derivative(self, order: int = 1) -> "GridField":
-        out = self
-        for _ in range(order):
-            out = out._inner_derivative_once()
-        return out
-
-    def _inner_derivative_once(self) -> "GridField":
-        n, m = self.n, self.m
-        idx = {al: p for p, al in enumerate(multi_indices(n, m))}
-        hats = np.fft.fftn(self.data, axes=tuple(range(1, n + 1)))
-        comps = []
-        for gamma in multi_indices(n, m + 1):
-            acc = 0.0
-            for slot in range(m + 1):
-                rest = gamma[:slot] + gamma[slot + 1:]
-                acc = acc + self._partial_hat(hats[idx[rest]], gamma[slot])
-            comps.append(acc / (m + 1))
-        out = np.fft.ifftn(np.stack(comps), axes=tuple(range(1, n + 1)))
-        if not np.iscomplexobj(self.data):
-            out = out.real
-        return GridField(n, m + 1, self.spec, out)
+        """Symmetrized derivative d^order (rank goes up), one FFT pair."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        phase = 1j ** order
+        terms = [(r, c, phase * v, e)
+                 for r, c, v, e in sym_mult_monomials(self.n, self.m, order)]
+        return self._apply_symbol(self.m + order, terms)
 
     def divergence(self, order: int = 1) -> "GridField":
-        if order > self.m:
-            raise ValueError(f"divergence order {order} exceeds rank {self.m}")
-        out = self
-        for _ in range(order):
-            out = out._divergence_once()
-        return out
+        """Contracted derivative delta^order (rank goes down), one FFT pair."""
+        if not 0 <= order <= self.m:
+            raise ValueError(f"divergence order {order} outside 0..{self.m}")
+        lo = self.m - order
+        w_hi, w_lo = mult_weights(self.n, self.m), mult_weights(self.n, lo)
+        phase = 1j ** order
+        terms = [(c, r, phase * v * w_hi[r] / w_lo[c], e)
+                 for r, c, v, e in sym_mult_monomials(self.n, lo, order)]
+        return self._apply_symbol(lo, terms)
 
-    def _divergence_once(self) -> "GridField":
-        n, m = self.n, self.m
-        idx = {al: p for p, al in enumerate(multi_indices(n, m))}
-        hats = np.fft.fftn(self.data, axes=tuple(range(1, n + 1)))
-        comps = []
-        for alpha in multi_indices(n, m - 1):
-            acc = 0.0
-            for j in range(n):
-                acc = acc + self._partial_hat(hats[idx[tuple(sorted(alpha + (j,)))]], j)
-            comps.append(acc)
-        out = np.fft.ifftn(np.stack(comps), axes=tuple(range(1, n + 1)))
+    def _apply_symbol(self, m_out: int, terms) -> "GridField":
+        """Multiply the spectrum by a packed polynomial symbol.
+
+        Each term (dst, src, coeff, exponents) adds coeff * y^exponents times
+        spectral component src to component dst of the rank-m_out result.
+        The monomials stay broadcast along the axes they depend on, so the
+        symbol matrix is never formed on the grid.
+        """
+        n = self.n
+        axes = tuple(range(1, n + 1))
+        ks = [k.reshape([-1 if j == ax else 1 for j in range(n)])
+              for ax, k in enumerate(self.spec.wavenumbers())]
+        hats = np.fft.fftn(self.data, axes=axes)
+        out = np.zeros((sym_dim(n, m_out),) + hats.shape[1:], dtype=complex)
+        for dst, src, coeff, e in terms:
+            symbol = coeff
+            for k, p in zip(ks, e):
+                if p:
+                    symbol = symbol * k ** p
+            out[dst] += symbol * hats[src]
+        out = np.fft.ifftn(out, axes=axes)
         if not np.iscomplexobj(self.data):
-            out = out.real
-        return GridField(n, m - 1, self.spec, out)
+            out = np.ascontiguousarray(out.real)
+        return GridField(n, m_out, self.spec, out)
 
     # -- I/O: flat binary of doubles + JSON sidecar ---------------------------
 

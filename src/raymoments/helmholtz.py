@@ -7,12 +7,16 @@ form (:func:`projector_formula`), and the two constructions agreeing is a
 uniqueness statement worth testing.  Globally, :func:`decompose_k` applies
 the pointwise splitting on the FFT of a grid field and synthesizes the
 k-solenoidal part g and the k-potential generator v with f = g + d^k v.
+Both solve with the packed symbol A(y) = i_{y^(k)} of
+:func:`raymoments.symtensor.sym_mult_matrix`, the same table the spectral
+grid operators d^k and delta^k apply, so the grid decomposition is exact
+for those operators: at every bin f_hat = g_hat + i^k A(y) v_hat and
+i^k W^{-1} A(y)^T W g_hat = 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +24,9 @@ import numpy as np
 from .fields import GridField
 from .symtensor import (
     SymTensor,
-    contract,
-    multi_indices,
     mult_weights,
     sym_dim,
-    sym_mult,
     sym_mult_matrix,
-    sym_mult_monomials,
     symmetrize,
 )
 
@@ -64,17 +64,19 @@ def freq_project(f_hat: SymTensor, y: np.ndarray, k: int) -> FreqProjection:
     n, m = f_hat.n, f_hat.m
     if k > m:
         raise ValueError("splitting order exceeds rank")
-    A = sym_mult_matrix(n, m - k, k, y)              # i_{y^(k)} in packed coords
-    W = mult_weights(n, m)
-    G = A.T @ (W[:, None] * A)
-    rhs_real = A.T @ (W * np.real(f_hat.coeffs))
-    if np.iscomplexobj(f_hat.coeffs):
-        rhs = rhs_real + 1j * (A.T @ (W * np.imag(f_hat.coeffs)))
-    else:
-        rhs = rhs_real
-    v = np.linalg.solve(G, rhs)
-    g = f_hat.coeffs - A @ v
-    return FreqProjection(y, k, SymTensor(n, m, g), SymTensor(n, m - k, v))
+    g, v = _split(f_hat.coeffs[:, None], sym_mult_matrix(n, m - k, k, y),
+                  mult_weights(n, m))
+    return FreqProjection(y, k, SymTensor(n, m, g[:, 0]), SymTensor(n, m - k, v[:, 0]))
+
+
+def _split(F: np.ndarray, A: np.ndarray, W: np.ndarray):
+    """G = F - A V with A^T W G = 0 for columns F, batched over leading axes.
+
+    F (..., d_hi, c), A (..., d_hi, d_lo), W (d_hi,) -> (G, V).
+    """
+    AW = np.swapaxes(A, -1, -2) * W
+    V = np.linalg.solve(AW @ A, AW @ F)
+    return F - A @ V, V
 
 
 def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
@@ -114,42 +116,19 @@ def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
     return symmetrize(full)
 
 
-# ---------------------------------------------------------------------------
-# vectorized frequency-space machinery for grid decomposition
-
-
-def _batched_potential_solve(f_hat: np.ndarray, ys: np.ndarray, n: int, m: int,
-                             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """freq_project over a batch: f_hat (B, dim_m), ys (B, n) -> (g, v)."""
-    d_hi, d_lo = sym_dim(n, m), sym_dim(n, m - k)
-    B = ys.shape[0]
-    A = np.zeros((B, d_hi, d_lo))
-    for r, c, coeff, e in sym_mult_monomials(n, m - k, k):
-        mono = np.ones(B)
-        for ax, p in enumerate(e):
-            if p:
-                mono = mono * ys[:, ax] ** p
-        A[:, r, c] += coeff * mono
-    W = mult_weights(n, m)
-    AW = np.swapaxes(A, 1, 2) * W[None, None, :]      # (B, d_lo, d_hi)
-    G = AW @ A                                        # (B, d_lo, d_lo)
-    rhs = np.einsum("bij,bj->bi", AW.astype(complex), f_hat)
-    v = np.linalg.solve(G.astype(complex), rhs[..., None])[..., 0]
-    g = f_hat - np.einsum("bij,bj->bi", A.astype(complex), v)
-    return g, v
-
-
 def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     """Global decomposition f = g + d^k v with delta^k g = 0.
 
-    Per-component FFT, pointwise splitting at every nonzero frequency bin,
-    inverse FFT.  The algebraic v_hat is divided by i^k so that the spectral
+    Per-component FFT, the pointwise splitting of :func:`freq_project` at
+    every bin whose symbol frequency y is nonzero, inverse FFT.  The
+    frequencies are those of :meth:`GridSpec.wavenumbers`, whose Nyquist
+    entry is zero on even grids, so odd and even grid counts are both
+    supported and every bin is split with the symbol that d^k and delta^k
+    apply.  The algebraic v_hat is divided by i^k so that the spectral
     symbol of the k-fold symmetrized derivative (fourier(d^k v) =
-    i^k i_{y^(k)} v_hat) reproduces f_hat; the y = 0 bin is assigned wholly
-    to g, and so are bins carrying a Nyquist component, which have no
-    conjugate partner on the grid and would otherwise break the Hermitian
-    symmetry of v_hat for odd k.  Real input yields real g and v up to an
-    asserted imaginary residue.
+    i^k i_{y^(k)} v_hat) reproduces f_hat; bins with y = 0 are assigned
+    wholly to g.  Real input yields real g and v; data whose synthesis keeps
+    an imaginary part raises ValueError.
     """
     n, m = f.n, f.m
     if not 1 <= k <= min(n - 1, m):
@@ -161,24 +140,27 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
                       RuntimeWarning, stacklevel=2)
     axes = tuple(range(1, n + 1))
     hats = np.fft.fftn(f.data, axes=axes)             # (dim_m,) + grid
-    ks = f.spec.wavenumbers()
-    mesh = np.meshgrid(*ks, indexing="ij")
+    mesh = np.meshgrid(*f.spec.wavenumbers(), indexing="ij")
     ys = np.stack([g.ravel() for g in mesh], axis=-1)  # (B, n)
     fhat_flat = hats.reshape(hats.shape[0], -1).T      # (B, dim_m)
-    kmin = min(k_ax.min() for k_ax in ks)              # Nyquist value (even count)
-    nz = ((ys ** 2).sum(axis=1) > 0) & ~(ys == kmin).any(axis=1)
+    nz = (ys != 0.0).any(axis=1)
     g_flat = fhat_flat.copy()
     v_flat = np.zeros((ys.shape[0], sym_dim(n, m - k)), dtype=complex)
-    g_nz, v_nz = _batched_potential_solve(fhat_flat[nz], ys[nz], n, m, k)
-    g_flat[nz] = g_nz
-    v_flat[nz] = v_nz / (1j ** k)
+    f_nz = fhat_flat[nz]
+    # real and imaginary parts as two real columns: no complex matrix copies
+    g_nz, v_nz = _split(f_nz.view(float).reshape(f_nz.shape + (2,)),
+                        sym_mult_matrix(n, m - k, k, ys[nz]), mult_weights(n, m))
+    g_flat[nz] = g_nz.view(complex)[..., 0]
+    v_flat[nz] = v_nz.view(complex)[..., 0] / 1j ** k
     grid_shape = (f.spec.count,) * n
     g_hat = g_flat.T.reshape((sym_dim(n, m),) + grid_shape)
     v_hat = v_flat.T.reshape((sym_dim(n, m - k),) + grid_shape)
     g_data = np.fft.ifftn(g_hat, axes=axes)
     v_data = np.fft.ifftn(v_hat, axes=axes)
     imag = max(float(np.abs(g_data.imag).max()), float(np.abs(v_data.imag).max()))
-    assert imag < 1e-10 * max(scale, 1e-300), f"imaginary residue {imag:g}"
+    if imag >= 1e-10 * max(scale, 1e-300):
+        raise ValueError(f"decomposition has an imaginary residue {imag:g}; "
+                         "the field data must be real")
     g = GridField(n, m, f.spec, np.ascontiguousarray(g_data.real))
     v = GridField(n, m - k, f.spec, np.ascontiguousarray(v_data.real))
     return g, v

@@ -4,10 +4,11 @@ A family (phi^0, ..., phi^k) on the line space is in the range of the
 stacked moment transform of a rank-m field exactly when (1) each phi^l has
 parity (-1)^{m-l} under xi -> -xi and (2) the extension psi^k solves the
 iterated John equations J_{i_1 j_1} ... J_{i_{m+1} j_{m+1}} psi^k = 0.  This
-module provides the psi^l / chi^l / Psi constructions, finite-difference
+module provides the psi^l / chi^l constructions, finite-difference
 realizations of the John and transport operators, and :func:`range_test`,
 which packages the residuals and convergence verdicts into a
-:class:`RangeReport`.
+:class:`RangeReport`.  The symmetrized construction Psi is
+:func:`raymoments.ray.restricted_transform` applied to psi-data.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .ray import (
     make_extend_J,
     mixed_central,
     moment_oracle,
-    symmetrized_mixed_sum,
 )
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "psi_from_phi",
     "transport_identity_residual",
     "chi_build",
-    "build_capital_psi",
     "range_test",
 ]
 
@@ -159,22 +158,6 @@ def chi_build(psi_ell: PhaseFunction, gs, ell: int, m: int) -> PhaseFunction:
         return (-1.0) ** ell / math.factorial(ell) * acc
 
     return PhaseFunction(ev, m - ell - 1, psi_ell.provenance)
-
-
-def build_capital_psi(psi_callables, indices: tuple[int, ...], x, xi,
-                      h: float, m: int) -> float:
-    """Psi_{i_1..i_l} from psi^0..psi^l data at one phase point.
-
-        Psi_{i_1..i_l} = ((m-l)!/m!) sigma(i_1..i_l)
-                         sum_p (-1)^p C(l, p) d^l psi^p / dx... dxi...
-
-    This is the restricted-transform stencil applied to psi-data; on data
-    generated by a rank-m field it evaluates J^0 of the component field with
-    the first l indices fixed to ``indices``.
-    """
-    if not indices:
-        return float(psi_callables[0](x, xi))
-    return float(symmetrized_mixed_sum(psi_callables, indices, x, xi, h, m))
 
 
 # ---------------------------------------------------------------------------

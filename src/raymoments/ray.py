@@ -7,7 +7,7 @@ The q-th moment transform of a rank-m field f along the line (x, xi) is
 defined for (x, xi) with |xi| = 1 and <x, xi> = 0.  Its extension J^q accepts
 any xi != 0 and is what makes x- and xi-derivatives of moment data well
 defined; the two are related by an explicit conversion sum implemented in
-:func:`extend_J`.
+:func:`make_extend_J`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import GaussPolyField, GridField
-from .symtensor import multi_indices, mult_weights
+from .symtensor import xi_power_weights
 
 __all__ = [
     "Line",
-    "PhasePoint",
     "QuadratureRule",
     "MomentData",
     "householder_frame",
@@ -34,7 +33,6 @@ __all__ = [
     "moment_numeric",
     "moment_oracle",
     "oracle_moment_callables",
-    "extend_J",
     "make_extend_J",
     "interpolating_moment_callables",
     "batch_transform",
@@ -112,28 +110,6 @@ class Line:
         object.__setattr__(self, "xi", xi)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point (x, xi) with xi != 0; no unit-norm or orthogonality requirement."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        if np.linalg.norm(xi) == 0.0:
-            raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-
-    def project(self) -> tuple[np.ndarray, np.ndarray]:
-        """The line parameters (x - <x,xi> xi / |xi|^2, xi / |xi|)."""
-        norm = np.linalg.norm(self.xi)
-        u = self.xi / norm
-        return self.x - (self.x @ u) * u, u
-
-
 def random_line(n: int, rng: np.random.Generator, radius: float = 2.0) -> Line:
     xi = rng.normal(size=n)
     xi /= np.linalg.norm(xi)
@@ -151,9 +127,8 @@ def _leggauss_cached(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """1-D quadrature for the line parameter t on [-radius, radius]."""
+    """Gauss-Legendre quadrature for the line parameter t on [-radius, radius]."""
 
-    scheme: str = "gauss-legendre"
     count: int = 200
     radius: float = 8.0
 
@@ -162,22 +137,14 @@ class QuadratureRule:
             raise ValueError("need at least 8 quadrature nodes")
         if self.radius <= 0:
             raise ValueError("truncation radius must be positive")
-        if self.scheme not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown quadrature scheme '{self.scheme}'")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.scheme == "gauss-legendre":
-            t, w = _leggauss_cached(self.count)
-            return t * self.radius, w * self.radius
-        t = np.linspace(-self.radius, self.radius, self.count)
-        w = np.full(self.count, t[1] - t[0])
-        w[0] = w[-1] = 0.5 * (t[1] - t[0])
-        return t, w
+        t, w = _leggauss_cached(self.count)
+        return t * self.radius, w * self.radius
 
     @classmethod
-    def for_field(cls, f: GaussPolyField, count: int = 200,
-                  scheme: str = "gauss-legendre") -> "QuadratureRule":
-        return cls(scheme, count, f.effective_radius())
+    def for_field(cls, f: GaussPolyField, count: int = 200) -> "QuadratureRule":
+        return cls(count, f.effective_radius())
 
 
 def moment_numeric(f, line: Line, q: int, rule: QuadratureRule) -> float:
@@ -211,10 +178,7 @@ def _grid_line_values(f: GridField, x, xi, ts) -> np.ndarray:
     coords = (pts.T + f.spec.extent) / f.spec.spacing
     packed = np.stack([
         map_coordinates(comp, coords, order=3, mode="grid-wrap") for comp in f.data])
-    w = mult_weights(f.n, f.m)
-    pw = np.array([math.prod(np.asarray(xi)[list(al)]) if al else 1.0
-                   for al in multi_indices(f.n, f.m)])
-    return (w * pw) @ packed
+    return xi_power_weights(f.n, f.m, xi) @ packed
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +227,12 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int) -> float:
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0.0:
         raise ValueError("direction must be nonzero")
-    w = mult_weights(f.n, f.m)
+    weights = xi_power_weights(f.n, f.m, xi)
     tpoly = np.zeros(1)
-    for p, alpha_idx in enumerate(multi_indices(f.n, f.m)):
-        xiw = math.prod(xi[list(alpha_idx)]) if alpha_idx else 1.0
-        if xiw == 0.0 or not f.comps[p]:
+    for p, wp in enumerate(weights):
+        if wp == 0.0 or not f.comps[p]:
             continue
-        term = _line_poly(f.comps[p], x, xi) * (w[p] * xiw)
+        term = _line_poly(f.comps[p], x, xi) * wp
         if term.size > tpoly.size:
             tpoly = np.pad(tpoly, (0, term.size - tpoly.size))
         tpoly[: term.size] += np.real(term)
@@ -321,11 +284,6 @@ def make_extend_J(moments, m: int):
     return J
 
 
-def extend_J(moments, m: int, x, xi, q: int) -> float:
-    """J^q at (x, xi) from moment callables I^0..I^q for a rank-m field."""
-    return make_extend_J(moments, m)(x, xi, q)
-
-
 # ---------------------------------------------------------------------------
 # batch transforms on a discretized line space
 
@@ -374,7 +332,7 @@ class MomentData:
                 "directions": self.directions.tolist(),
                 "frames": self.frames.tolist(),
                 "offsets": self.offsets.tolist(),
-                "quadrature": {"scheme": self.quadrature.scheme,
+                "quadrature": {"scheme": "gauss-legendre",
                                "count": self.quadrature.count,
                                "radius": self.quadrature.radius},
             },
@@ -390,7 +348,11 @@ class MomentData:
         n = d["n"]
         vals = np.asarray(d["moments"], dtype=float).reshape(
             d["k"] + 1, dirs.shape[0], offs.size ** (n - 1))
-        rule = QuadratureRule(**g["quadrature"])
+        quad = dict(g["quadrature"])
+        scheme = quad.pop("scheme", None)
+        if scheme != "gauss-legendre":
+            raise ValueError(f"unsupported quadrature scheme {scheme!r}")
+        rule = QuadratureRule(**quad)
         return cls(n, d["m"], d["k"], dirs, np.asarray(g["frames"], dtype=float),
                    offs, vals, rule)
 
@@ -411,14 +373,12 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
     grids = np.meshgrid(*([offsets] * (f.n - 1)), indexing="ij")
     s = np.stack([g.ravel() for g in grids], axis=-1)      # (P, n-1)
     values = np.empty((k + 1, dirs.shape[0], s.shape[0]))
+    weights = xi_power_weights(f.n, f.m, dirs)             # (D, sym_dim)
     for d in range(dirs.shape[0]):
         base = s @ frames[d].T                             # (P, n)
         pts = base[:, None, :] + t[None, :, None] * dirs[d][None, None, :]
         packed = f.eval_packed(pts)                        # (P, T, sym_dim)
-        mw = mult_weights(f.n, f.m)
-        pw = np.array([math.prod(dirs[d][list(al)]) if al else 1.0
-                       for al in multi_indices(f.n, f.m)])
-        integrand = packed @ (mw * pw)                     # (P, T)
+        integrand = packed @ weights[d]                    # (P, T)
         for ell in range(k + 1):
             values[ell, d] = integrand @ (w * t ** ell)
     return MomentData(f.n, f.m, k, dirs, frames, offsets, values, rule)
@@ -505,17 +465,17 @@ def symmetrized_mixed_sum(callables, indices: tuple[int, ...], x, xi, h: float,
 
 
 def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
-                         h: float = 1e-3, m: int | None = None) -> float:
+                         h: float = 1e-3, *, m: int) -> float:
     """J^0 of the field restricted to ``fixed_indices``, from J^0..J^r data.
 
     ``J_callables[p]`` evaluates J^p on a neighborhood in phase space; the
     fixed indices are the FIRST r slots of the rank-m field.  Central
     differences of step ``h`` realize the mixed derivatives, so the result
-    carries an O(h^2) discretization error.
+    carries an O(h^2) discretization error.  On psi^0..psi^r data (see
+    :func:`raymoments.john.psi_from_phi`) this is the symmetrized
+    construction Psi_{i_1..i_r} of the range theory.
     """
     r = len(fixed_indices)
-    if m is None:
-        raise ValueError("field rank m is required")
     if r > m:
         raise ValueError("cannot fix more indices than the rank")
     if r == 0:

@@ -28,6 +28,7 @@ __all__ = [
     "sym_inner",
     "sym_mult_matrix",
     "sym_mult_monomials",
+    "xi_power_weights",
 ]
 
 
@@ -222,14 +223,33 @@ def contract(w: SymTensor, x: np.ndarray, k: int) -> SymTensor:
     return SymTensor(n, m, out)
 
 
+@lru_cache(maxsize=None)
+def _index_table(n: int, m: int) -> np.ndarray:
+    """multi_indices(n, m) as an integer array of shape (sym_dim, m)."""
+    t = np.array(multi_indices(n, m), dtype=int).reshape(sym_dim(n, m), m)
+    t.flags.writeable = False
+    return t
+
+
+def xi_power_weights(n: int, m: int, xi: np.ndarray) -> np.ndarray:
+    """mult(alpha) xi^alpha for every packed multi-index: (..., n) -> (..., sym_dim).
+
+    Pairing these weights with packed coefficients gives <f, xi^(x)m>.  The
+    factors of xi^alpha multiply left to right along alpha.
+    """
+    factors = np.asarray(xi, dtype=float)[..., _index_table(n, m)]
+    pw = np.ones(factors.shape[:-1])
+    for j in range(m):
+        pw = pw * factors[..., j]
+    return mult_weights(n, m) * pw
+
+
 def eval_power(f: SymTensor, xi: np.ndarray) -> complex:
     """Full contraction <f, xi^(x)m> = sum_alpha mult(alpha) f_alpha xi^alpha."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (f.n,):
         raise ValueError("dimension mismatch")
-    w = mult_weights(f.n, f.m)
-    pw = np.array([np.prod(xi[list(a)]) if a else 1.0 for a in multi_indices(f.n, f.m)])
-    return (w * pw * f.coeffs).sum()
+    return (xi_power_weights(f.n, f.m, xi) * f.coeffs).sum()
 
 
 def sym_inner(a: SymTensor, b: SymTensor) -> complex:
@@ -261,9 +281,16 @@ def sym_mult_monomials(n: int, m: int, k: int):
 
 
 def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Packed matrix of i_{x^(k)}: shape (sym_dim(n, m+k), sym_dim(n, m))."""
+    """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
+
+    Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).
+    """
     x = np.asarray(x, dtype=float)
-    A = np.zeros((sym_dim(n, m + k), sym_dim(n, m)))
+    A = np.zeros(x.shape[:-1] + (sym_dim(n, m + k), sym_dim(n, m)))
     for r, c, v, e in sym_mult_monomials(n, m, k):
-        A[r, c] += v * np.prod(x ** np.asarray(e))
+        mono = np.ones(x.shape[:-1])
+        for ax, p in enumerate(e):
+            if p:
+                mono = mono * x[..., ax] ** p
+        A[..., r, c] += v * mono
     return A

@@ -176,8 +176,6 @@ def test_criterion_7_range_necessity():
 
 
 def test_criterion_8_chi_psi_suite():
-    from raymoments.john import build_capital_psi
-
     n, m = 2, 2
     rng = np.random.default_rng(7000)
     gs = [random_field(n, m - s, rng, degree=1) for s in range(m + 1)]
@@ -217,7 +215,7 @@ def test_criterion_8_chi_psi_suite():
             for h in steps:
                 acc = 0.0
                 for x, xi in pts:
-                    lhs = build_capital_psi(psis[:ell + 1], idx, x, xi, h, m)
+                    lhs = restricted_transform(psis[:ell + 1], idx, x, xi, h=h, m=m)
                     rhs = mixed_central(chis[ell], x, xi, idx, (), h) / binom
                     perms = list(itertools.permutations(idx))
                     for pi in perms:

@@ -75,6 +75,26 @@ class TestDecomposeVerify:
         assert main(["verify", "--prefix", prefix, "--k", "2"]) == 2
 
 
+@pytest.mark.parametrize("args, codes", [
+    (["decompose", "--field", "{field}", "--k", "0", "--out-prefix", "{out}"], {2}),
+    (["decompose", "--field", "{field}", "--k", "1", "--grid", "3",
+      "--out-prefix", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "1", "--dirs", "7",
+      "--out", "{out}"], {2}),
+    (["check-range", "--k", "1", "--dirs", "7", "--out", "{out}"], {2}),
+    (["rank-probe", "--n", "2", "--m", "2", "--k", "2", "--out", "{out}"], {2}),
+    (["decompose", "--field", "{field}", "--k", "1", "--grid", "33",
+      "--out-prefix", "{out}"], {0, 1}),
+], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
+        "check-range-dirs7", "rank-probe-k2", "decompose-grid33"])
+def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
+    out = str(tmp_path / "out")
+    code = main([a.format(field=field_path, out=out) for a in args])
+    assert code in codes
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSeededCommands:
     def test_oracle_diff(self, tmp_path):
         out = str(tmp_path / "oracle.json")

@@ -106,6 +106,10 @@ class TestDivergence:
         with pytest.raises(ValueError):
             scalar_gaussian(2).divergence(1)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            random_field(2, 1, np.random.default_rng(13)).divergence(-1)
+
 
 class TestFourier:
     def test_self_dual_gaussian(self):
@@ -207,19 +211,28 @@ class TestGridField:
         rng = np.random.default_rng(8)
         f = random_field(2, 1, rng, degree=1)
         spec = GridSpec(2, 128, 8.0)
-        got = f.sample(spec).inner_derivative()
-        want = f.inner_derivative().sample(spec)
-        scale = np.abs(want.data).max()
-        assert np.abs(got.data - want.data).max() < 1e-8 * scale
+        for order in (1, 2):
+            got = f.sample(spec).inner_derivative(order)
+            want = f.inner_derivative(order).sample(spec)
+            scale = np.abs(want.data).max()
+            assert np.abs(got.data - want.data).max() < 1e-8 * scale
 
     def test_spectral_divergence_matches_analytic(self):
         rng = np.random.default_rng(9)
         f = random_field(2, 2, rng, degree=1)
         spec = GridSpec(2, 128, 8.0)
-        got = f.sample(spec).divergence()
-        want = f.divergence().sample(spec)
-        scale = np.abs(want.data).max()
-        assert np.abs(got.data - want.data).max() < 1e-8 * scale
+        for order in (1, 2):
+            got = f.sample(spec).divergence(order)
+            want = f.divergence(order).sample(spec)
+            scale = np.abs(want.data).max()
+            assert np.abs(got.data - want.data).max() < 1e-8 * scale
+
+    def test_negative_order_rejected(self):
+        g = random_field(2, 1, np.random.default_rng(12)).sample(GridSpec(2, 16, 4.0))
+        with pytest.raises(ValueError):
+            g.inner_derivative(-1)
+        with pytest.raises(ValueError):
+            g.divergence(-1)
 
     def test_dump_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raymoments.fields import GridSpec, random_field
+from raymoments.fields import GridField, GridSpec, random_field
 from raymoments.helmholtz import (
     decompose_k,
     freq_project,
@@ -142,6 +142,18 @@ class TestDecomposeK:
                                    atol=1e-10 * np.abs(g3.data).max())
         np.testing.assert_allclose(v3.data, 2.0 * v1.data + v2.data,
                                    atol=1e-10 * np.abs(v3.data).max())
+
+    @pytest.mark.parametrize("count", [33, 32])
+    def test_white_noise_odd_and_even_grids(self, count):
+        # energy in every bin: odd grids, and the Nyquist bins of even ones
+        rng = np.random.default_rng(15)
+        f = GridField(2, 2, GridSpec(2, count, 8.0),
+                      rng.normal(size=(3, count, count)))
+        with pytest.warns(RuntimeWarning):      # white noise does not decay
+            g, v = decompose_k(f, 1)
+        rep = verify_decomposition(f, g, v, 1)
+        assert rep["reconstruction_residual"] < 1e-6
+        assert rep["solenoidal_residual"] < 1e-6
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(11)

@@ -7,7 +7,6 @@ import pytest
 from raymoments.fields import random_field
 from raymoments.john import (
     PhaseFunction,
-    build_capital_psi,
     chi_build,
     john_apply,
     psi_from_phi,
@@ -19,6 +18,7 @@ from raymoments.ray import (
     mixed_central,
     moment_oracle,
     oracle_moment_callables,
+    restricted_transform,
 )
 
 
@@ -193,7 +193,7 @@ class TestCapitalPsi:
         moments = oracle_moment_callables(f, 0)
         psi0 = psi_from_phi(moments, 1, 0)
         x, xi = np.array([0.2, -0.5]), np.array([0.9, 0.1])
-        assert build_capital_psi([psi0], (), x, xi, 0.01, 1) == psi0(x, xi)
+        assert restricted_transform([psi0], (), x, xi, h=0.01, m=1) == psi0(x, xi)
 
     def test_matches_component_transform(self):
         rng = np.random.default_rng(11)
@@ -204,7 +204,7 @@ class TestCapitalPsi:
         for idx in [(0,), (1,), (0, 1), (1, 1)]:
             comp = f.component_field(tuple(sorted(idx)))
             for x, xi in phase_points(n, rng, 2):
-                got = build_capital_psi(psis[:len(idx) + 1], idx, x, xi, 1e-3, m)
+                got = restricted_transform(psis[:len(idx) + 1], idx, x, xi, h=1e-3, m=m)
                 want = moment_oracle(comp, x, xi, 0)
                 scale = max(abs(want), 1e-3)
                 assert abs(got - want) / scale < 1e-4
@@ -229,7 +229,7 @@ class TestCapitalPsi:
                 for h in steps:
                     acc = 0.0
                     for x, xi in pts:
-                        lhs = build_capital_psi(psis[:ell + 1], idx, x, xi, h, m)
+                        lhs = restricted_transform(psis[:ell + 1], idx, x, xi, h=h, m=m)
                         rhs = mixed_central(chi, x, xi, idx, (), h) / binom
                         perms = list(itertools.permutations(idx))
                         for pi in perms:

@@ -122,6 +122,11 @@ class TestSymMult:
             x = rng.normal(size=n)
             np.testing.assert_allclose(sym_mult_matrix(n, m, k, x) @ u.coeffs,
                                        sym_mult(u, x, k).coeffs, atol=1e-14)
+            xs = rng.normal(size=(2, 3, n))          # batched over leading axes
+            batch = sym_mult_matrix(n, m, k, xs)
+            for i, j in np.ndindex(2, 3):
+                np.testing.assert_allclose(batch[i, j],
+                                           sym_mult_matrix(n, m, k, xs[i, j]))
 
 
 class TestContract:
