@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField
+from .fields import poly_add, poly_mul
 from .ray import (
     MomentData,
+    apply_stencil,
+    central_table,
     interpolating_moment_callables,
     make_extend_J,
-    mixed_central,
     moment_oracle,
 )
 
@@ -72,6 +74,21 @@ class PhaseFunction:
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+@lru_cache(maxsize=256)
+def _john_table(pairs: tuple, n: int) -> dict:
+    """J_{i_1 j_1} ... J_{i_r j_r} times (2h)^{2r}, one stencil table on R^n x R^n.
+
+    J_ij = D_{x^i} D_{xi^j} - D_{x^j} D_{xi^i}; composing the factors merges
+    the offsets they share, so each phase point is evaluated once.
+    """
+    table = {(0,) * (2 * n): 1}
+    for i, j in pairs:
+        factor = poly_add(central_table((i, n + j), 2 * n),
+                          central_table((j, n + i), 2 * n), -1)
+        table = poly_mul(table, factor)
+    return table
+
+
 def john_apply(psi, i: int, j: int, h: float) -> PhaseFunction:
     """J_ij psi = d^2 psi / dx^i dxi^j - d^2 psi / dx^j dxi^i, central stencil.
 
@@ -81,13 +98,9 @@ def john_apply(psi, i: int, j: int, h: float) -> PhaseFunction:
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    if i == j:
-        return PhaseFunction(lambda x, xi: 0.0, None,
-                             getattr(psi, "provenance", "oracle-exact"))
 
-    def ev(x, xi, fun=psi, i=i, j=j, h=h):
-        return (mixed_central(fun, x, xi, (i,), (j,), h)
-                - mixed_central(fun, x, xi, (j,), (i,), h))
+    def ev(x, xi):
+        return apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h) / (2 * h) ** 2
 
     deg = getattr(psi, "degree", None)
     return PhaseFunction(ev, None if deg is None else deg - 1,
@@ -117,22 +130,14 @@ def transport_identity_residual(psi_k: PhaseFunction, psi_lower, k: int,
     asserts plain annihilation).  The directional derivative is realized by
     iterated central differences of step h along xi.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    lhs = _directional_stack(psi_k, x, xi, ell, h)
+    along = np.concatenate([xi, np.zeros_like(xi)])[None, :]
+    lhs = (apply_stencil(psi_k, central_table((0,) * ell, 1), x, xi, h, along)
+           / (2.0 * h) ** ell)
     if ell > k:
         rhs = 0.0
     else:
         rhs = (-1.0) ** ell * math.comb(k, ell) * math.factorial(ell) * psi_lower(x, xi)
     return abs(lhs - rhs)
-
-
-def _directional_stack(fun, x, xi, depth: int, h: float) -> float:
-    if depth == 0:
-        return float(fun(x, xi))
-    step = h * xi
-    return (_directional_stack(fun, x + step, xi, depth - 1, h)
-            - _directional_stack(fun, x - step, xi, depth - 1, h)) / (2.0 * h)
 
 
 def chi_build(psi_ell: PhaseFunction, gs, ell: int, m: int) -> PhaseFunction:
@@ -270,6 +275,10 @@ def range_test(data: MomentData | None, m: int, k: int,
         provenance = "interpolated"
     if len(steps) < 2:
         raise ValueError("need at least two step sizes for order estimates")
+    if min(steps) <= 0 or len(set(steps)) != len(steps):
+        raise ValueError(f"step sizes must be positive and distinct, got {tuple(steps)}")
+    if ntuples < 1:
+        raise ValueError(f"need at least one John tuple, got ntuples={ntuples}")
     if k > m:
         raise ValueError("moment order exceeds rank")
     if data is not None:
@@ -290,15 +299,9 @@ def range_test(data: MomentData | None, m: int, k: int,
     # make its individual order estimate meaningless
     john_rows = []
     for tup in _john_tuples(n, m, rng, ntuples):
-        residuals = []
-        for h in steps:
-            acc = 0.0
-            for x, xi in points:
-                fun = psis[k]
-                for (i, j) in tup:
-                    fun = john_apply(fun, i, j, h)
-                acc += abs(fun(x, xi))
-            residuals.append(acc)
+        table = _john_table(tup, n)
+        residuals = [sum(abs(apply_stencil(psis[k], table, x, xi, h)) for x, xi in points)
+                     / (2 * h) ** (2 * m + 2) for h in steps]
         john_rows.append({"tuple": tup, "residuals": residuals,
                           "order": _order(residuals, steps)})
 

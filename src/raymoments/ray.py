@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField, GridField
+from .fields import GaussPolyField, GridField, poly_add, poly_mul
 from .symtensor import xi_power_weights
 
 __all__ = [
@@ -37,8 +37,9 @@ __all__ = [
     "interpolating_moment_callables",
     "batch_transform",
     "restricted_transform",
+    "central_table",
+    "apply_stencil",
     "mixed_central",
-    "symmetrized_mixed_sum",
 ]
 
 _GEOM_TOL = 1e-12
@@ -118,11 +119,11 @@ def random_line(n: int, rng: np.random.Generator, radius: float = 2.0) -> Line:
     return Line(x, xi)
 
 
-@lru_cache(maxsize=16)
-def _leggauss_cached(count: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _gauss_rule(nodes_weights, count: int) -> tuple[np.ndarray, np.ndarray]:
     # node computation is an eigenvalue problem, far costlier than the
     # integrals it serves; rules are reused across many lines
-    return np.polynomial.legendre.leggauss(count)
+    return nodes_weights(count)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class QuadratureRule:
             raise ValueError("truncation radius must be positive")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        t, w = _leggauss_cached(self.count)
+        t, w = _gauss_rule(np.polynomial.legendre.leggauss, self.count)
         return t * self.radius, w * self.radius
 
     @classmethod
@@ -185,62 +186,47 @@ def _grid_line_values(f: GridField, x, xi, ts) -> np.ndarray:
 # closed-form oracle
 
 
-def _gauss_moments(rmax: int, alpha: float, beta: float) -> np.ndarray:
-    """M_r = int t^r exp(-alpha t^2 - beta t) dt for r = 0..rmax."""
-    c = beta / (2.0 * alpha)
-    amp = math.exp(beta * beta / (4.0 * alpha))
-    # raw centred moments G_j = int s^j exp(-alpha s^2) ds
-    G = np.zeros(rmax + 1)
-    G[0] = math.sqrt(math.pi / alpha)
-    for p in range(1, rmax // 2 + 1):
-        G[2 * p] = G[2 * p - 2] * (2 * p - 1) / (2.0 * alpha)
-    M = np.zeros(rmax + 1)
-    for r in range(rmax + 1):
-        M[r] = amp * sum(math.comb(r, j) * (-c) ** (r - j) * G[j] for j in range(r + 1))
-    return M
+def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
+    """J^q f at the broadcast phase points (x, xi) with ``count`` Hermite nodes.
 
-
-def _line_poly(poly, x, xi) -> np.ndarray:
-    """Coefficients in t of p(x + t xi), lowest degree first."""
-    out = np.zeros(1, dtype=complex if any(isinstance(c, complex) for c in poly.values()) else float)
-    for e, c in poly.items():
-        term = np.array([c])
-        for ax, k in enumerate(e):
-            if k:
-                fac = np.array([math.comb(k, j) * x[ax] ** (k - j) * xi[ax] ** j
-                                for j in range(k + 1)])
-                term = np.convolve(term, fac)
-        if term.size > out.size:
-            out = np.pad(out, (0, term.size - out.size))
-        out[: term.size] += term
-    return out
-
-
-def moment_oracle(f: GaussPolyField, x, xi, q: int) -> float:
-    """Exact J^q f(x, xi) via closed-form one-dimensional Gaussian moments.
-
-    The integrand restricted to the line is (polynomial in t) times
-    exp(-a(|x|^2 + 2 t <x, xi> + t^2 |xi|^2)), so the integral reduces to
-    shifted Gaussian moments.
+    |x + t xi|^2 = |xi|^2 (t - t0)^2 + |x|^2 - <x,xi>^2/|xi|^2 with
+    t0 = -<x,xi>/|xi|^2, so t = t0 + s / sqrt(a |xi|^2) turns the Gaussian
+    along the line into exp(-s^2); the rest is a polynomial in s.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if np.linalg.norm(xi) == 0.0:
+    # extended precision where the platform has it: rounding the node points
+    # to float64 costs about 1.5x in the median error on unit-direction lines
+    x, xi = np.asarray(x, np.longdouble), np.asarray(xi, np.longdouble)
+    dot = (x * xi).sum(axis=-1)
+    nxi2 = (xi * xi).sum(axis=-1)
+    s, w = _gauss_rule(np.polynomial.hermite.hermgauss, count)
+    width = 1.0 / np.sqrt(f.a * nxi2)
+    t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
+    pts = x[..., None, :] + t[..., None] * xi[..., None, :]   # (..., N, n)
+    exps = sorted({e for comp in f.comps for e in comp})
+    coef = np.array([[comp.get(e, 0.0) for e in exps] for comp in f.comps])
+    monos = np.prod(pts[..., None, :] ** np.reshape(exps, (-1, f.n)), axis=-1)  # (..., N, T)
+    weights = xi_power_weights(f.n, f.m, xi)[..., None, :]          # (..., 1, S)
+    line = np.real(((monos @ coef.T) * weights).sum(axis=-1))       # (..., N)
+    amp = np.exp(-f.a * ((x * x).sum(axis=-1) - dot * dot / nxi2)) * width
+    return (amp * ((line * t ** q) @ w)).astype(float)
+
+
+def moment_oracle(f: GaussPolyField, x, xi, q: int):
+    """Exact J^q f(x, xi) by Gauss-Hermite quadrature along the line.
+
+    Along the line the integrand is a polynomial of degree deg + q in t times
+    a Gaussian, so floor((deg + q)/2) + 1 Hermite nodes centred at the
+    Gaussian's peak integrate it exactly (Golub & Welsch, 1969).  ``x`` and
+    ``xi`` broadcast over their leading axes; a single phase point returns a
+    Python float.
+    """
+    if q < 0:
+        raise ValueError("moment order must be non-negative")
+    if not np.all(np.square(xi).sum(axis=-1) > 0.0):
         raise ValueError("direction must be nonzero")
-    weights = xi_power_weights(f.n, f.m, xi)
-    tpoly = np.zeros(1)
-    for p, wp in enumerate(weights):
-        if wp == 0.0 or not f.comps[p]:
-            continue
-        term = _line_poly(f.comps[p], x, xi) * wp
-        if term.size > tpoly.size:
-            tpoly = np.pad(tpoly, (0, term.size - tpoly.size))
-        tpoly[: term.size] += np.real(term)
-    alpha = f.a * float(xi @ xi)
-    beta = 2.0 * f.a * float(x @ xi)
-    M = _gauss_moments(tpoly.size - 1 + q, alpha, beta)
-    amp = math.exp(-f.a * float(x @ x))
-    return amp * float(np.dot(tpoly, M[q: q + tpoly.size]))
+    deg = max(map(sum, {e for comp in f.comps for e in comp}), default=0)
+    out = _gauss_hermite(f, x, xi, q, (deg + q) // 2 + 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def oracle_moment_callables(f: GaussPolyField, k: int):
@@ -422,46 +408,45 @@ def interpolating_moment_callables(data: MomentData):
 
 # ---------------------------------------------------------------------------
 # finite differences in phase space
+#
+# A stencil table is a Laurent polynomial {integer offset: integer weight}:
+# tables compose with poly_mul and poly_add, shared offsets merge and
+# cancellations are exact.  Callers apply the step scale.
+
+
+def central_table(axes, dim: int) -> dict:
+    """(2h)^r times the nested central difference along ``axes`` of R^dim."""
+    table = {(0,) * dim: 1}
+    for ax in axes:
+        e = tuple(int(a == ax) for a in range(dim))
+        table = poly_mul(table, {e: 1, tuple(-c for c in e): -1})
+    return table
+
+
+def apply_stencil(fun, table: dict, x, xi, h: float, basis=None) -> float:
+    """sum_o table[o] fun((x, xi) + h o @ basis), one call per distinct offset o.
+
+    The rows of ``basis`` are the phase-space directions (in R^n x R^n) of
+    the offset coordinates, by default the 2n phase axes.  The products are
+    summed exactly (math.fsum).
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    n = x.size
+    basis = h * (np.eye(2 * n) if basis is None else np.asarray(basis))
+    disp = np.array(list(table), dtype=float).reshape(len(table), len(basis)) @ basis
+    return math.fsum(w * float(fun(x + d[:n], xi + d[n:]))
+                     for w, d in zip(table.values(), disp))
 
 
 def mixed_central(fun, x, xi, x_axes: tuple[int, ...], xi_axes: tuple[int, ...],
                   h: float) -> float:
     """Nested central differences d^r fun / dx^{x_axes} dxi^{xi_axes}."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if x_axes:
-        ax, rest = x_axes[0], x_axes[1:]
-        e = np.zeros_like(np.asarray(x, dtype=float))
-        e[ax] = h
-        return (mixed_central(fun, np.asarray(x) + e, xi, rest, xi_axes, h)
-                - mixed_central(fun, np.asarray(x) - e, xi, rest, xi_axes, h)) / (2 * h)
-    if xi_axes:
-        ax, rest = xi_axes[0], xi_axes[1:]
-        e = np.zeros_like(np.asarray(xi, dtype=float))
-        e[ax] = h
-        return (mixed_central(fun, x, np.asarray(xi) + e, (), rest, h)
-                - mixed_central(fun, x, np.asarray(xi) - e, (), rest, h)) / (2 * h)
-    return fun(x, xi)
-
-
-def symmetrized_mixed_sum(callables, indices: tuple[int, ...], x, xi, h: float,
-                          m: int) -> float:
-    """((m-r)!/m!) sigma(indices) sum_p (-1)^p C(r,p) d^r callables[p] / dx..dxi..
-
-    The shared stencil behind the moment-reduction identity and the
-    symmetrized-derivative phase construction: the first p indices
-    differentiate in x, the rest in xi, alternating sign over p, averaged
-    over all permutations of ``indices``.
-    """
-    r = len(indices)
-    perms = list(itertools.permutations(indices))
-    acc = 0.0
-    for perm in perms:
-        for p in range(r + 1):
-            acc += ((-1) ** p * math.comb(r, p)
-                    * mixed_central(callables[p], x, xi, perm[:p], perm[p:], h))
-    pref = math.factorial(m - r) / math.factorial(m)
-    return pref * acc / len(perms)
+    n = np.asarray(x).size
+    axes = (*x_axes, *(n + a for a in xi_axes))
+    return apply_stencil(fun, central_table(axes, 2 * n), x, xi, h) / (2 * h) ** len(axes)
 
 
 def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
@@ -469,15 +454,26 @@ def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
     """J^0 of the field restricted to ``fixed_indices``, from J^0..J^r data.
 
     ``J_callables[p]`` evaluates J^p on a neighborhood in phase space; the
-    fixed indices are the FIRST r slots of the rank-m field.  Central
-    differences of step ``h`` realize the mixed derivatives, so the result
-    carries an O(h^2) discretization error.  On psi^0..psi^r data (see
-    :func:`raymoments.john.psi_from_phi`) this is the symmetrized
-    construction Psi_{i_1..i_r} of the range theory.
+    fixed indices are the FIRST r slots of the rank-m field.  The result is
+    ((m-r)!/m!) sum_p (-1)^p C(r,p) d^r J^p, the first p indices
+    differentiating in x and the rest in xi, averaged over all orderings of
+    the indices.  Central differences of step ``h`` realize the mixed
+    derivatives, so the result carries an O(h^2) discretization error.  On
+    psi^0..psi^r data (see :func:`raymoments.john.psi_from_phi`) this is the
+    symmetrized construction Psi_{i_1..i_r} of the range theory.
     """
     r = len(fixed_indices)
     if r > m:
         raise ValueError("cannot fix more indices than the rank")
-    if r == 0:
-        return float(J_callables[0](x, xi))
-    return float(symmetrized_mixed_sum(J_callables, fixed_indices, x, xi, h, m))
+    n = np.asarray(x).size
+    perms = list(itertools.permutations(fixed_indices))
+    acc = 0.0
+    for p in range(r + 1):
+        table: dict = {}
+        for perm in perms:
+            axes = (*perm[:p], *(n + a for a in perm[p:]))
+            table = poly_add(table, central_table(axes, 2 * n))
+        acc += ((-1) ** p * math.comb(r, p)
+                * apply_stencil(J_callables[p], table, x, xi, h))
+    pref = math.factorial(m - r) / math.factorial(m)
+    return pref * acc / (len(perms) * (2 * h) ** r)

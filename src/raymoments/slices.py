@@ -70,6 +70,8 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
         raise ValueError("direction must be a unit vector")
     if abs(y @ xi) > 1e-12:
         raise ValueError("frequency point must lie in the direction's orthocomplement")
+    if noffsets < 2:
+        raise ValueError(f"need at least two offsets per axis, got {noffsets}")
     if extent is None:
         extent = f.effective_radius()
     n = f.n
@@ -78,7 +80,7 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
     ds = ax[1] - ax[0]
     grids = np.meshgrid(*([ax] * (n - 1)), indexing="ij")
     s = np.stack([g.ravel() for g in grids], axis=-1)  # (P, n-1)
-    vals = np.array([moment_oracle(f, frame @ sj, xi, q) for sj in s])
+    vals = moment_oracle(f, s @ frame.T, xi, q)
     yp = frame.T @ y                                   # y in frame coordinates
     phase = np.exp(-1j * (s @ yp))
     left = (2.0 * np.pi) ** (-(n - 1) / 2.0) * (phase * vals).sum() * ds ** (n - 1)
@@ -195,11 +197,8 @@ def kernel_check(v: GaussPolyField, k: int, lines, orders=None) -> float:
     if orders is None:
         orders = range(k + 1)
     f = v.inner_derivative(k + 1)
-    scale = max((abs(moment_oracle(v, ln.x, ln.xi, 0)) for ln in lines),
-                default=0.0)
-    scale = max(scale, 1e-300)
-    worst = 0.0
-    for ln in lines:
-        for ell in orders:
-            worst = max(worst, abs(moment_oracle(f, ln.x, ln.xi, ell)))
-    return worst / scale
+    x = np.array([ln.x for ln in lines]).reshape(-1, v.n)
+    xi = np.array([ln.xi for ln in lines]).reshape(-1, v.n)
+    scale = max(np.abs(moment_oracle(v, x, xi, 0)).max(initial=0.0), 1e-300)
+    worst = np.abs([moment_oracle(f, x, xi, ell) for ell in orders]).max(initial=0.0)
+    return float(worst / scale)

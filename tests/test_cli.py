@@ -85,8 +85,13 @@ class TestDecomposeVerify:
     (["rank-probe", "--n", "2", "--m", "2", "--k", "2", "--out", "{out}"], {2}),
     (["decompose", "--field", "{field}", "--k", "1", "--grid", "33",
       "--out-prefix", "{out}"], {0, 1}),
+    (["slice-check", "--offsets", "1", "--out", "{out}"], {2}),
+    (["check-range", "--k", "1", "--steps", "0.025,0.025", "--out", "{out}"], {2}),
+    (["check-range", "--n", "3", "--m", "1", "--k", "1", "--ntuples", "0",
+      "--out", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
-        "check-range-dirs7", "rank-probe-k2", "decompose-grid33"])
+        "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
+        "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     code = main([a.format(field=field_path, out=out) for a in args])

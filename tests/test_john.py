@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.fields import random_field
+from raymoments.fields import poly_add, poly_diff, poly_eval, random_field
 from raymoments.john import (
     PhaseFunction,
     chi_build,
@@ -13,7 +13,9 @@ from raymoments.john import (
     range_test,
     transport_identity_residual,
 )
+from raymoments.john import _john_table
 from raymoments.ray import (
+    apply_stencil,
     batch_transform,
     mixed_central,
     moment_oracle,
@@ -81,6 +83,49 @@ class TestJohnApply:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             john_apply(PhaseFunction(lambda x, xi: 0.0), 0, 1, 0.0)
+
+
+class TestJohnTable:
+    # psi has degree <= 2 in every phase variable, where central differences
+    # are exact: the composed table, nested john_apply and the analytic
+    # operator must then agree to rounding
+    CASES = [
+        (2, ((0, 1),) * 3,
+         {(2, 1, 1, 2): 0.7, (1, 2, 2, 1): -1.3, (2, 2, 1, 1): 0.4,
+          (1, 1, 2, 2): 2.1, (0, 1, 1, 0): 1.0}),
+        (3, ((0, 1), (1, 2), (2, 0)),
+         {(2, 1, 0, 1, 1, 2): 0.9, (1, 2, 1, 0, 2, 1): -0.6,
+          (1, 1, 2, 2, 1, 1): 1.7, (0, 2, 1, 1, 0, 2): 0.3}),
+    ]
+
+    @staticmethod
+    def analytic(poly, pairs, n):
+        for i, j in pairs:
+            poly = poly_add(poly_diff(poly_diff(poly, i), n + j),
+                            poly_diff(poly_diff(poly, j), n + i), -1.0)
+        return poly
+
+    @pytest.mark.parametrize("n, pairs, poly", CASES)
+    def test_composed_matches_nested(self, n, pairs, poly):
+        psi = PhaseFunction(lambda x, xi: poly_eval(poly, np.concatenate([x, xi])))
+        x, xi = np.linspace(-0.7, 0.8, n), np.linspace(1.1, -0.4, n)
+        h = 0.1
+        nested = psi
+        for i, j in pairs:
+            nested = john_apply(nested, i, j, h)
+        want = poly_eval(self.analytic(poly, pairs, n), np.concatenate([x, xi]))
+        got = apply_stencil(psi, _john_table(pairs, n), x, xi, h) / (2 * h) ** 6
+        assert abs(want) > 1.0
+        assert got == pytest.approx(want, rel=1e-9)
+        assert nested(x, xi) == pytest.approx(got, rel=1e-9)
+
+    def test_one_call_per_distinct_point(self):
+        seen = []
+        psi = PhaseFunction(lambda x, xi: seen.append((*x, *xi)) or 1.0)
+        pairs = ((0, 1),) * 3                  # n, m = 2, 2
+        apply_stencil(psi, _john_table(pairs, 2), np.array([0.3, -0.2]),
+                      np.array([0.9, 0.4]), 0.025)
+        assert len(seen) == len(set(seen)) == len(_john_table(pairs, 2)) == 96
 
 
 class TestPsiFromPhi:

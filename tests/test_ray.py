@@ -19,6 +19,7 @@ from raymoments.ray import (
     random_line,
     restricted_transform,
 )
+from raymoments.ray import _gauss_hermite
 
 
 def unit(v):
@@ -136,6 +137,54 @@ class TestMomentOracle:
         f = GaussPolyField.scalar(2)
         with pytest.raises(ValueError):
             moment_oracle(f, np.zeros(2), np.zeros(2), 0)
+
+    def test_node_count_invariance(self):
+        # floor((deg + q)/2) + 1 nodes are already exact, so four more nodes
+        # may only move the result by rounding
+        rng = np.random.default_rng(18)
+        for n in (2, 3):
+            for m in range(4):
+                f = random_field(n, m, rng)
+                x = rng.uniform(-2.0, 2.0, size=(20, n))
+                xi = rng.normal(size=(20, n))
+                for q in range(m + 2):
+                    count = (2 + q) // 2 + 1
+                    a = _gauss_hermite(f, x, xi, q, count)
+                    b = _gauss_hermite(f, x, xi, q, count + 4)
+                    assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
+
+    def test_scalar_gaussian_by_hand(self):
+        # J^q e^{-a|y|^2} = A int (u - c)^q e^{-b u^2} du with b = a|xi|^2,
+        # c = <x,xi>/|xi|^2, A = exp(-a(|x|^2 - <x,xi>^2/|xi|^2)); the even
+        # Gaussian moments are G0 = sqrt(pi/b) and G2 = G0/(2b)
+        a = 0.7
+        f = GaussPolyField.scalar(3, a=a)
+        x, xi = np.array([0.4, -0.3, 0.9]), np.array([1.2, 0.5, -0.8])
+        b = a * (xi @ xi)
+        c = (x @ xi) / (xi @ xi)
+        amp = math.exp(-a * (x @ x - (x @ xi) ** 2 / (xi @ xi)))
+        g0 = math.sqrt(math.pi / b)
+        g2 = g0 / (2.0 * b)
+        want = [g0, -c * g0, g2 + c * c * g0, -3.0 * c * g2 - c ** 3 * g0]
+        for q in range(4):
+            assert moment_oracle(f, x, xi, q) == pytest.approx(amp * want[q], rel=1e-14)
+
+    def test_batched_matches_scalar_calls(self):
+        rng = np.random.default_rng(19)
+        f = random_field(3, 2, rng)
+        x = rng.normal(size=(4, 5, 3))
+        xi = rng.normal(size=(4, 5, 3))
+        for q in range(3):
+            got = moment_oracle(f, x, xi, q)
+            want = np.array([[moment_oracle(f, x[i, j], xi[i, j], q) for j in range(5)]
+                             for i in range(4)])
+            assert got.shape == (4, 5)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        # one direction against many base points, as slice_check calls it
+        got = moment_oracle(f, x[0], xi[0, 0], 1)
+        want = [moment_oracle(f, xj, xi[0, 0], 1) for xj in x[0]]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        assert type(moment_oracle(f, x[0, 0], xi[0, 0], 0)) is float
 
 
 class TestExtendJ:

@@ -58,6 +58,8 @@ class TestSliceCheck:
             slice_check(f, np.array([2.0, 0.0]), np.array([0.0, 1.0]), 0)
         with pytest.raises(ValueError):
             slice_check(f, np.array([1.0, 0.0]), np.array([0.5, 1.0]), 0)
+        with pytest.raises(ValueError):
+            slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0, noffsets=1)
 
     def test_refinement_improves(self):
         rng = np.random.default_rng(3)
@@ -130,6 +132,7 @@ class TestKernelCheck:
         v = GaussPolyField.zero(2, 0)
         lines = [random_line(2, np.random.default_rng(9)) for _ in range(5)]
         assert kernel_check(v, 1, lines) == 0.0
+        assert kernel_check(random_field(2, 0, np.random.default_rng(9)), 1, []) == 0.0
 
 
 class TestSliceReconstruction:
