@@ -5,8 +5,8 @@ Two realizations of a symmetric-tensor field:
 * :class:`GaussPolyField` -- components are (multivariate polynomial) x
   exp(-a|x|^2); closed under symmetrized differentiation, divergence and
   the Fourier transform, which is what makes it usable as an exact oracle.
-* :class:`GridField` -- uniform-grid samples with spectral (FFT) derivative
-  operators under periodic extension.
+* :class:`GridField` -- real uniform-grid samples with spectral derivative
+  operators under periodic extension, on the real-FFT half spectrum.
 
 Fourier convention throughout: F u(y) = (2 pi)^{-n/2} int e^{-i<x,y>} u(x) dx.
 """
@@ -82,16 +82,25 @@ def poly_shift_axis(p: Poly, axis: int) -> Poly:
     return out
 
 
-def poly_eval(p: Poly, pts: np.ndarray):
-    """Evaluate at points of shape (..., n); broadcasts over leading axes."""
+def poly_eval(p: Poly, pts: np.ndarray, monomials: dict | None = None):
+    """Evaluate at points of shape (..., n); broadcasts over leading axes.
+
+    ``monomials`` caches each monomial's values by exponent tuple, so
+    polynomials evaluated at the same points share them.
+    """
     pts = np.asarray(pts)
+    if monomials is None:
+        monomials = {}
     dtype = complex if any(isinstance(c, complex) for c in p.values()) else float
     out = np.zeros(pts.shape[:-1], dtype=dtype)
     for e, c in p.items():
-        term = np.ones(pts.shape[:-1])
-        for ax, k in enumerate(e):
-            if k:
-                term = term * pts[..., ax] ** k
+        term = monomials.get(e)
+        if term is None:
+            term = np.ones(pts.shape[:-1])
+            for ax, k in enumerate(e):
+                if k:
+                    term = term * pts[..., ax] ** k
+            monomials[e] = term
         out = out + c * term
     return out
 
@@ -141,9 +150,6 @@ class GaussPolyField:
     def scalar(cls, n: int, a: float = 1.0, poly: Poly | None = None) -> "GaussPolyField":
         return cls(n, 0, a, (dict(poly) if poly else {(0,) * n: 1.0},))
 
-    def is_complex(self) -> bool:
-        return any(isinstance(c, complex) for p in self.comps for c in p.values())
-
     # -- evaluation ---------------------------------------------------------
 
     def envelope(self, pts: np.ndarray) -> np.ndarray:
@@ -153,7 +159,8 @@ class GaussPolyField:
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
         """Packed coefficients at points (..., n) -> (..., sym_dim)."""
         env = self.envelope(pts)
-        cols = [poly_eval(p, pts) * env for p in self.comps]
+        monomials: dict = {}
+        cols = [poly_eval(p, pts, monomials) * env for p in self.comps]
         return np.stack(cols, axis=-1)
 
     def eval(self, x) -> SymTensor:
@@ -372,14 +379,89 @@ class GridSpec:
             k[self.count // 2] = 0.0
         return [k] * self.n
 
+    # -- real-FFT half spectrum ------------------------------------------------
+    # Grid data is real, so its spectrum is Hermitian and the bins 0..count//2
+    # of the last grid axis hold all of it.  Every grid transform is this one
+    # rfftn/irfftn pair over the trailing n axes.
+
+    def half_wavenumbers(self) -> list[np.ndarray]:
+        """:meth:`wavenumbers` on the rfftn bins (last axis cut to count//2+1)."""
+        ks = self.wavenumbers()
+        return ks[:-1] + [ks[-1][: self.count // 2 + 1]]
+
+    def rfftn(self, data: np.ndarray) -> np.ndarray:
+        """Half spectrum of real data over its trailing n (grid) axes."""
+        return np.fft.rfftn(data, axes=tuple(range(-self.n, 0)))
+
+    def irfftn(self, hats: np.ndarray) -> np.ndarray:
+        """Real C-ordered grid data from a half spectrum; inverts :meth:`rfftn`."""
+        return np.ascontiguousarray(np.fft.irfftn(
+            hats, s=(self.count,) * self.n, axes=tuple(range(-self.n, 0))))
+
+    def apply_symbol(self, hats: np.ndarray, dim_out: int, terms) -> np.ndarray:
+        """Multiply a packed half spectrum by a packed polynomial symbol.
+
+        Each term (dst, src, coeff, exponents) adds coeff * y^exponents times
+        spectral component src to component dst of the (dim_out,) result.
+        The monomials stay broadcast along the axes they depend on, so the
+        symbol matrix is never formed on the grid.
+        """
+        n = self.n
+        ks = [k.reshape([-1 if j == ax else 1 for j in range(n)])
+              for ax, k in enumerate(self.half_wavenumbers())]
+        out = np.zeros((dim_out,) + hats.shape[1:], dtype=complex)
+        for dst, src, coeff, e in terms:
+            symbol = coeff
+            for k, p in zip(ks, e):
+                if p:
+                    symbol = symbol * k ** p
+            out[dst] += symbol * hats[src]
+        return out
+
+    def half_norm(self, hats: np.ndarray, m: int) -> float:
+        """:meth:`GridField.norm` of the rank-m field with half spectrum hats.
+
+        Discrete Parseval: sum_x |u|^2 = count^-n sum_y |u_hat|^2 over the
+        full spectrum.  On the half spectrum the last-axis bins 0 and (even
+        counts) count/2 are their own conjugates and weigh 1; every other
+        bin stands for itself and its conjugate and weighs 2.
+        """
+        bins = np.full(self.count // 2 + 1, 2.0)
+        bins[0] = 1.0
+        if self.count % 2 == 0:
+            bins[-1] = 1.0
+        w = mult_weights(self.n, m).reshape((-1,) + (1,) * self.n)
+        power = float((w * bins * (hats.real ** 2 + hats.imag ** 2)).sum())
+        return math.sqrt(power * (self.spacing / self.count) ** self.n)
+
+
+def d_symbol(n: int, m: int, order: int) -> list:
+    """Symbol terms of d^order on rank m: i^order A(y), A(y) = i_{y^(order)}."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    phase = 1j ** order
+    return [(r, c, phase * v, e) for r, c, v, e in sym_mult_monomials(n, m, order)]
+
+
+def delta_symbol(n: int, m: int, order: int) -> list:
+    """Symbol terms of delta^order on rank m: i^order W_lo^-1 A(y)^T W_hi."""
+    if not 0 <= order <= m:
+        raise ValueError(f"divergence order {order} outside 0..{m}")
+    lo = m - order
+    w_hi, w_lo = mult_weights(n, m), mult_weights(n, lo)
+    phase = 1j ** order
+    return [(c, r, phase * v * w_hi[r] / w_lo[c], e)
+            for r, c, v, e in sym_mult_monomials(n, lo, order)]
+
 
 @dataclass(frozen=True)
 class GridField:
     """Per-node packed symmetric tensor samples on a uniform grid.
 
-    ``data`` has shape (sym_dim(n, m),) + (count,)*n.  Periodic extension is
-    assumed by the spectral operators; fields are expected to decay below the
-    boundary cutoff of their generating :class:`GaussPolyField`.
+    ``data`` is real, of shape (sym_dim(n, m),) + (count,)*n; complex data
+    raises ValueError.  Periodic extension is assumed by the spectral
+    operators; fields are expected to decay below the boundary cutoff of
+    their generating :class:`GaussPolyField`.
     """
 
     n: int
@@ -392,6 +474,8 @@ class GridField:
         want = (sym_dim(self.n, self.m),) + (self.spec.count,) * self.n
         if self.data.shape != want:
             raise ValueError(f"data shape {self.data.shape} != {want}")
+        if np.iscomplexobj(self.data):
+            raise ValueError("grid field data must be real")
 
     def norm(self) -> float:
         """Discrete L2 norm with multiplicity weights (cell volume included)."""
@@ -425,54 +509,22 @@ class GridField:
             raise ValueError("grid fields not congruent")
 
     # -- spectral derivatives -------------------------------------------------
-    # Both operators multiply the spectrum by a polynomial symbol built from
-    # the monomial table A(y) = i_{y^(r)} of symtensor: d^r has the symbol
-    # i^r A(y), delta^r its weighted adjoint i^r W_lo^{-1} A(y)^T W_hi.
+    # Both operators multiply the half spectrum by a polynomial symbol built
+    # from the monomial table A(y) = i_{y^(r)} of symtensor: d^r has the
+    # symbol i^r A(y) (d_symbol), delta^r its weighted adjoint (delta_symbol).
 
     def inner_derivative(self, order: int = 1) -> "GridField":
-        """Symmetrized derivative d^order (rank goes up), one FFT pair."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        phase = 1j ** order
-        terms = [(r, c, phase * v, e)
-                 for r, c, v, e in sym_mult_monomials(self.n, self.m, order)]
-        return self._apply_symbol(self.m + order, terms)
+        """Symmetrized derivative d^order (rank goes up), one real-FFT pair."""
+        return self._apply_symbol(self.m + order, d_symbol(self.n, self.m, order))
 
     def divergence(self, order: int = 1) -> "GridField":
-        """Contracted derivative delta^order (rank goes down), one FFT pair."""
-        if not 0 <= order <= self.m:
-            raise ValueError(f"divergence order {order} outside 0..{self.m}")
-        lo = self.m - order
-        w_hi, w_lo = mult_weights(self.n, self.m), mult_weights(self.n, lo)
-        phase = 1j ** order
-        terms = [(c, r, phase * v * w_hi[r] / w_lo[c], e)
-                 for r, c, v, e in sym_mult_monomials(self.n, lo, order)]
-        return self._apply_symbol(lo, terms)
+        """Contracted derivative delta^order (rank goes down), one real-FFT pair."""
+        return self._apply_symbol(self.m - order, delta_symbol(self.n, self.m, order))
 
     def _apply_symbol(self, m_out: int, terms) -> "GridField":
-        """Multiply the spectrum by a packed polynomial symbol.
-
-        Each term (dst, src, coeff, exponents) adds coeff * y^exponents times
-        spectral component src to component dst of the rank-m_out result.
-        The monomials stay broadcast along the axes they depend on, so the
-        symbol matrix is never formed on the grid.
-        """
-        n = self.n
-        axes = tuple(range(1, n + 1))
-        ks = [k.reshape([-1 if j == ax else 1 for j in range(n)])
-              for ax, k in enumerate(self.spec.wavenumbers())]
-        hats = np.fft.fftn(self.data, axes=axes)
-        out = np.zeros((sym_dim(n, m_out),) + hats.shape[1:], dtype=complex)
-        for dst, src, coeff, e in terms:
-            symbol = coeff
-            for k, p in zip(ks, e):
-                if p:
-                    symbol = symbol * k ** p
-            out[dst] += symbol * hats[src]
-        out = np.fft.ifftn(out, axes=axes)
-        if not np.iscomplexobj(self.data):
-            out = np.ascontiguousarray(out.real)
-        return GridField(n, m_out, self.spec, out)
+        spec = self.spec
+        hats = spec.apply_symbol(spec.rfftn(self.data), sym_dim(self.n, m_out), terms)
+        return GridField(self.n, m_out, spec, spec.irfftn(hats))
 
     # -- I/O: flat binary of doubles + JSON sidecar ---------------------------
 

@@ -5,13 +5,15 @@ j_{y^(k)} g = 0 is a finite-dimensional least-squares problem
 (:func:`freq_project`); the same g also has an explicit projector product
 form (:func:`projector_formula`), and the two constructions agreeing is a
 uniqueness statement worth testing.  Globally, :func:`decompose_k` applies
-the pointwise splitting on the FFT of a grid field and synthesizes the
-k-solenoidal part g and the k-potential generator v with f = g + d^k v.
-Both solve with the packed symbol A(y) = i_{y^(k)} of
+the pointwise splitting on the real-FFT half spectrum of a grid field and
+synthesizes the k-solenoidal part g and the k-potential generator v with
+f = g + d^k v.  Both solve with the packed symbol A(y) = i_{y^(k)} of
 :func:`raymoments.symtensor.sym_mult_matrix`, the same table the spectral
 grid operators d^k and delta^k apply, so the grid decomposition is exact
 for those operators: at every bin f_hat = g_hat + i^k A(y) v_hat and
-i^k W^{-1} A(y)^T W g_hat = 0.
+i^k W^{-1} A(y)^T W g_hat = 0.  :func:`verify_decomposition` measures
+exactly these two residuals on the half spectra of f, g and v, by discrete
+Parseval, without an inverse transform.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridField
+from .fields import GridField, d_symbol, delta_symbol
 from .symtensor import (
     SymTensor,
     mult_weights,
@@ -119,16 +121,18 @@ def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
 def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     """Global decomposition f = g + d^k v with delta^k g = 0.
 
-    Per-component FFT, the pointwise splitting of :func:`freq_project` at
-    every bin whose symbol frequency y is nonzero, inverse FFT.  The
-    frequencies are those of :meth:`GridSpec.wavenumbers`, whose Nyquist
-    entry is zero on even grids, so odd and even grid counts are both
-    supported and every bin is split with the symbol that d^k and delta^k
-    apply.  The algebraic v_hat is divided by i^k so that the spectral
-    symbol of the k-fold symmetrized derivative (fourier(d^k v) =
-    i^k i_{y^(k)} v_hat) reproduces f_hat; bins with y = 0 are assigned
-    wholly to g.  Real input yields real g and v; data whose synthesis keeps
-    an imaginary part raises ValueError.
+    Real-FFT half spectrum of f, the pointwise splitting of
+    :func:`freq_project` at every half-spectrum bin whose symbol frequency y
+    is nonzero, inverse real FFT.  The other half of the spectrum is the
+    conjugate of this one, and so is its splitting, because A(-y) =
+    (-1)^k A(y) is real.  The frequencies are those of
+    :meth:`GridSpec.half_wavenumbers`, whose Nyquist entry is zero on even
+    grids, so odd and even grid counts are both supported and every bin is
+    split with the symbol that d^k and delta^k apply.  The algebraic v_hat
+    is divided by i^k so that the spectral symbol of the k-fold symmetrized
+    derivative (fourier(d^k v) = i^k i_{y^(k)} v_hat) reproduces f_hat;
+    bins with y = 0 are assigned wholly to g.  f, g and v are real grid
+    fields (:class:`GridField` rejects complex data).
     """
     n, m = f.n, f.m
     if not 1 <= k <= min(n - 1, m):
@@ -138,9 +142,9 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
         import warnings
         warnings.warn("field does not decay at the grid boundary",
                       RuntimeWarning, stacklevel=2)
-    axes = tuple(range(1, n + 1))
-    hats = np.fft.fftn(f.data, axes=axes)             # (dim_m,) + grid
-    mesh = np.meshgrid(*f.spec.wavenumbers(), indexing="ij")
+    spec = f.spec
+    hats = spec.rfftn(f.data)                          # (dim_m,) + half grid
+    mesh = np.meshgrid(*spec.half_wavenumbers(), indexing="ij")
     ys = np.stack([g.ravel() for g in mesh], axis=-1)  # (B, n)
     fhat_flat = hats.reshape(hats.shape[0], -1).T      # (B, dim_m)
     nz = (ys != 0.0).any(axis=1)
@@ -152,31 +156,34 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
                         sym_mult_matrix(n, m - k, k, ys[nz]), mult_weights(n, m))
     g_flat[nz] = g_nz.view(complex)[..., 0]
     v_flat[nz] = v_nz.view(complex)[..., 0] / 1j ** k
-    grid_shape = (f.spec.count,) * n
-    g_hat = g_flat.T.reshape((sym_dim(n, m),) + grid_shape)
-    v_hat = v_flat.T.reshape((sym_dim(n, m - k),) + grid_shape)
-    g_data = np.fft.ifftn(g_hat, axes=axes)
-    v_data = np.fft.ifftn(v_hat, axes=axes)
-    imag = max(float(np.abs(g_data.imag).max()), float(np.abs(v_data.imag).max()))
-    if imag >= 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"decomposition has an imaginary residue {imag:g}; "
-                         "the field data must be real")
-    g = GridField(n, m, f.spec, np.ascontiguousarray(g_data.real))
-    v = GridField(n, m - k, f.spec, np.ascontiguousarray(v_data.real))
-    return g, v
+    g_hat = g_flat.T.reshape((sym_dim(n, m),) + hats.shape[1:])
+    v_hat = v_flat.T.reshape((sym_dim(n, m - k),) + hats.shape[1:])
+    return (GridField(n, m, spec, spec.irfftn(g_hat)),
+            GridField(n, m - k, spec, spec.irfftn(v_hat)))
 
 
 def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> dict:
-    """Residual report for a claimed decomposition f = g + d^k v."""
+    """Residual report for a claimed decomposition f = g + d^k v.
+
+    One real FFT each of f, g and v and no inverse transform: the
+    reconstruction residual f_hat - g_hat - i^k A(y) v_hat, delta^k g and
+    the scale d^k f are measured on the half spectrum by discrete Parseval
+    (:meth:`GridSpec.half_norm`), with the symbols the grid operators apply.
+    """
     f._check_like(g)
     if (v.n, v.m, v.spec) != (f.n, f.m - k, f.spec):
         raise ValueError("v grid not congruent with f")
-    recon = g + v.inner_derivative(k)
+    n, m, spec = f.n, f.m, f.spec
+    f_hat, g_hat, v_hat = (spec.rfftn(u.data) for u in (f, g, v))
+    recon = f_hat - g_hat - spec.apply_symbol(v_hat, sym_dim(n, m),
+                                              d_symbol(n, m - k, k))
+    d_f = spec.apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k))
+    delta_g = spec.apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k))
     fnorm = f.norm()
-    dscale = f.inner_derivative(k).norm()
+    dscale = spec.half_norm(d_f, m + k)
     return {
-        "reconstruction_residual": (f - recon).norm() / max(fnorm, 1e-300),
-        "solenoidal_residual": g.divergence(k).norm() / max(dscale, 1e-300),
+        "reconstruction_residual": spec.half_norm(recon, m) / max(fnorm, 1e-300),
+        "solenoidal_residual": spec.half_norm(delta_g, m - k) / max(dscale, 1e-300),
         "boundary_decay_g": g.boundary_max() / max(fnorm, 1e-300),
         "boundary_decay_v": v.boundary_max() / max(fnorm, 1e-300),
     }

@@ -279,6 +279,8 @@ def range_test(data: MomentData | None, m: int, k: int,
         raise ValueError(f"step sizes must be positive and distinct, got {tuple(steps)}")
     if ntuples < 1:
         raise ValueError(f"need at least one John tuple, got ntuples={ntuples}")
+    if npoints < 0:
+        raise ValueError(f"npoints must be non-negative, got {npoints}")
     if k > m:
         raise ValueError("moment order exceeds rank")
     if data is not None:

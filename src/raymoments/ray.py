@@ -302,10 +302,6 @@ class MomentData:
     def ndirs(self) -> int:
         return self.directions.shape[0]
 
-    def antipode(self, i: int) -> int:
-        half = self.ndirs // 2
-        return i + half if i < half else i - half
-
     def line(self, d: int, o: int) -> Line:
         s = np.unravel_index(o, (self.offsets.size,) * (self.n - 1))
         x = self.frames[d] @ self.offsets[list(s)]

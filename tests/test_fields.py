@@ -8,6 +8,7 @@ from raymoments.fields import (
     GaussPolyField,
     GridField,
     GridSpec,
+    poly_eval,
     random_field,
 )
 from raymoments.symtensor import SymTensor, multi_indices, mult_weights, sym_dim, sym_mult
@@ -40,6 +41,20 @@ class TestEval:
         out = f.eval_packed(pts)
         assert out.shape == (4, 5, sym_dim(2, 2))
         np.testing.assert_allclose(out[1, 2], f.eval(pts[1, 2]).coeffs)
+
+    @pytest.mark.parametrize("kind", ["real", "fourier"])
+    def test_eval_packed_equals_per_component_poly_eval(self, kind):
+        # shared monomials must not change a bit, nor a component's dtype
+        rng = np.random.default_rng(2)
+        f = random_field(3, 2, rng)
+        if kind == "fourier":
+            f = f.fourier_analytic()
+        pts = rng.normal(size=(7, 6, 3))
+        env = f.envelope(pts)
+        want = np.stack([poly_eval(p, pts) * env for p in f.comps], axis=-1)
+        got = f.eval_packed(pts)
+        assert got.dtype == want.dtype == (complex if kind == "fourier" else float)
+        assert np.array_equal(got, want)
 
 
 class TestInnerDerivative:
@@ -233,6 +248,14 @@ class TestGridField:
             g.inner_derivative(-1)
         with pytest.raises(ValueError):
             g.divergence(-1)
+
+    def test_complex_data_rejected(self):
+        spec = GridSpec(2, 8, 4.0)
+        with pytest.raises(ValueError, match="real"):
+            GridField(2, 1, spec, np.zeros((2, 8, 8), dtype=complex))
+        f = random_field(2, 1, np.random.default_rng(13)).fourier_analytic()
+        with pytest.raises(ValueError, match="real"):
+            f.sample(spec)
 
     def test_dump_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -182,6 +182,42 @@ class TestVerifyDecomposition:
         rep = verify_decomposition(f, f * 0.0, w, 1)
         assert rep["reconstruction_residual"] > 1e-3
 
+    @pytest.mark.parametrize("n, m, k, count",
+                             [(2, 2, 1, 32), (2, 2, 1, 33), (3, 3, 2, 16), (3, 3, 2, 17)])
+    def test_spectral_residuals_match_real_space(self, n, m, k, count):
+        # white noise has energy in every bin, the Nyquist ones included
+        rng = np.random.default_rng(16)
+        spec = GridSpec(n, count, 8.0)
+
+        def noise(rank):
+            return GridField(n, rank, spec,
+                             rng.normal(size=(sym_dim(n, rank),) + (count,) * n))
+
+        f = noise(m)
+        with pytest.warns(RuntimeWarning):
+            g, v = decompose_k(f, k)
+        # the decomposition, then a perturbed one with O(1) residuals
+        for gg, vv in [(g, v), (g + 0.1 * noise(m), v + 0.1 * noise(m - k))]:
+            rep = verify_decomposition(f, gg, vv, k)
+            recon = (f - gg - vv.inner_derivative(k)).norm() / f.norm()
+            sol = gg.divergence(k).norm() / f.inner_derivative(k).norm()
+            assert rep["reconstruction_residual"] == pytest.approx(recon, rel=1e-10, abs=1e-10)
+            assert rep["solenoidal_residual"] == pytest.approx(sol, rel=1e-10, abs=1e-10)
+
+    def test_no_inverse_transform(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        spec = GridSpec(2, 16, 6.0)
+        f = random_field(2, 2, rng).sample(spec)
+        g, v = decompose_k(f, 1)
+
+        def inverse(*args, **kwargs):
+            raise AssertionError("verify_decomposition ran an inverse FFT")
+
+        for name in ("ifft", "ifftn", "irfft", "irfftn"):
+            monkeypatch.setattr(np.fft, name, inverse)
+        rep = verify_decomposition(f, g, v, 1)
+        assert rep["reconstruction_residual"] < 1e-12
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
         spec = GridSpec(2, 16, 6.0)

@@ -335,6 +335,16 @@ class TestRangeTest:
                             npoints=1, seed=0)
         assert not report.parity_pass
 
+    def test_negative_npoints_rejected(self):
+        f = random_field(2, 1, np.random.default_rng(17), degree=1)
+        callables = oracle_moment_callables(f, 1)
+        with pytest.raises(ValueError, match="npoints"):
+            range_test(None, 2, 1, moment_callables=callables, npoints=-3, n=2)
+        # npoints=0 stays allowed: it checks no phase point
+        report = range_test(None, 2, 1, moment_callables=callables,
+                            npoints=0, ntuples=1, n=2)
+        assert report.max_john_residual() == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             range_test(None, 2, 1)

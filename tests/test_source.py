@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "raymoments"
@@ -24,3 +25,13 @@ def test_all_names_resolve():
         stale += [f"{name}.{attr}" for attr in getattr(mod, "__all__", ())
                   if not hasattr(mod, attr)]
     assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
+def test_only_the_real_fft_pair():
+    # GridSpec.rfftn/irfftn is the one grid transform; grid data is real
+    pattern = re.compile(r"\bi?fftn\(")
+    found = [f"{path.relative_to(SRC)}:{lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, f"complex fftn/ifftn calls in src/raymoments: {found}"
