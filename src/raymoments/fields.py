@@ -17,12 +17,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .symtensor import (
     SymTensor,
     _index_map,
+    _json_real,
     multi_indices,
     mult_weights,
     sym_dim,
@@ -80,6 +82,11 @@ def poly_shift_axis(p: Poly, axis: int) -> Poly:
         e2 = e[:axis] + (e[axis] + 1,) + e[axis + 1:]
         out[e2] = out.get(e2, 0.0) + c
     return out
+
+
+def gauss_partial(p: Poly, axis: int, a: float) -> Poly:
+    """d/dx_axis (p e^{-a|x|^2}) = (dp/dx_axis - 2 a x_axis p) e^{-a|x|^2}."""
+    return poly_add(poly_diff(p, axis), poly_shift_axis(p, axis), -2.0 * a)
 
 
 def poly_eval(p: Poly, pts: np.ndarray, monomials: dict | None = None):
@@ -158,19 +165,28 @@ class GaussPolyField:
 
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
         """Packed coefficients at points (..., n) -> (..., sym_dim)."""
+        # filled in place and allocated before its temporaries, so freeing them
+        # does not shrink and regrow the heap in loops such as batch_transform
+        is_complex = any(isinstance(c, complex) for p in self.comps for c in p.values())
+        out = np.empty(np.shape(pts)[:-1] + (len(self.comps),), complex if is_complex else float)
         env = self.envelope(pts)
         monomials: dict = {}
-        cols = [poly_eval(p, pts, monomials) * env for p in self.comps]
-        return np.stack(cols, axis=-1)
+        for col, p in enumerate(self.comps):
+            out[..., col] = poly_eval(p, pts, monomials) * env
+        return out
 
     def eval(self, x) -> SymTensor:
         return SymTensor(self.n, self.m, self.eval_packed(np.asarray(x, dtype=float)))
 
     def line_values(self, x, xi, ts: np.ndarray) -> np.ndarray:
-        """<f(x + t xi), xi^(x)m> for an array of line parameters t."""
+        """<f(x + t xi), xi^(x)m> for line parameters t: x (..., n) -> (..., T).
+
+        Batched over the leading axes of the base points x; xi is one
+        direction (n,).
+        """
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        pts = x[None, :] + np.asarray(ts)[:, None] * xi[None, :]
+        pts = x[..., None, :] + np.asarray(ts)[:, None] * xi
         return self.eval_packed(pts) @ xi_power_weights(self.n, self.m, xi)
 
     # -- algebra ------------------------------------------------------------
@@ -187,47 +203,33 @@ class GaussPolyField:
     __rmul__ = __mul__
 
     # -- differential operators ---------------------------------------------
-
-    def _component_partial(self, p: Poly, axis: int) -> Poly:
-        # d/dx_j (p e^{-a|x|^2}) = (dp/dx_j - 2 a x_j p) e^{-a|x|^2}
-        return poly_add(poly_diff(p, axis), poly_shift_axis(p, axis), -2.0 * self.a)
+    # The symbol tables of the grid operators, read in space: each term
+    # (dst, src, coeff, exponents) adds coeff * d^exponents comps[src] to
+    # comps[dst], so every order takes one pass.
 
     def inner_derivative(self, order: int = 1) -> "GaussPolyField":
-        """Symmetrized derivative, applied ``order`` times (rank goes up)."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        out = self
-        for _ in range(order):
-            n, m = out.n, out.m
-            idx = _index_map(n, m)
-            comps = []
-            for gamma in multi_indices(n, m + 1):
-                acc: Poly = {}
-                for slot in range(m + 1):
-                    rest = gamma[:slot] + gamma[slot + 1:]
-                    dpoly = out._component_partial(out.comps[idx[rest]], gamma[slot])
-                    acc = poly_add(acc, dpoly)
-                comps.append(poly_scale(acc, 1.0 / (m + 1)))
-            out = GaussPolyField(n, m + 1, self.a, tuple(comps))
-        return out
+        """Symmetrized derivative d^order (rank goes up)."""
+        terms = d_symbol(self.n, self.m, order)
+        return self if order == 0 else self._apply_symbol(self.m + order, terms)
 
     def divergence(self, order: int = 1) -> "GaussPolyField":
-        """Contracted derivative, applied ``order`` times (rank goes down)."""
-        if not 0 <= order <= self.m:
-            raise ValueError(f"divergence order {order} outside 0..{self.m}")
-        out = self
-        for _ in range(order):
-            n, m = out.n, out.m
-            idx = _index_map(n, m)
-            comps = []
-            for alpha in multi_indices(n, m - 1):
-                acc: Poly = {}
-                for j in range(n):
-                    acc = poly_add(
-                        acc, out._component_partial(out.comps[idx[tuple(sorted(alpha + (j,)))]], j))
-                comps.append(acc)
-            out = GaussPolyField(n, m - 1, self.a, tuple(comps))
-        return out
+        """Contracted derivative delta^order (rank goes down)."""
+        terms = delta_symbol(self.n, self.m, order)
+        return self if order == 0 else self._apply_symbol(self.m - order, terms)
+
+    def _apply_symbol(self, m_out: int, terms) -> "GaussPolyField":
+        @lru_cache(maxsize=None)
+        def partial(src: int, e: tuple) -> Poly:
+            # d^e comps[src], one gauss_partial per order, cached per (src, e)
+            if not any(e):
+                return self.comps[src]
+            ax = next(j for j, p in enumerate(e) if p)
+            return gauss_partial(partial(src, e[:ax] + (e[ax] - 1,) + e[ax + 1:]), ax, self.a)
+
+        comps: list = [{} for _ in range(sym_dim(self.n, m_out))]
+        for dst, src, coeff, e in terms:
+            comps[dst] = poly_add(comps[dst], partial(src, e), coeff)
+        return GaussPolyField(self.n, m_out, self.a, tuple(comps))
 
     # -- Fourier transform ---------------------------------------------------
 
@@ -247,8 +249,7 @@ class GaussPolyField:
                 for ax, k in enumerate(e):
                     for _ in range(k):
                         # i d/dy_ax acting on q(y) e^{-b|y|^2}
-                        q = poly_add(poly_diff(q, ax), poly_shift_axis(q, ax), -2.0 * b)
-                        q = poly_scale(q, 1j)
+                        q = poly_scale(gauss_partial(q, ax, b), 1j)
                 acc = poly_add(acc, q)
             comps.append(acc)
         return GaussPolyField(self.n, self.m, b, tuple(comps))
@@ -299,7 +300,7 @@ class GaussPolyField:
         comp = {}
         for p, alpha in enumerate(multi_indices(self.n, self.m)):
             key = "".join(str(i + 1) for i in alpha)
-            comp[key] = [{"c": float(np.real(c)), "pow": list(e)}
+            comp[key] = [{"c": _json_real(c), "pow": list(e)}
                          for e, c in sorted(self.comps[p].items())]
         return json.dumps({"n": self.n, "m": self.m, "a": self.a, "components": comp})
 
@@ -399,11 +400,12 @@ class GridSpec:
             hats, s=(self.count,) * self.n, axes=tuple(range(-self.n, 0))))
 
     def apply_symbol(self, hats: np.ndarray, dim_out: int, terms) -> np.ndarray:
-        """Multiply a packed half spectrum by a packed polynomial symbol.
+        """Apply a packed differential operator to a packed half spectrum.
 
-        Each term (dst, src, coeff, exponents) adds coeff * y^exponents times
-        spectral component src to component dst of the (dim_out,) result.
-        The monomials stay broadcast along the axes they depend on, so the
+        Each term (dst, src, coeff, exponents) adds coeff * d^exponents of
+        component src to component dst of the (dim_out,) result, with the
+        partial derivative d^e realized as the Fourier symbol (i y)^e.  The
+        monomials stay broadcast along the axes they depend on, so the
         symbol matrix is never formed on the grid.
         """
         n = self.n
@@ -411,7 +413,7 @@ class GridSpec:
               for ax, k in enumerate(self.half_wavenumbers())]
         out = np.zeros((dim_out,) + hats.shape[1:], dtype=complex)
         for dst, src, coeff, e in terms:
-            symbol = coeff
+            symbol = coeff * 1j ** sum(e)
             for k, p in zip(ks, e):
                 if p:
                     symbol = symbol * k ** p
@@ -435,22 +437,21 @@ class GridSpec:
         return math.sqrt(power * (self.spacing / self.count) ** self.n)
 
 
-def d_symbol(n: int, m: int, order: int) -> list:
-    """Symbol terms of d^order on rank m: i^order A(y), A(y) = i_{y^(order)}."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    phase = 1j ** order
-    return [(r, c, phase * v, e) for r, c, v, e in sym_mult_monomials(n, m, order)]
+def d_symbol(n: int, m: int, order: int):
+    """Terms (dst, src, coeff, e) of d^order on rank m: A(d), A = i_{y^(order)}.
+
+    coeff is the real coefficient of the partial derivative d^e.
+    """
+    return sym_mult_monomials(n, m, order)
 
 
 def delta_symbol(n: int, m: int, order: int) -> list:
-    """Symbol terms of delta^order on rank m: i^order W_lo^-1 A(y)^T W_hi."""
+    """Terms (dst, src, coeff, e) of delta^order on rank m: W_lo^-1 A(d)^T W_hi."""
     if not 0 <= order <= m:
         raise ValueError(f"divergence order {order} outside 0..{m}")
     lo = m - order
     w_hi, w_lo = mult_weights(n, m), mult_weights(n, lo)
-    phase = 1j ** order
-    return [(c, r, phase * v * w_hi[r] / w_lo[c], e)
+    return [(c, r, v * w_hi[r] / w_lo[c], e)
             for r, c, v, e in sym_mult_monomials(n, lo, order)]
 
 
@@ -511,7 +512,8 @@ class GridField:
     # -- spectral derivatives -------------------------------------------------
     # Both operators multiply the half spectrum by a polynomial symbol built
     # from the monomial table A(y) = i_{y^(r)} of symtensor: d^r has the
-    # symbol i^r A(y) (d_symbol), delta^r its weighted adjoint (delta_symbol).
+    # symbol i^r A(y) (d_symbol), delta^r i^r times its weighted adjoint
+    # (delta_symbol); GaussPolyField applies the same two tables in space.
 
     def inner_derivative(self, order: int = 1) -> "GridField":
         """Symmetrized derivative d^order (rank goes up), one real-FFT pair."""

@@ -8,12 +8,12 @@ uniqueness statement worth testing.  Globally, :func:`decompose_k` applies
 the pointwise splitting on the real-FFT half spectrum of a grid field and
 synthesizes the k-solenoidal part g and the k-potential generator v with
 f = g + d^k v.  Both solve with the packed symbol A(y) = i_{y^(k)} of
-:func:`raymoments.symtensor.sym_mult_matrix`, the same table the spectral
-grid operators d^k and delta^k apply, so the grid decomposition is exact
-for those operators: at every bin f_hat = g_hat + i^k A(y) v_hat and
-i^k W^{-1} A(y)^T W g_hat = 0.  :func:`verify_decomposition` measures
-exactly these two residuals on the half spectra of f, g and v, by discrete
-Parseval, without an inverse transform.
+:func:`raymoments.symtensor.sym_mult_matrix`, the one symmetrization table
+that the analytic and grid d^k and delta^k also read, so the grid
+decomposition is exact for the grid operators: at every bin f_hat = g_hat
++ i^k A(y) v_hat and i^k W^{-1} A(y)^T W g_hat = 0.  :func:`verify_decomposition`
+measures exactly these two residuals on the half spectra of f, g and v, by
+discrete Parseval, without an inverse transform.
 """
 
 from __future__ import annotations

@@ -46,8 +46,6 @@ __all__ = [
 # threshold.
 _DEFAULT_STEPS = (0.025, 0.0125)
 
-_ACCURACY = {"oracle-exact": 1.0, "interpolated": 1e4}
-
 
 @dataclass(frozen=True)
 class PhaseFunction:
@@ -55,13 +53,10 @@ class PhaseFunction:
 
     ``degree`` is the positive-dilation homogeneity exponent when known
     (eval(x, c xi) = c^degree eval(x, xi) for c > 0), None otherwise.
-    ``provenance`` scales downstream tolerances: oracle-exact evaluators are
-    noise-free, interpolated ones are not.
     """
 
     evaluator: object
     degree: float | None = None
-    provenance: str = "oracle-exact"
 
     def __call__(self, x, xi) -> float:
         return float(self.evaluator(x, xi))
@@ -103,12 +98,10 @@ def john_apply(psi, i: int, j: int, h: float) -> PhaseFunction:
         return apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h) / (2 * h) ** 2
 
     deg = getattr(psi, "degree", None)
-    return PhaseFunction(ev, None if deg is None else deg - 1,
-                         getattr(psi, "provenance", "oracle-exact"))
+    return PhaseFunction(ev, None if deg is None else deg - 1)
 
 
-def psi_from_phi(moments, m: int, ell: int,
-                 provenance: str = "oracle-exact") -> PhaseFunction:
+def psi_from_phi(moments, m: int, ell: int) -> PhaseFunction:
     """The extension psi^l of moment data, as a PhaseFunction.
 
         psi^l(x, xi) = |xi|^{m-2l-1} sum_{r<=l} (-1)^{l-r} C(l, r) |xi|^r
@@ -119,7 +112,7 @@ def psi_from_phi(moments, m: int, ell: int,
     shared with :func:`raymoments.ray.make_extend_J` by construction.
     """
     J = make_extend_J(moments, m)
-    return PhaseFunction(lambda x, xi: J(x, xi, ell), m - ell - 1, provenance)
+    return PhaseFunction(lambda x, xi: J(x, xi, ell), m - ell - 1)
 
 
 def transport_identity_residual(psi_k: PhaseFunction, psi_lower, k: int,
@@ -162,7 +155,7 @@ def chi_build(psi_ell: PhaseFunction, gs, ell: int, m: int) -> PhaseFunction:
                     * moment_oracle(g, x, xi, ell - s))
         return (-1.0) ** ell / math.factorial(ell) * acc
 
-    return PhaseFunction(ev, m - ell - 1, psi_ell.provenance)
+    return PhaseFunction(ev, m - ell - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,6 @@ def _phase_points(n: int, rng: np.random.Generator, count: int):
 def range_test(data: MomentData | None, m: int, k: int,
                steps: tuple = _DEFAULT_STEPS,
                moment_callables=None,
-               provenance: str = "oracle-exact",
                npoints: int = 2, ntuples: int = 64,
                seed: int = 0, n: int | None = None) -> RangeReport:
     """Evaluate the range conditions on moment data.
@@ -272,7 +264,6 @@ def range_test(data: MomentData | None, m: int, k: int,
         if data is None:
             raise ValueError("need moment data or moment callables")
         moment_callables = interpolating_moment_callables(data)
-        provenance = "interpolated"
     if len(steps) < 2:
         raise ValueError("need at least two step sizes for order estimates")
     if min(steps) <= 0 or len(set(steps)) != len(steps):
@@ -288,12 +279,8 @@ def range_test(data: MomentData | None, m: int, k: int,
     elif n is None:
         raise ValueError("spatial dimension cannot be inferred; pass n")
     rng = np.random.default_rng(seed)
-    scale_tol = _ACCURACY.get(provenance, 1.0)
-
     parity = _parity_residuals(data) if data is not None else {}
-
-    psis = [psi_from_phi(moment_callables, m, ell, provenance)
-            for ell in range(k + 1)]
+    psis = [psi_from_phi(moment_callables, m, ell) for ell in range(k + 1)]
     points = _phase_points(n, rng, npoints)
 
     # residuals aggregated over the phase points per tuple: a single point can
@@ -319,7 +306,7 @@ def range_test(data: MomentData | None, m: int, k: int,
                                    "order": _order(residuals, steps)})
 
     return RangeReport(m, k, tuple(steps), parity, john_rows, transport_rows,
-                       parity_tol=1e-12 * scale_tol,
+                       parity_tol=1e-12,
                        parity_available=data is not None)
 
 

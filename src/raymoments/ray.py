@@ -355,12 +355,8 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
     grids = np.meshgrid(*([offsets] * (f.n - 1)), indexing="ij")
     s = np.stack([g.ravel() for g in grids], axis=-1)      # (P, n-1)
     values = np.empty((k + 1, dirs.shape[0], s.shape[0]))
-    weights = xi_power_weights(f.n, f.m, dirs)             # (D, sym_dim)
     for d in range(dirs.shape[0]):
-        base = s @ frames[d].T                             # (P, n)
-        pts = base[:, None, :] + t[None, :, None] * dirs[d][None, None, :]
-        packed = f.eval_packed(pts)                        # (P, T, sym_dim)
-        integrand = packed @ weights[d]                    # (P, T)
+        integrand = f.line_values(s @ frames[d].T, dirs[d], t)  # (P, T)
         for ell in range(k + 1):
             values[ell, d] = integrand @ (w * t ** ell)
     return MomentData(f.n, f.m, k, dirs, frames, offsets, values, rule)
@@ -370,8 +366,7 @@ def interpolating_moment_callables(data: MomentData):
     """I^l callables interpolated from sampled moment data (n = 2 only).
 
     Linear in the direction angle, cubic spline in the signed offset; the
-    accuracy class is strictly below the oracle path, callers must widen
-    tolerances accordingly.
+    accuracy class is strictly below the oracle path.
     """
     if data.n != 2:
         raise NotImplementedError("moment-data interpolation implemented for n=2")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussPolyField, poly_add, poly_diff, poly_scale, poly_shift_axis
+from .fields import GaussPolyField, gauss_partial, poly_add, poly_scale
 from .ray import householder_frame, moment_oracle
 from .symtensor import (
     SymTensor,
@@ -48,8 +48,7 @@ def _directional_derivative(comp: dict, xi: np.ndarray, b: float) -> dict:
     out: dict = {}
     for ax, c in enumerate(xi):
         if c:
-            term = poly_add(poly_diff(comp, ax), poly_shift_axis(comp, ax), -2.0 * b)
-            out = poly_add(out, poly_scale(term, c))
+            out = poly_add(out, gauss_partial(comp, ax, b), c)
     return out
 
 

@@ -144,7 +144,7 @@ class SymTensor:
         comp = {}
         for p, alpha in enumerate(multi_indices(self.n, self.m)):
             if self.coeffs[p] != 0:
-                comp["".join(str(i + 1) for i in alpha)] = float(np.real(self.coeffs[p]))
+                comp["".join(str(i + 1) for i in alpha)] = _json_real(self.coeffs[p])
         return json.dumps({"n": self.n, "m": self.m, "coeffs": comp})
 
     @classmethod
@@ -152,6 +152,13 @@ class SymTensor:
         d = json.loads(text)
         comp = {tuple(int(c) - 1 for c in key): v for key, v in d["coeffs"].items()}
         return cls.from_components(d["n"], d["m"], comp)
+
+
+def _json_real(c) -> float:
+    """c as a JSON float; the JSON forms hold real coefficients only."""
+    if np.imag(c) != 0:
+        raise ValueError(f"coefficient {c} is not real and has no JSON form")
+    return float(np.real(c))
 
 
 def symmetrize(raw: np.ndarray) -> SymTensor:
@@ -174,53 +181,30 @@ def symmetrize(raw: np.ndarray) -> SymTensor:
 
 
 def sym_mult(u: SymTensor, x: np.ndarray, k: int) -> SymTensor:
-    """Symmetric multiplication i_{x^(k)} u = sigma(x^{(x)k} (x) u), rank m+k.
-
-    Since u and x^{(x)k} are each symmetric, the full symmetrization reduces
-    to an average over the binom(m+k, k) choices of slots carrying x factors.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (u.n,):
-        raise ValueError("dimension mismatch")
-    if k == 0:
-        return u
-    n, m = u.n, u.m
-    idx_u = _index_map(n, m)
-    out = np.zeros(sym_dim(n, m + k), dtype=np.result_type(u.coeffs, x))
-    nslots = math.comb(m + k, k)
-    for p, gamma in enumerate(multi_indices(n, m + k)):
-        acc = 0.0
-        for S in itertools.combinations(range(m + k), k):
-            rest = tuple(gamma[i] for i in range(m + k) if i not in S)
-            w = 1.0
-            for i in S:
-                w *= x[gamma[i]]
-            acc = acc + w * u.coeffs[idx_u[rest]]
-        out[p] = acc / nslots
-    return SymTensor(n, m + k, out)
+    """Symmetric multiplication i_{x^(k)} u = sigma(x^{(x)k} (x) u), rank m+k."""
+    A = sym_mult_matrix(u.n, u.m, k, _vector(x, u.n))
+    return u if k == 0 else SymTensor(u.n, u.m + k, A @ u.coeffs)
 
 
 def contract(w: SymTensor, x: np.ndarray, k: int) -> SymTensor:
-    """Contraction j_{x^(k)} w: sum the last k slots of w against x, rank m-k."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (w.n,):
-        raise ValueError("dimension mismatch")
+    """Contraction j_{x^(k)} w: sum the last k slots of w against x, rank m-k.
+
+    The adjoint of :func:`sym_mult` under :func:`sym_inner`, so its packed
+    matrix is W_lo^-1 A(x)^T W_hi with A(x) = i_{x^(k)} and W the
+    multiplicity weights.
+    """
     if k > w.m:
         raise ValueError(f"contraction order {k} exceeds rank {w.m}")
-    if k == 0:
-        return w
-    n, m = w.n, w.m - k
-    idx_w = _index_map(n, w.m)
-    out = np.zeros(sym_dim(n, m), dtype=np.result_type(w.coeffs, x))
-    for p, alpha in enumerate(multi_indices(n, m)):
-        acc = 0.0
-        for js in itertools.product(range(n), repeat=k):
-            wgt = 1.0
-            for j in js:
-                wgt *= x[j]
-            acc = acc + wgt * w.coeffs[idx_w[tuple(sorted(alpha + js))]]
-        out[p] = acc
-    return SymTensor(n, m, out)
+    n, lo = w.n, w.m - k
+    A = sym_mult_matrix(n, lo, k, _vector(x, n))
+    return w if k == 0 else SymTensor(
+        n, lo, A.T @ (mult_weights(n, w.m) * w.coeffs) / mult_weights(n, lo))
+
+
+def _vector(x, n: int) -> np.ndarray:
+    if np.shape(x) != (n,):
+        raise ValueError(f"x must have shape ({n},), got {np.shape(x)}")
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -263,9 +247,13 @@ def sym_mult_monomials(n: int, m: int, k: int):
     """Monomial table of the packed matrix of i_{x^(k)}: S^m -> S^{m+k}.
 
     Returns tuples (row, col, coeff, exponents) with
-    A(x)[row, col] = sum coeff * prod_j x_j^exponents[j].  Used to assemble
-    the operator for many x values at once.
+    A(x)[row, col] = sum coeff * prod_j x_j^exponents[j].  This is the one
+    encoding of the symmetrization: sym_mult, contract, the grid symbols of
+    d^k and delta^k and the analytic derivatives of GaussPolyField all read
+    it (with x_j standing for the partial derivative d_j in space).
     """
+    if k < 0:
+        raise ValueError(f"order k must be non-negative, got k={k}")
     idx_lo = _index_map(n, m)
     table: dict[tuple[int, int, tuple[int, ...]], float] = {}
     nslots = math.comb(m + k, k)
@@ -280,17 +268,40 @@ def sym_mult_monomials(n: int, m: int, k: int):
     return tuple((r, c, v, e) for (r, c, e), v in sorted(table.items()))
 
 
+@lru_cache(maxsize=None)
+def _sym_mult_terms(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_mult_monomials` grouped by exponent: A(x) = sum_e x^e C_e.
+
+    Returns the distinct exponents as rows of an (E, n) array and the
+    constant matrices C_e flattened to (E, sym_dim(n, m+k) * sym_dim(n, m)).
+    """
+    terms = sym_mult_monomials(n, m, k)
+    exps = sorted({e for *_, e in terms})
+    C = np.zeros((len(exps), sym_dim(n, m + k), sym_dim(n, m)))
+    for r, c, v, e in terms:
+        C[exps.index(e), r, c] += v
+    E, C = np.array(exps).reshape(len(exps), n), C.reshape(len(exps), -1)
+    E.flags.writeable = C.flags.writeable = False
+    return E, C
+
+
 def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
     """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
 
-    Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).
+    Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).  Each distinct
+    monomial x^e is evaluated once and weighs its constant matrix C_e.  The
+    sum is an einsum: a multithreaded BLAS product on a large batch leaves
+    worker threads that slow the solves after it in decompose_k.
     """
-    x = np.asarray(x, dtype=float)
-    A = np.zeros(x.shape[:-1] + (sym_dim(n, m + k), sym_dim(n, m)))
-    for r, c, v, e in sym_mult_monomials(n, m, k):
-        mono = np.ones(x.shape[:-1])
-        for ax, p in enumerate(e):
-            if p:
-                mono = mono * x[..., ax] ** p
-        A[..., r, c] += v * mono
-    return A
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"x must be real, got dtype {x.dtype}")
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"x must have a trailing axis of length {n}, got shape {x.shape}")
+    E, C = _sym_mult_terms(n, m, k)
+    powers = np.ones((k + 1,) + x.shape[::-1])         # powers[p, j] = x_j^p
+    for p in range(k):
+        powers[p + 1] = powers[p] * x.T
+    monos = powers[E, np.arange(n)].prod(axis=1)      # x^e for each row e of E
+    A = np.einsum("...e,ed->...d", monos.T, C)
+    return A.reshape(x.shape[:-1] + (sym_dim(n, m + k), sym_dim(n, m)))

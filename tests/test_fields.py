@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from raymoments.fields import (
     GaussPolyField,
@@ -11,7 +13,14 @@ from raymoments.fields import (
     poly_eval,
     random_field,
 )
-from raymoments.symtensor import SymTensor, multi_indices, mult_weights, sym_dim, sym_mult
+from raymoments.symtensor import (
+    SymTensor,
+    multi_indices,
+    mult_weights,
+    sym_dim,
+    sym_mult,
+    symmetrize,
+)
 
 
 def scalar_gaussian(n, a=1.0):
@@ -55,6 +64,16 @@ class TestEval:
         got = f.eval_packed(pts)
         assert got.dtype == want.dtype == (complex if kind == "fourier" else float)
         assert np.array_equal(got, want)
+
+
+    def test_line_values_batched_over_base_points(self):
+        rng = np.random.default_rng(3)
+        f = random_field(3, 2, rng)
+        x, xi, ts = rng.normal(size=(4, 5, 3)), rng.normal(size=3), np.linspace(-3, 3, 11)
+        got = f.line_values(x, xi, ts)
+        assert got.shape == (4, 5, 11)
+        for i, j in np.ndindex(4, 5):
+            assert np.array_equal(got[i, j], f.line_values(x[i, j], xi, ts))
 
 
 class TestInnerDerivative:
@@ -124,6 +143,67 @@ class TestDivergence:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             random_field(2, 1, np.random.default_rng(13)).divergence(-1)
+
+
+def gauss_poly_partial(poly, a, x, e):
+    """d^e (p(x) e^{-a|x|^2}) at the point x, by the Leibniz rule.
+
+    The Gaussian factor's partials are Hermite polynomials,
+    d^g e^{-a t^2} = (-sqrt(a))^g H_g(sqrt(a) t) e^{-a t^2}, so this
+    reference shares no code with GaussPolyField.
+    """
+    ra = math.sqrt(a)
+    total = 0.0
+    for beta in itertools.product(*(range(ej + 1) for ej in e)):
+        dp = sum(c * math.prod(math.perm(pj, bj) * xj ** (pj - bj)
+                               for pj, bj, xj in zip(pe, beta, x))
+                 for pe, c in poly.items() if all(pj >= bj for pj, bj in zip(pe, beta)))
+        dg = math.prod((-ra) ** (ej - bj) * hermval(ra * xj, [0] * (ej - bj) + [1])
+                       * math.exp(-a * xj * xj) for ej, bj, xj in zip(e, beta, x))
+        total += math.prod(map(math.comb, e, beta)) * dp * dg
+    return total
+
+
+def full_gradient_table(f, k, x):
+    """T[i_1..i_m, j_1..j_k] = d_{j_1}..d_{j_k} f_{i_1..i_m} at x, unsymmetrized."""
+    n, m = f.n, f.m
+    packed = {alpha: p for p, alpha in enumerate(multi_indices(n, m))}
+    table = np.empty((n,) * (m + k))
+    for index in itertools.product(range(n), repeat=m + k):
+        e = tuple(index[m:].count(j) for j in range(n))
+        table[index] = gauss_poly_partial(f.comps[packed[tuple(sorted(index[:m]))]],
+                                          f.a, x, e)
+    return table
+
+
+class TestFullTableReference:
+    """d^k and delta^k of GaussPolyField against brute-force full tables."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inner_derivative_is_symmetrized_gradient(self, n, m, k):
+        rng = np.random.default_rng(100 * n + 10 * m + k)
+        f = random_field(n, m, rng, a=0.7, degree=2)
+        dk = f.inner_derivative(k)
+        for x in rng.uniform(-1.0, 1.0, size=(2, n)):
+            want = symmetrize(full_gradient_table(f, k, x)).coeffs
+            np.testing.assert_allclose(dk.eval(x).coeffs, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_divergence_is_traced_gradient(self, n, m, k):
+        rng = np.random.default_rng(100 * n + 10 * m + k)
+        f = random_field(n, m, rng, a=0.7, degree=2)
+        dk = f.divergence(k)
+        letters = "abcdef"
+        free, traced = letters[:m - k], letters[m - k:m]
+        trace = f"{free}{traced}{traced}->{free}"
+        for x in rng.uniform(-1.0, 1.0, size=(2, n)):
+            want = symmetrize(np.einsum(trace, full_gradient_table(f, k, x))).coeffs
+            np.testing.assert_allclose(dk.eval(x).coeffs, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 class TestFourier:
@@ -293,3 +373,9 @@ class TestFieldJson:
     def test_unparseable_text(self):
         with pytest.raises(ValueError, match="malformed field JSON"):
             GaussPolyField.from_json("{not json")
+
+    def test_complex_coefficients_rejected(self):
+        # writing only the real part would silently change the field
+        fhat = random_field(2, 1, np.random.default_rng(14), degree=1).fourier_analytic()
+        with pytest.raises(ValueError, match="not real"):
+            fhat.to_json()

@@ -335,6 +335,24 @@ class TestRangeTest:
                             npoints=1, seed=0)
         assert not report.parity_pass
 
+    def test_parity_tolerance_does_not_depend_on_callables(self):
+        # parity is read from the sampled data, so interpolating the data for
+        # the John tests must not loosen it
+        rng = np.random.default_rng(16)
+        f = random_field(2, 2, rng)
+        data = batch_transform(f, 1, ndirs=16, noffsets=16)
+        broken = data.values.copy()
+        broken[0, 0, :] *= 1.0 + 1e-9
+        from dataclasses import replace
+        bad = replace(data, values=broken)
+        interpolated = range_test(bad, 2, 1, npoints=0, ntuples=1)
+        oracle = range_test(bad, 2, 1, moment_callables=oracle_moment_callables(f, 1),
+                            npoints=0, ntuples=1)
+        assert 1e-12 < interpolated.parity[0] < 1e-8
+        assert interpolated.parity_tol == oracle.parity_tol == 1e-12
+        assert not interpolated.parity_pass
+        assert not oracle.parity_pass
+
     def test_negative_npoints_rejected(self):
         f = random_field(2, 1, np.random.default_rng(17), degree=1)
         callables = oracle_moment_callables(f, 1)

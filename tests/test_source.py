@@ -27,6 +27,19 @@ def test_all_names_resolve():
     assert not stale, f"__all__ names that do not resolve: {stale}"
 
 
+def test_one_symmetrization_table():
+    # sym_mult_monomials is the one encoding of the symmetrization
+    pattern = re.compile(r"\bitertools\.combinations\(")
+    table = next(node for node in ast.walk(ast.parse((SRC / "symtensor.py").read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "sym_mult_monomials")
+    inside = range(table.lineno, table.end_lineno + 1)
+    found = [f"{path.relative_to(SRC)}:{lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line) and not (path.name == "symtensor.py" and lineno in inside)]
+    assert not found, f"itertools.combinations outside sym_mult_monomials: {found}"
+
+
 def test_only_the_real_fft_pair():
     # GridSpec.rfftn/irfftn is the one grid transform; grid data is real
     pattern = re.compile(r"\bi?fftn\(")

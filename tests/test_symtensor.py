@@ -160,6 +160,62 @@ class TestContract:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+class TestFullTableReference:
+    """The packed table against full n^m tables, symmetrized by brute force."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sym_mult(self, n, m, k):
+        rng = np.random.default_rng(100 * n + 10 * m + k)
+        u = SymTensor(n, m, rng.normal(size=sym_dim(n, m)))
+        x = rng.normal(size=n)
+        raw = u.to_full()
+        for _ in range(k):
+            raw = np.multiply.outer(x, raw)
+        np.testing.assert_allclose(sym_mult(u, x, k).coeffs, symmetrize(raw).coeffs,
+                                   rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_contract(self, n, m, k):
+        rng = np.random.default_rng(100 * n + 10 * m + k)
+        w = SymTensor(n, m + k, rng.normal(size=sym_dim(n, m + k)))
+        x = rng.normal(size=n)
+        full = w.to_full()
+        for _ in range(k):
+            full = np.tensordot(full, x, axes=([-1], [0]))
+        np.testing.assert_allclose(contract(w, x, k).coeffs, symmetrize(full).coeffs,
+                                   rtol=1e-13, atol=1e-13)
+
+
+TABLE_OPS = {
+    "sym_mult": lambda x, k: sym_mult(SymTensor(2, 2, np.ones(3)), x, k),
+    "contract": lambda x, k: contract(SymTensor(2, 2, np.ones(3)), x, k),
+    "sym_mult_matrix": lambda x, k: sym_mult_matrix(2, 2, k, x),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("op", sorted(TABLE_OPS))
+    @pytest.mark.parametrize("x, k, message", [
+        (np.ones(2), -1, "order k must be non-negative"),
+        (np.array([1.0, 1j]), 1, "x must be real"),
+    ], ids=["negative-k", "complex-x"])
+    def test_bad_argument_named(self, op, x, k, message):
+        with pytest.raises(ValueError, match=message):
+            TABLE_OPS[op](x, k)
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 2))])
+    def test_wrong_shape_rejected(self, x):
+        t = SymTensor(2, 1, np.ones(2))
+        with pytest.raises(ValueError, match="x must have shape"):
+            sym_mult(t, x, 1)
+        with pytest.raises(ValueError, match="x must have shape"):
+            contract(t, x, 1)
+
+
 class TestEvalPower:
     def test_diagonal(self):
         f = SymTensor.from_components(2, 2, {(0, 0): 1.0})
@@ -211,3 +267,9 @@ class TestPackedStorage:
         back = SymTensor.from_json(t.to_json())
         np.testing.assert_allclose(back.coeffs, t.coeffs)
         assert '"11"' in t.to_json() and '"12"' in t.to_json()
+
+    def test_json_rejects_complex_coefficients(self):
+        real = SymTensor(2, 1, np.array([1.0 + 0j, 2.0]))
+        assert SymTensor.from_json(real.to_json()).coeffs.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="not real"):
+            SymTensor(2, 1, np.array([1.0, 2.0 - 0.5j])).to_json()
