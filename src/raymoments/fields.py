@@ -98,8 +98,7 @@ def poly_eval(p: Poly, pts: np.ndarray, monomials: dict | None = None):
     pts = np.asarray(pts)
     if monomials is None:
         monomials = {}
-    dtype = complex if any(isinstance(c, complex) for c in p.values()) else float
-    out = np.zeros(pts.shape[:-1], dtype=dtype)
+    out = np.zeros(pts.shape[:-1], dtype=poly_dtype(p))
     for e, c in p.items():
         term = monomials.get(e)
         if term is None:
@@ -110,6 +109,10 @@ def poly_eval(p: Poly, pts: np.ndarray, monomials: dict | None = None):
             monomials[e] = term
         out = out + c * term
     return out
+
+
+def poly_dtype(*polys: Poly) -> type:
+    return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
 
 
 def poly_degree(p: Poly) -> int:
@@ -167,8 +170,7 @@ class GaussPolyField:
         """Packed coefficients at points (..., n) -> (..., sym_dim)."""
         # filled in place and allocated before its temporaries, so freeing them
         # does not shrink and regrow the heap in loops such as batch_transform
-        is_complex = any(isinstance(c, complex) for p in self.comps for c in p.values())
-        out = np.empty(np.shape(pts)[:-1] + (len(self.comps),), complex if is_complex else float)
+        out = np.empty(np.shape(pts)[:-1] + (len(self.comps),), poly_dtype(*self.comps))
         env = self.envelope(pts)
         monomials: dict = {}
         for col, p in enumerate(self.comps):
@@ -268,11 +270,20 @@ class GaussPolyField:
         return r
 
     def sample(self, spec: "GridSpec") -> "GridField":
-        """Nodewise evaluation onto a uniform grid."""
-        axes = spec.axes()
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        packed = self.eval_packed(mesh)  # (N,)*n + (sym_dim,)
-        data = np.moveaxis(packed, -1, 0)
+        """Nodewise evaluation onto a uniform grid, one axis at a time.
+
+        Contracts the dense coefficient tensor (component, exponent per
+        axis) with the table x^p e^{-a x^2} of the grid axis.
+        """
+        deg = max((max(e) for p in self.comps for e in p), default=0)
+        data = np.zeros((len(self.comps),) + (deg + 1,) * self.n, poly_dtype(*self.comps))
+        for col, p in enumerate(self.comps):
+            for e, c in p.items():
+                data[(col,) + e] = c
+        x = spec.axes()[0]
+        table = np.exp(-self.a * x * x) * x ** np.arange(deg + 1)[:, None]
+        for _ in range(self.n):      # contracts the leading exponent axis each time
+            data = np.tensordot(data, table, axes=([1], [0]))
         if np.isnan(data).any():
             raise FloatingPointError("NaN encountered while sampling field")
         gf = GridField(self.n, self.m, spec, np.ascontiguousarray(data))
@@ -321,9 +332,9 @@ class GaussPolyField:
                 raise ValueError(f"malformed field JSON: bad component key '{key}'")
             poly: Poly = {}
             for t in terms:
-                if "c" not in t or "pow" not in t or len(t["pow"]) != n:
+                e = tuple(int(v) for v in t.get("pow", ()))
+                if "c" not in t or len(e) != n or min(e) < 0:
                     raise ValueError(f"malformed field JSON: bad term in component '{key}'")
-                e = tuple(int(v) for v in t["pow"])
                 poly[e] = poly.get(e, 0.0) + float(t["c"])
             comp_map[alpha] = poly
         return cls.from_components(n, m, a, comp_map)
@@ -366,29 +377,25 @@ class GridSpec:
         ax = -self.extent + self.spacing * np.arange(self.count)
         return [ax] * self.n
 
-    def wavenumbers(self) -> list[np.ndarray]:
-        """Angular FFT frequencies per axis, with the Nyquist one set to zero.
-
-        An even grid's Nyquist mode has no conjugate partner, so an odd-power
-        symbol that is nonzero there turns real data complex.  Zeroing the
-        wavenumber itself (Trefethen, Spectral Methods in MATLAB, ch. 3)
-        cures that for every order and keeps d^k, delta^k and the
-        decomposition on one symbol.
-        """
-        k = 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.spacing)
-        if self.count % 2 == 0:
-            k[self.count // 2] = 0.0
-        return [k] * self.n
-
     # -- real-FFT half spectrum ------------------------------------------------
     # Grid data is real, so its spectrum is Hermitian and the bins 0..count//2
     # of the last grid axis hold all of it.  Every grid transform is this one
     # rfftn/irfftn pair over the trailing n axes.
 
     def half_wavenumbers(self) -> list[np.ndarray]:
-        """:meth:`wavenumbers` on the rfftn bins (last axis cut to count//2+1)."""
-        ks = self.wavenumbers()
-        return ks[:-1] + [ks[-1][: self.count // 2 + 1]]
+        """Angular FFT frequencies of the rfftn bins, Nyquist set to zero.
+
+        One array per axis, shaped by np.ix_ to broadcast over the half
+        spectrum.  An even grid's Nyquist mode has no conjugate partner, so
+        an odd-power symbol that is nonzero there turns real data complex.
+        Zeroing the wavenumber itself (Trefethen, Spectral Methods in
+        MATLAB, ch. 3) cures that for every order and keeps d^k, delta^k
+        and the decomposition on one symbol.
+        """
+        k = 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.spacing)
+        if self.count % 2 == 0:
+            k[self.count // 2] = 0.0
+        return list(np.ix_(*[k] * (self.n - 1), k[: self.count // 2 + 1]))
 
     def rfftn(self, data: np.ndarray) -> np.ndarray:
         """Half spectrum of real data over its trailing n (grid) axes."""
@@ -408,9 +415,7 @@ class GridSpec:
         monomials stay broadcast along the axes they depend on, so the
         symbol matrix is never formed on the grid.
         """
-        n = self.n
-        ks = [k.reshape([-1 if j == ax else 1 for j in range(n)])
-              for ax, k in enumerate(self.half_wavenumbers())]
+        ks = self.half_wavenumbers()
         out = np.zeros((dim_out,) + hats.shape[1:], dtype=complex)
         for dst, src, coeff, e in terms:
             symbol = coeff * 1j ** sum(e)

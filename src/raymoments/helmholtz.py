@@ -1,36 +1,32 @@
 """k-solenoidal / k-potential decomposition of symmetric tensor fields.
 
-At a single nonzero frequency y the splitting f = g + i_{y^(k)} v with
-j_{y^(k)} g = 0 is a finite-dimensional least-squares problem
+At a single nonzero frequency y, f = g + i_{y^(k)} v with j_{y^(k)} g = 0
 (:func:`freq_project`); the same g also has an explicit projector product
 form (:func:`projector_formula`), and the two constructions agreeing is a
-uniqueness statement worth testing.  Globally, :func:`decompose_k` applies
-the pointwise splitting on the real-FFT half spectrum of a grid field and
-synthesizes the k-solenoidal part g and the k-potential generator v with
-f = g + d^k v.  Both solve with the packed symbol A(y) = i_{y^(k)} of
-:func:`raymoments.symtensor.sym_mult_matrix`, the one symmetrization table
-that the analytic and grid d^k and delta^k also read, so the grid
+uniqueness statement worth testing.  Globally, :func:`decompose_k` splits
+the real-FFT half spectrum of a grid field into the k-solenoidal part g and
+the k-potential generator v with f = g + d^k v.  Both peel f from the top
+down (:func:`_peel`), with no solve: f = sum_j i_y^j h_j uniquely, with h_j
+of rank m-j and j_y h_j = 0, and j_y^j i_y^j h_j = |y|^{2j} h_j / C(m, j)
+(Sharafutdinov, *Integral Geometry of Tensor Fields*, 1994, ch. 2).  On the
+grid each step is a symbol of :meth:`GridSpec.apply_symbol`, so the grid
 decomposition is exact for the grid operators: at every bin f_hat = g_hat
-+ i^k A(y) v_hat and i^k W^{-1} A(y)^T W g_hat = 0.  :func:`verify_decomposition`
-measures exactly these two residuals on the half spectra of f, g and v, by
-discrete Parseval, without an inverse transform.
++ i^k A(y) v_hat and i^k W^{-1} A(y)^T W g_hat = 0, A(y) = i_{y^(k)}.
+:func:`verify_decomposition` measures exactly these two residuals on the
+half spectra of f, g and v, by discrete Parseval, without an inverse
+transform.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GridField, d_symbol, delta_symbol
-from .symtensor import (
-    SymTensor,
-    mult_weights,
-    sym_dim,
-    sym_mult_matrix,
-    symmetrize,
-)
+from .symtensor import SymTensor, contract, sym_dim, sym_mult, symmetrize
 
 __all__ = [
     "FreqProjection",
@@ -54,31 +50,42 @@ class FreqProjection:
 
 
 def freq_project(f_hat: SymTensor, y: np.ndarray, k: int) -> FreqProjection:
-    """Split f_hat at frequency y by solving the normal equations.
+    """Split f_hat at frequency y into j_{y^(k)} g_hat = 0 and i_{y^(k)} v_hat.
 
-    v_hat solves (j_{y^(k)} i_{y^(k)}) v = j_{y^(k)} f_hat; the Gram operator
-    is symmetric positive definite for y != 0 because i_{y^(k)} is injective,
-    so a direct dense solve is exact at these dimensions.
+    The top-down peel of :func:`_peel` with :func:`contract` and
+    :func:`sym_mult` at this one y, for any 0 <= k <= m.
     """
     y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y) < _SINGULAR_FREQ:
+    ynorm = float(np.linalg.norm(y))
+    if ynorm < _SINGULAR_FREQ:
         raise ValueError("frequency too close to zero for the splitting")
     n, m = f_hat.n, f_hat.m
     if k > m:
         raise ValueError("splitting order exceeds rank")
-    g, v = _split(f_hat.coeffs[:, None], sym_mult_matrix(n, m - k, k, y),
-                  mult_weights(n, m))
-    return FreqProjection(y, k, SymTensor(n, m, g[:, 0]), SymTensor(n, m - k, v[:, 0]))
+    g, v = _peel(f_hat.coeffs * 1.0, m, k, ynorm ** -2,       # a float copy to peel
+                 lambda r, j: contract(SymTensor(n, m, r), y, j).coeffs,
+                 lambda h, lo, p: sym_mult(SymTensor(n, lo, h), y, p).coeffs)
+    return FreqProjection(y, k, SymTensor(n, m, g), SymTensor(n, m - k, v))
 
 
-def _split(F: np.ndarray, A: np.ndarray, W: np.ndarray):
-    """G = F - A V with A^T W G = 0 for columns F, batched over leading axes.
+def _peel(r: np.ndarray, m: int, k: int, inv_lap, delta, d):
+    """Peel rank-m packed r into r = g + d^k v with delta^k g = 0, in place.
 
-    F (..., d_hi, c), A (..., d_hi, d_lo), W (d_hi,) -> (G, V).
+    For j = m down to k, h_j = C(m, j) lap^{-j} delta^j r, then r -= d^j h_j;
+    r ends as g, and v = sum_j d^{j-k} h_j is summed by Horner's rule.
+    delta(r, j) applies delta^j to rank m and d(h, lo, p) d^p to rank lo.
+    inv_lap is the inverse symbol of the scalar Laplacian delta d: |y|^-2
+    for j_y and i_y, -|y|^-2 on the grid, and zero where the symbol
+    vanishes, so that those frequencies stay in g.
     """
-    AW = np.swapaxes(A, -1, -2) * W
-    V = np.linalg.solve(AW @ A, AW @ F)
-    return F - A @ V, V
+    v = None
+    for j in range(m, k - 1, -1):
+        h = delta(r, j) * (math.comb(m, j) * inv_lap ** j)
+        r -= d(h, m - j, j)
+        if v is not None:
+            h += d(v, m - j - 1, 1)
+        v = h
+    return r, v
 
 
 def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
@@ -121,18 +128,15 @@ def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
 def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     """Global decomposition f = g + d^k v with delta^k g = 0.
 
-    Real-FFT half spectrum of f, the pointwise splitting of
-    :func:`freq_project` at every half-spectrum bin whose symbol frequency y
-    is nonzero, inverse real FFT.  The other half of the spectrum is the
-    conjugate of this one, and so is its splitting, because A(-y) =
-    (-1)^k A(y) is real.  The frequencies are those of
+    Real-FFT half spectrum of f, :func:`_peel` with the grid symbols of
+    delta^j and d^j, inverse real FFT.  The other half of the spectrum is
+    the conjugate of this one, and so is its splitting, because the symbols
+    are real polynomials in i y.  The frequencies are those of
     :meth:`GridSpec.half_wavenumbers`, whose Nyquist entry is zero on even
     grids, so odd and even grid counts are both supported and every bin is
-    split with the symbol that d^k and delta^k apply.  The algebraic v_hat
-    is divided by i^k so that the spectral symbol of the k-fold symmetrized
-    derivative (fourier(d^k v) = i^k i_{y^(k)} v_hat) reproduces f_hat;
-    bins with y = 0 are assigned wholly to g.  f, g and v are real grid
-    fields (:class:`GridField` rejects complex data).
+    split with the symbol that d^k and delta^k apply; bins with y = 0 are
+    assigned wholly to g.  f, g and v are real grid fields
+    (:class:`GridField` rejects complex data).
     """
     n, m = f.n, f.m
     if not 1 <= k <= min(n - 1, m):
@@ -143,21 +147,12 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
         warnings.warn("field does not decay at the grid boundary",
                       RuntimeWarning, stacklevel=2)
     spec = f.spec
-    hats = spec.rfftn(f.data)                          # (dim_m,) + half grid
-    mesh = np.meshgrid(*spec.half_wavenumbers(), indexing="ij")
-    ys = np.stack([g.ravel() for g in mesh], axis=-1)  # (B, n)
-    fhat_flat = hats.reshape(hats.shape[0], -1).T      # (B, dim_m)
-    nz = (ys != 0.0).any(axis=1)
-    g_flat = fhat_flat.copy()
-    v_flat = np.zeros((ys.shape[0], sym_dim(n, m - k)), dtype=complex)
-    f_nz = fhat_flat[nz]
-    # real and imaginary parts as two real columns: no complex matrix copies
-    g_nz, v_nz = _split(f_nz.view(float).reshape(f_nz.shape + (2,)),
-                        sym_mult_matrix(n, m - k, k, ys[nz]), mult_weights(n, m))
-    g_flat[nz] = g_nz.view(complex)[..., 0]
-    v_flat[nz] = v_nz.view(complex)[..., 0] / 1j ** k
-    g_hat = g_flat.T.reshape((sym_dim(n, m),) + hats.shape[1:])
-    v_hat = v_flat.T.reshape((sym_dim(n, m - k),) + hats.shape[1:])
+    lap = sum(y * y for y in spec.half_wavenumbers())
+    inv_lap = np.divide(-1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
+    g_hat, v_hat = _peel(
+        spec.rfftn(f.data), m, k, inv_lap,
+        lambda r, j: spec.apply_symbol(r, sym_dim(n, m - j), delta_symbol(n, m, j)),
+        lambda h, lo, p: spec.apply_symbol(h, sym_dim(n, lo + p), d_symbol(n, lo, p)))
     return (GridField(n, m, spec, spec.irfftn(g_hat)),
             GridField(n, m - k, spec, spec.irfftn(v_hat)))
 

@@ -289,9 +289,7 @@ def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
     """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
 
     Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).  Each distinct
-    monomial x^e is evaluated once and weighs its constant matrix C_e.  The
-    sum is an einsum: a multithreaded BLAS product on a large batch leaves
-    worker threads that slow the solves after it in decompose_k.
+    monomial x^e is evaluated once and weighs its constant matrix C_e.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):

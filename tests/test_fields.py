@@ -300,6 +300,32 @@ class TestSampling:
         g = f.sample(GridSpec(2, 16, 2.0))
         assert g.truncation_warning
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [9, 10])
+    def test_matches_eval_packed_on_mesh(self, n, count):
+        rng = np.random.default_rng(30 + n + count)
+        spec = GridSpec(n, count, 4.0)
+        mesh = np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
+        warned = set()
+        for m in range(4):
+            for degree in range(4):
+                for a in (2.5, 0.1):
+                    f = random_field(n, m, rng, a=a, degree=degree)
+                    g = f.sample(spec)
+                    want = np.moveaxis(f.eval_packed(mesh), -1, 0)
+                    scale = np.abs(want).max()
+                    assert np.abs(g.data - want).max() <= 1e-14 * scale
+                    edge = max(np.abs(np.take(want, 0, axis=ax)).max()
+                               for ax in range(1, n + 1))
+                    assert g.truncation_warning == (edge > 1e-9 * scale)
+                    warned.add(g.truncation_warning)
+        assert warned == {True, False}
+
+    def test_nan_coefficient_raises(self):
+        f = GaussPolyField.scalar(2, poly={(0, 0): 1.0, (1, 2): float("nan")})
+        with pytest.raises(FloatingPointError):
+            f.sample(GridSpec(2, 8, 4.0))
+
 
 class TestGridField:
     def test_spectral_derivative_matches_analytic(self):
@@ -369,6 +395,11 @@ class TestFieldJson:
             GaussPolyField.from_json(json.dumps(
                 {"n": 2, "m": 2, "a": 1.0,
                  "components": {"13": [{"c": 1.0, "pow": [0, 0]}]}}))
+        # a negative power is not a polynomial term
+        with pytest.raises(ValueError, match="bad term in component '12'"):
+            GaussPolyField.from_json(json.dumps(
+                {"n": 2, "m": 2, "a": 1.0,
+                 "components": {"12": [{"c": 1.0, "pow": [1, -1]}]}}))
 
     def test_unparseable_text(self):
         with pytest.raises(ValueError, match="malformed field JSON"):

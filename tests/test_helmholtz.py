@@ -8,7 +8,14 @@ from raymoments.helmholtz import (
     projector_formula,
     verify_decomposition,
 )
-from raymoments.symtensor import SymTensor, contract, sym_dim, sym_mult
+from raymoments.symtensor import (
+    SymTensor,
+    contract,
+    mult_weights,
+    sym_dim,
+    sym_mult,
+    sym_mult_matrix,
+)
 
 
 def random_tensor(n, m, rng, complex_=True):
@@ -16,6 +23,30 @@ def random_tensor(n, m, rng, complex_=True):
     if complex_:
         c = c + 1j * rng.normal(size=sym_dim(n, m))
     return SymTensor(n, m, c)
+
+
+def normal_equations_split(f_hat, ys, m, k):
+    """Reference splitting by a dense solve per frequency.
+
+    f_hat (B, sym_dim(n, m)) at frequencies ys (B, n), every y nonzero:
+    v solves (A^T W A) v = A^T W f_hat with A = i_{y^(k)} and W the
+    multiplicity weights, and g = f_hat - A v.
+    """
+    A = sym_mult_matrix(ys.shape[1], m - k, k, ys)
+    AW = np.swapaxes(A, -1, -2) * mult_weights(ys.shape[1], m)
+    v = np.linalg.solve(AW @ A, (AW @ f_hat[..., None]))
+    return f_hat - (A @ v)[..., 0], v[..., 0]
+
+
+def white_noise(n, m, count, rng):
+    return GridField(n, m, GridSpec(n, count, 8.0),
+                     rng.normal(size=(sym_dim(n, m),) + (count,) * n))
+
+
+def half_frequencies(spec):
+    """Symbol frequency y of every half-spectrum bin, shape (bins, n)."""
+    mesh = np.meshgrid(*spec.half_wavenumbers(), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 class TestFreqProject:
@@ -60,6 +91,25 @@ class TestFreqProject:
                                                atol=1e-10 * scale)
                     res = contract(pr.g_hat, y, k).coeffs
                     np.testing.assert_allclose(res, 0.0, atol=1e-10 * scale)
+
+    def test_matches_normal_equations(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 3):
+            for m in range(4):
+                for k in range(m + 1):
+                    for _ in range(10):
+                        f_hat = random_tensor(n, m, rng)
+                        u = rng.normal(size=n)
+                        y = u / np.linalg.norm(u) * 10.0 ** rng.uniform(-1.0, 1.0)
+                        pr = freq_project(f_hat, y, k)
+                        g, v = normal_equations_split(f_hat.coeffs[None], y[None], m, k)
+                        scale = np.abs(f_hat.coeffs).max()
+                        np.testing.assert_allclose(pr.g_hat.coeffs, g[0],
+                                                   rtol=0, atol=1e-13 * scale)
+                        # v scales like f / |y|^k
+                        np.testing.assert_allclose(
+                            pr.v_hat.coeffs * np.linalg.norm(y) ** k,
+                            v[0] * np.linalg.norm(y) ** k, rtol=0, atol=1e-13 * scale)
 
     def test_singular_frequency_rejected(self):
         f_hat = random_tensor(2, 1, np.random.default_rng(3))
@@ -154,6 +204,52 @@ class TestDecomposeK:
         rep = verify_decomposition(f, g, v, 1)
         assert rep["reconstruction_residual"] < 1e-6
         assert rep["solenoidal_residual"] < 1e-6
+
+    @pytest.mark.parametrize("n, m, k, count", [(2, 2, 1, 32), (2, 2, 1, 33), (2, 3, 1, 32),
+                                                (3, 3, 2, 16), (3, 3, 2, 17)])
+    def test_matches_normal_equations(self, n, m, k, count):
+        f = white_noise(n, m, count, np.random.default_rng(20))
+        with pytest.warns(RuntimeWarning):      # white noise does not decay
+            g, v = decompose_k(f, k)
+        spec = f.spec
+        f_hat = spec.rfftn(f.data)
+        ys = half_frequencies(spec)
+        fb = f_hat.reshape(f_hat.shape[0], -1).T
+        nz = (ys != 0.0).any(axis=1)
+        g_ref = fb.copy()
+        v_ref = np.zeros((fb.shape[0], sym_dim(n, m - k)), dtype=complex)
+        g_ref[nz], v_ref[nz] = normal_equations_split(fb[nz], ys[nz], m, k)
+        v_ref /= 1j ** k        # the grid symbol of d^k is i^k i_{y^(k)}
+        half = f_hat.shape[1:]
+        for got, ref, rank in [(g, g_ref, m), (v, v_ref, m - k)]:
+            want = spec.irfftn(ref.T.reshape((sym_dim(n, rank),) + half))
+            dev = np.abs(got.data - want).max() / np.abs(want).max()
+            assert dev < 1e-13
+
+    @pytest.mark.parametrize("n, m, k, count", [(2, 2, 1, 32), (3, 3, 2, 16)])
+    def test_zero_frequencies_stay_in_g(self, n, m, k, count):
+        # on an even grid the Nyquist wavenumbers are zeroed, so besides the
+        # DC bin every bin whose indices are all 0 or count/2 has y = 0
+        f = white_noise(n, m, count, np.random.default_rng(21))
+        with pytest.warns(RuntimeWarning):
+            g, v = decompose_k(f, k)
+        spec = f.spec
+        zero = ~(half_frequencies(spec) != 0.0).any(axis=1)
+        assert zero.sum() == 2 ** n
+        f_hat, g_hat, v_hat = (spec.rfftn(u.data).reshape(u.data.shape[0], -1)
+                               for u in (f, g, v))
+        scale = np.abs(f_hat).max()
+        np.testing.assert_allclose(g_hat[:, zero], f_hat[:, zero], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(v_hat[:, zero], 0.0, rtol=0, atol=1e-13 * scale)
+
+    def test_constant_field_is_solenoidal(self):
+        spec = GridSpec(3, 8, 4.0)
+        f = GridField(3, 2, spec, np.arange(1.0, 7.0)[:, None, None, None]
+                      * np.ones((6, 8, 8, 8)))
+        with pytest.warns(RuntimeWarning):
+            g, v = decompose_k(f, 1)
+        np.testing.assert_allclose(g.data, f.data, rtol=0, atol=1e-14 * 6.0)
+        np.testing.assert_allclose(v.data, 0.0, rtol=0, atol=1e-14 * 6.0)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(11)

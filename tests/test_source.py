@@ -48,3 +48,12 @@ def test_only_the_real_fft_pair():
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line)]
     assert not found, f"complex fftn/ifftn calls in src/raymoments: {found}"
+
+
+def test_no_dense_solve_in_helmholtz():
+    # the splitting is the top-down peel: no per-bin matrix and no solve
+    pattern = re.compile(r"\blinalg\.solve\b|\blstsq\b|\bsym_mult_matrix\s*\(")
+    found = [f"helmholtz.py:{lineno}"
+             for lineno, line in enumerate((SRC / "helmholtz.py").read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, f"dense solves or per-bin matrices in helmholtz: {found}"
