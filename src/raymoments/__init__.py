@@ -5,12 +5,13 @@ Submodules:
 * ``symtensor`` -- packed symmetric tensor algebra
 * ``fields`` -- Gaussian-polynomial and grid tensor fields, derivative and
   Fourier operators
-* ``ray`` -- momentum ray transforms, phase-space extensions, the
-  closed-form oracle and the moment-reduction stencil
+* ``ray`` -- momentum ray transforms, the closed-form oracle, the
+  phase-space stencils and the moment-reduction stencil
 * ``helmholtz`` -- k-solenoidal / k-potential decomposition
 * ``slices`` -- Fourier-slice checks, injectivity slice systems, kernel
   structure of the moments
-* ``john`` -- John-operator machinery and the range characterization
+* ``john`` -- the extensions psi^l and chi^l, John-operator machinery and
+  the range characterization
 * ``cli`` -- command-line front end
 """
 
@@ -23,9 +24,9 @@ from .helmholtz import (
     verify_decomposition,
 )
 from .john import (
-    PhaseFunction,
     RangeReport,
     chi_build,
+    homogeneity_residual,
     john_apply,
     psi_from_phi,
     range_test,
@@ -38,7 +39,6 @@ from .ray import (
     batch_transform,
     direction_grid,
     householder_frame,
-    make_extend_J,
     moment_numeric,
     moment_oracle,
     oracle_moment_callables,

@@ -4,10 +4,12 @@ A family (phi^0, ..., phi^k) on the line space is in the range of the
 stacked moment transform of a rank-m field exactly when (1) each phi^l has
 parity (-1)^{m-l} under xi -> -xi and (2) the extension psi^k solves the
 iterated John equations J_{i_1 j_1} ... J_{i_{m+1} j_{m+1}} psi^k = 0.  This
-module provides the psi^l / chi^l constructions, finite-difference
-realizations of the John and transport operators, and :func:`range_test`,
-which packages the residuals and convergence verdicts into a
-:class:`RangeReport`.  The symmetrized construction Psi is
+module provides the psi^l / chi^l constructions as plain (x, xi) -> float
+callables, finite-difference realizations of the John and transport
+operators, and :func:`range_test`, which packages the residuals and
+convergence verdicts into a :class:`RangeReport`.  ``range_test`` evaluates
+John and transport on moment callables and reads only parity from sampled
+data.  The symmetrized construction Psi is
 :func:`raymoments.ray.restricted_transform` applied to psi-data.
 """
 
@@ -20,18 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import poly_add, poly_mul
-from .ray import (
-    MomentData,
-    apply_stencil,
-    central_table,
-    interpolating_moment_callables,
-    make_extend_J,
-    moment_oracle,
-)
+from .ray import MomentData, apply_stencil, central_table, moment_oracle
 
 __all__ = [
-    "PhaseFunction",
     "RangeReport",
+    "homogeneity_residual",
     "john_apply",
     "psi_from_phi",
     "transport_identity_residual",
@@ -45,28 +40,17 @@ __all__ = [
 # pass criterion is the convergence order between steps, not an absolute
 # threshold.
 _DEFAULT_STEPS = (0.025, 0.0125)
+# accepted convergence orders of the second-order stencils, and the residual
+# below which a row counts as converged into the noise floor
+_ORDER_WINDOW = (1.5, 2.5)
+_NOISE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
-    """Scalar callable on R^n x (R^n \\ {0}) with homogeneity bookkeeping.
-
-    ``degree`` is the positive-dilation homogeneity exponent when known
-    (eval(x, c xi) = c^degree eval(x, xi) for c > 0), None otherwise.
-    """
-
-    evaluator: object
-    degree: float | None = None
-
-    def __call__(self, x, xi) -> float:
-        return float(self.evaluator(x, xi))
-
-    def homogeneity_residual(self, x, xi, c: float = 2.0) -> float:
-        if self.degree is None:
-            raise ValueError("phase function carries no homogeneity tag")
-        a = self(x, np.asarray(xi, dtype=float) * c)
-        b = c ** self.degree * self(x, xi)
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def homogeneity_residual(fun, degree: float, x, xi, c: float = 2.0) -> float:
+    """Relative defect of fun(x, c xi) = c^degree fun(x, xi) for c > 0."""
+    a = fun(x, np.asarray(xi, dtype=float) * c)
+    b = c ** degree * fun(x, xi)
+    return float(abs(a - b) / max(abs(a), abs(b), 1e-300))
 
 
 @lru_cache(maxsize=256)
@@ -84,38 +68,56 @@ def _john_table(pairs: tuple, n: int) -> dict:
     return table
 
 
-def john_apply(psi, i: int, j: int, h: float) -> PhaseFunction:
+def john_apply(psi, i: int, j: int, h: float):
     """J_ij psi = d^2 psi / dx^i dxi^j - d^2 psi / dx^j dxi^i, central stencil.
 
-    Returns a composable PhaseFunction; J_ii is the exact zero function and
-    J_ji = -J_ij holds exactly at the stencil level because the two mixed
-    stencils swap roles.
+    Returns an (x, xi) -> float callable, so applications compose; J_ii is
+    the exact zero function and J_ji = -J_ij holds exactly at the stencil
+    level because the two mixed stencils swap roles.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
 
-    def ev(x, xi):
+    def jpsi(x, xi) -> float:
         return apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h) / (2 * h) ** 2
 
-    deg = getattr(psi, "degree", None)
-    return PhaseFunction(ev, None if deg is None else deg - 1)
+    return jpsi
 
 
-def psi_from_phi(moments, m: int, ell: int) -> PhaseFunction:
-    """The extension psi^l of moment data, as a PhaseFunction.
+def psi_from_phi(moments, m: int, ell: int):
+    """The extension psi^l of I-data, as an (x, xi) -> float callable.
+
+    ``moments[r](x0, xi0)`` must return phi^r = I^r at the line (x0, xi0) of
+    the line space, and m is the rank of the field behind the data.  psi^l
+    is the conversion of I-data into J^l values,
 
         psi^l(x, xi) = |xi|^{m-2l-1} sum_{r<=l} (-1)^{l-r} C(l, r) |xi|^r
-                       <xi, x>^{l-r} phi^r(projected line)
+                       <xi, x>^{l-r} phi^r(x - <x,xi> xi/|xi|^2, xi/|xi|),
 
-    The sum is the same conversion that turns I-data into J^l values, so for
-    data generated by a rank-m field, psi^l equals J^l f; the code path is
-    shared with :func:`raymoments.ray.make_extend_J` by construction.
+    so for data generated by a rank-m field, psi^l equals J^l f.
     """
-    J = make_extend_J(moments, m)
-    return PhaseFunction(lambda x, xi: J(x, xi, ell), m - ell - 1)
+    if not 0 <= ell < len(moments):
+        raise ValueError(f"moment order {ell} not available in the data")
+
+    def psi(x, xi) -> float:
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        norm = float(np.linalg.norm(xi))
+        if norm == 0.0:
+            raise ValueError("direction must be nonzero")
+        u = xi / norm
+        dot = float(x @ xi)
+        x0 = x - (dot / norm ** 2) * xi
+        acc = 0.0
+        for r in range(ell + 1):
+            acc += ((-1) ** (ell - r) * math.comb(ell, r) * norm ** r
+                    * dot ** (ell - r) * moments[r](x0, u))
+        return float(norm ** (m - 2 * ell - 1) * acc)
+
+    return psi
 
 
-def transport_identity_residual(psi_k: PhaseFunction, psi_lower, k: int,
+def transport_identity_residual(psi_k, psi_lower, k: int,
                                 ell: int, x, xi, h: float) -> float:
     """|<xi, d_x>^l psi^k - (-1)^l C(k,l) l! psi^{k-l}| at one phase point.
 
@@ -133,14 +135,15 @@ def transport_identity_residual(psi_k: PhaseFunction, psi_lower, k: int,
     return abs(lhs - rhs)
 
 
-def chi_build(psi_ell: PhaseFunction, gs, ell: int, m: int) -> PhaseFunction:
+def chi_build(psi_ell, gs, ell: int, m: int):
     """chi^l = ((-1)^l / l!) (psi^l - sum_{s<l} (-1)^s C(l,s) s! J^{l-s} g_s).
 
     ``gs`` holds the analytic correction fields g_0..g_{l-1} of ranks
     m, m-1, ..., m-l+1; their J^{l-s} values come from the closed-form
-    oracle.  For data generated by f = sum_s d^s g_s the result equals
-    J^0 g_l, is invariant under x -> x + t xi, and is homogeneous of degree
-    m - l - 1 in xi > 0 with the parity factor t^{m-l}/|t| for t < 0.
+    oracle.  Returns an (x, xi) -> float callable.  For data generated by
+    f = sum_s d^s g_s the result equals J^0 g_l, is invariant under
+    x -> x + t xi, and is homogeneous of degree m - l - 1 in xi > 0 with the
+    parity factor t^{m-l}/|t| for t < 0.
     """
     if len(gs) != ell:
         raise ValueError(f"need exactly {ell} correction fields, got {len(gs)}")
@@ -148,28 +151,35 @@ def chi_build(psi_ell: PhaseFunction, gs, ell: int, m: int) -> PhaseFunction:
         if g.m != m - s:
             raise ValueError(f"correction field g_{s} has rank {g.m}, want {m - s}")
 
-    def ev(x, xi):
+    def chi(x, xi) -> float:
         acc = psi_ell(x, xi)
         for s, g in enumerate(gs):
             acc -= ((-1.0) ** s * math.comb(ell, s) * math.factorial(s)
                     * moment_oracle(g, x, xi, ell - s))
-        return (-1.0) ** ell / math.factorial(ell) * acc
+        return float((-1.0) ** ell / math.factorial(ell) * acc)
 
-    return PhaseFunction(ev, m - ell - 1)
+    return chi
 
 
 # ---------------------------------------------------------------------------
 # range testing
 
 
+def _orders_pass(rows) -> bool:
+    lo, hi = _ORDER_WINDOW
+    return all(row["residuals"][-1] < _NOISE_FLOOR or lo <= row["order"] <= hi
+               for row in rows)
+
+
 @dataclass(frozen=True)
 class RangeReport:
     """Residuals and verdicts for the range conditions on moment data.
 
-    ``john`` rows: {"tuple": ((i,j), ...), "point": p, "residuals": [per
-    step], "order": log2 ratio}.  Convergence orders are the pass criterion
-    for the finite-difference tests; parity is an exact grid symmetry and
-    gets an absolute tolerance.
+    ``john`` rows: {"tuple": ((i,j), ...), "residuals": [per step], "order":
+    log2 ratio}; ``transport`` rows also carry "ell" and "point".
+    Convergence orders are the pass criterion for the finite-difference
+    tests; parity is an exact grid symmetry and gets an absolute tolerance.
+    ``parity`` is empty when no sampled data was given.
     """
 
     m: int
@@ -179,32 +189,18 @@ class RangeReport:
     john: list = field(repr=False)
     transport: list = field(repr=False)
     parity_tol: float
-    order_window: tuple = (1.5, 2.5)
-    parity_available: bool = True
 
     @property
     def parity_pass(self) -> bool:
-        if not self.parity_available:
-            return True
         return all(r < self.parity_tol for r in self.parity.values())
-
-    @staticmethod
-    def _order_pass(rows, lo, hi, floor) -> bool:
-        for row in rows:
-            fine = row["residuals"][-1]
-            if fine < floor:
-                continue                  # converged into the noise floor
-            if not lo <= row["order"] <= hi:
-                return False
-        return True
 
     @property
     def john_pass(self) -> bool:
-        return self._order_pass(self.john, *self.order_window, 1e-10)
+        return _orders_pass(self.john)
 
     @property
     def transport_pass(self) -> bool:
-        return self._order_pass(self.transport, *self.order_window, 1e-10)
+        return _orders_pass(self.transport)
 
     @property
     def passed(self) -> bool:
@@ -254,16 +250,14 @@ def range_test(data: MomentData | None, m: int, k: int,
     """Evaluate the range conditions on moment data.
 
     Parity residuals come from the sampled values of ``data`` over its
-    antipodal direction pairs (marked unavailable when no data is given).
-    The iterated John equations and the transport identities are tested on
-    psi^l built from ``moment_callables`` (falling back to interpolating the
-    data when omitted), at every step in ``steps``, and judged by the
-    measured convergence order between consecutive steps.
+    antipodal direction pairs; without data, ``parity`` is empty.  The
+    iterated John equations and the transport identities are tested on
+    psi^l built from ``moment_callables``, which are required, at every step
+    in ``steps``, and judged by the measured convergence order between
+    consecutive steps.
     """
     if moment_callables is None:
-        if data is None:
-            raise ValueError("need moment data or moment callables")
-        moment_callables = interpolating_moment_callables(data)
+        raise ValueError("range_test needs moment callables; data supplies parity only")
     if len(steps) < 2:
         raise ValueError("need at least two step sizes for order estimates")
     if min(steps) <= 0 or len(set(steps)) != len(steps):
@@ -272,8 +266,8 @@ def range_test(data: MomentData | None, m: int, k: int,
         raise ValueError(f"need at least one John tuple, got ntuples={ntuples}")
     if npoints < 0:
         raise ValueError(f"npoints must be non-negative, got {npoints}")
-    if k > m:
-        raise ValueError("moment order exceeds rank")
+    if not 0 <= k <= m:
+        raise ValueError(f"moment order {k} outside 0..{m}")
     if data is not None:
         n = data.n
     elif n is None:
@@ -306,8 +300,7 @@ def range_test(data: MomentData | None, m: int, k: int,
                                    "order": _order(residuals, steps)})
 
     return RangeReport(m, k, tuple(steps), parity, john_rows, transport_rows,
-                       parity_tol=1e-12,
-                       parity_available=data is not None)
+                       parity_tol=1e-12)
 
 
 def _order(residuals, steps) -> float:

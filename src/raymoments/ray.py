@@ -6,8 +6,8 @@ The q-th moment transform of a rank-m field f along the line (x, xi) is
 
 defined for (x, xi) with |xi| = 1 and <x, xi> = 0.  Its extension J^q accepts
 any xi != 0 and is what makes x- and xi-derivatives of moment data well
-defined; the two are related by an explicit conversion sum implemented in
-:func:`make_extend_J`.
+defined; the two are related by an explicit conversion sum, which
+:func:`raymoments.john.psi_from_phi` implements on I-data callables.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField, GridField, poly_add, poly_mul
+from .fields import GaussPolyField, poly_add, poly_mul
 from .symtensor import xi_power_weights
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
     "moment_numeric",
     "moment_oracle",
     "oracle_moment_callables",
-    "make_extend_J",
-    "interpolating_moment_callables",
     "batch_transform",
     "restricted_transform",
     "central_table",
@@ -148,38 +147,23 @@ class QuadratureRule:
         return cls(count, f.effective_radius())
 
 
-def moment_numeric(f, line: Line, q: int, rule: QuadratureRule) -> float:
+def moment_numeric(f: GaussPolyField, line: Line, q: int, rule: QuadratureRule) -> float:
     """Quadrature approximation of I^q f along ``line``.
 
-    Analytic fields are evaluated exactly at the nodes; grid fields are
-    interpolated with cubic splines.  Returns a plain float; a truncation
-    warning is raised as a RuntimeWarning when the rule radius falls short of
-    the field's effective support.
+    The analytic field is evaluated exactly at the nodes.  Returns a plain
+    float; a truncation warning is raised as a RuntimeWarning when the rule
+    radius falls short of the field's effective support.
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
-    t, w = rule.nodes()
-    if isinstance(f, GaussPolyField):
-        if rule.radius < f.effective_radius(1e-10):
-            import warnings
-            warnings.warn("quadrature radius below field effective support",
-                          RuntimeWarning, stacklevel=2)
-        vals = f.line_values(line.x, line.xi, t)
-    elif isinstance(f, GridField):
-        vals = _grid_line_values(f, line.x, line.xi, t)
-    else:
+    if not isinstance(f, GaussPolyField):
         raise TypeError(f"unsupported field type {type(f)!r}")
+    t, w = rule.nodes()
+    if rule.radius < f.effective_radius(1e-10):
+        warnings.warn("quadrature radius below field effective support",
+                      RuntimeWarning, stacklevel=2)
+    vals = f.line_values(line.x, line.xi, t)
     return float((w * t ** q * vals).sum()) if q else float((w * vals).sum())
-
-
-def _grid_line_values(f: GridField, x, xi, ts) -> np.ndarray:
-    from scipy.ndimage import map_coordinates
-
-    pts = np.asarray(x)[None, :] + np.asarray(ts)[:, None] * np.asarray(xi)[None, :]
-    coords = (pts.T + f.spec.extent) / f.spec.spacing
-    packed = np.stack([
-        map_coordinates(comp, coords, order=3, mode="grid-wrap") for comp in f.data])
-    return xi_power_weights(f.n, f.m, xi) @ packed
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +216,6 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int):
 def oracle_moment_callables(f: GaussPolyField, k: int):
     """[J^0 f, ..., J^k f] as plain (x, xi) callables (exact path)."""
     return [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(k + 1)]
-
-
-# ---------------------------------------------------------------------------
-# I <-> J conversion
-
-
-def make_extend_J(moments, m: int):
-    """Return a callable (x, xi, q) evaluating J^q from I-data callables.
-
-    ``moments`` is a sequence of callables; moments[l](x0, xi0) must return
-    I^l at the line (x0, xi0) in the line space.  Implements the conversion
-
-        J^q f(x, xi) = |xi|^{m-2q-1} sum_{l<=q} (-1)^{q-l} C(q,l) |xi|^l
-                       <xi, x>^{q-l} I^l f(x - <x,xi> xi/|xi|^2, xi/|xi|)
-
-    where m is the rank of the field behind the data.
-    """
-
-    def J(x, xi, q: int) -> float:
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        norm = float(np.linalg.norm(xi))
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        if q >= len(moments):
-            raise ValueError(f"moment order {q} not available in the data")
-        u = xi / norm
-        dot = float(x @ xi)
-        x0 = x - (dot / norm ** 2) * xi
-        acc = 0.0
-        for ell in range(q + 1):
-            acc += ((-1) ** (q - ell) * math.comb(q, ell) * norm ** ell
-                    * dot ** (q - ell) * moments[ell](x0, u))
-        return norm ** (m - 2 * q - 1) * acc
-
-    return J
 
 
 # ---------------------------------------------------------------------------
@@ -360,41 +308,6 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
         for ell in range(k + 1):
             values[ell, d] = integrand @ (w * t ** ell)
     return MomentData(f.n, f.m, k, dirs, frames, offsets, values, rule)
-
-
-def interpolating_moment_callables(data: MomentData):
-    """I^l callables interpolated from sampled moment data (n = 2 only).
-
-    Linear in the direction angle, cubic spline in the signed offset; the
-    accuracy class is strictly below the oracle path.
-    """
-    if data.n != 2:
-        raise NotImplementedError("moment-data interpolation implemented for n=2")
-    from scipy.interpolate import CubicSpline
-
-    half = data.ndirs // 2
-    theta = np.pi * np.arange(half) / half
-    splines = [[CubicSpline(data.offsets, data.values[ell, d])
-                for d in range(data.ndirs)] for ell in range(data.k + 1)]
-
-    def make(ell):
-        def call(x0, xi0):
-            ang = math.atan2(xi0[1], xi0[0]) % (2.0 * math.pi)
-            flip = ang >= np.pi
-            a = ang - np.pi if flip else ang
-            step = np.pi / half
-            j = int(a // step)
-            frac = a / step - j
-            j0, j1 = j % half, (j + 1) % half
-            wrap1 = (j + 1) >= half        # crossing theta = pi flips orientation
-            d0 = j0 + (half if flip else 0)
-            d1 = j1 + (half if (flip != wrap1) else 0)
-            s0 = float(data.frames[d0][:, 0] @ x0)
-            s1 = float(data.frames[d1][:, 0] @ x0)
-            return (1 - frac) * splines[ell][d0](s0) + frac * splines[ell][d1](s1)
-        return call
-
-    return [make(ell) for ell in range(data.k + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,19 @@ class TestDecomposeVerify:
     (["check-range", "--k", "1", "--steps", "0.025,0.025", "--out", "{out}"], {2}),
     (["check-range", "--n", "3", "--m", "1", "--k", "1", "--ntuples", "0",
       "--out", "{out}"], {2}),
+    (["check-range", "--m", "1", "--k", "2", "--out", "{out}"], {2}),
+    (["verify", "--prefix", "{out}", "--k", "2"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
-        "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0"])
+        "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
+        "check-range-k2", "verify-wrong-k"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
+    if args[0] == "verify":
+        # a k = 1 decomposition for verify to reject under another k
+        assert main(["decompose", "--field", field_path, "--k", "1",
+                     "--grid", "16", "--out-prefix", out]) == 0
+        capsys.readouterr()
     code = main([a.format(field=field_path, out=out) for a in args])
     assert code in codes
     if code == 2:
@@ -150,6 +158,34 @@ class TestSeededCommands:
         assert main(["slice-check", "--field", field_path, "--trials", "2",
                      "--offsets", "64", "--out", out]) == 0
         assert read_report(out)["results"]["max_deviation"] < 1e-6
+
+
+def test_csvs_hold_plain_floats(tmp_path, field_path):
+    # _write_csv writes floats by repr, which numpy 2 spells np.float64(...)
+    out = str(tmp_path / "o")
+    runs = [
+        ["transform", "--field", field_path, "--k", "1", "--dirs", "4",
+         "--offsets", "4", "--out", out + ".t.json"],
+        ["decompose", "--field", field_path, "--k", "1", "--grid", "16",
+         "--out-prefix", out + ".dec"],
+        ["verify", "--prefix", out + ".dec", "--k", "1"],
+        ["oracle-diff", "--n", "2", "--m", "1", "--lines", "3", "--out", out + ".od.json"],
+        ["rank-probe", "--n", "2", "--m", "2", "--k", "1", "--trials", "2",
+         "--out", out + ".rp.csv"],
+        ["check-kernel", "--n", "2", "--m", "2", "--k", "1", "--lines", "3",
+         "--out", out + ".ck.json"],
+        ["check-range", "--n", "3", "--m", "1", "--k", "1", "--dirs", "4",
+         "--offsets", "2", "--ntuples", "1", "--out", out + ".cr.json"],
+        ["chi-verify", "--n", "2", "--m", "2", "--ell", "1", "--points", "3",
+         "--out", out + ".cv.json"],
+        ["slice-check", "--field", field_path, "--trials", "1", "--offsets", "16",
+         "--out", out + ".sc.json"],
+    ]
+    for args in runs:
+        csv = str(tmp_path / f"{args[0]}.csv")
+        assert main(args + ["--csv", csv]) in (0, 1), args[0]
+        text = (tmp_path / f"{args[0]}.csv").read_text()
+        assert "np." not in text, (args[0], text[:200])
 
 
 class TestDeterminism:

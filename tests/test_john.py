@@ -6,8 +6,8 @@ import pytest
 
 from raymoments.fields import poly_add, poly_diff, poly_eval, random_field
 from raymoments.john import (
-    PhaseFunction,
     chi_build,
+    homogeneity_residual,
     john_apply,
     psi_from_phi,
     range_test,
@@ -45,44 +45,39 @@ def phase_points(n, rng, count=3):
 
 class TestJohnApply:
     def test_inner_product_annihilated(self):
-        psi = PhaseFunction(lambda x, xi: float(np.dot(x, xi)), 1.0)
+        psi = lambda x, xi: float(np.dot(x, xi))
         out = john_apply(psi, 0, 1, 0.1)
         x, xi = np.array([0.3, -0.7]), np.array([1.1, 0.4])
         assert out(x, xi) == pytest.approx(0.0, abs=1e-13)
 
     def test_monomial_example(self):
-        psi = PhaseFunction(lambda x, xi: x[1] * xi[2])
+        psi = lambda x, xi: x[1] * xi[2]
         x, xi = np.array([0.2, 0.5, -0.3]), np.array([0.9, -0.1, 0.6])
         assert john_apply(psi, 1, 2, 0.05)(x, xi) == pytest.approx(1.0)
         assert john_apply(psi, 2, 1, 0.05)(x, xi) == pytest.approx(-1.0)
 
     def test_diagonal_is_exact_zero(self):
-        psi = PhaseFunction(lambda x, xi: math.sin(x[0]) * xi[1] ** 2)
+        psi = lambda x, xi: math.sin(x[0]) * xi[1] ** 2
         assert john_apply(psi, 1, 1, 0.1)(np.ones(2), np.ones(2)) == 0.0
 
     def test_antisymmetry(self):
-        psi = PhaseFunction(lambda x, xi: math.sin(x[0] * xi[1]) + x[1] ** 3)
+        psi = lambda x, xi: math.sin(x[0] * xi[1]) + x[1] ** 3
         x, xi = np.array([0.4, -0.2]), np.array([0.7, 1.3])
         a = john_apply(psi, 0, 1, 0.02)(x, xi)
         b = john_apply(psi, 1, 0, 0.02)(x, xi)
         assert a == pytest.approx(-b, rel=1e-12)
 
     def test_second_order_convergence(self):
-        psi = PhaseFunction(lambda x, xi: math.sin(x[0]) * math.cos(xi[1]))
+        psi = lambda x, xi: math.sin(x[0]) * math.cos(xi[1])
         x, xi = np.array([0.3, 0.8]), np.array([1.0, 0.5])
         exact = -math.cos(x[0]) * math.sin(xi[1])
         e1 = abs(john_apply(psi, 0, 1, 0.04)(x, xi) - exact)
         e2 = abs(john_apply(psi, 0, 1, 0.02)(x, xi) - exact)
         assert 3.5 < e1 / e2 < 4.5
 
-    def test_degree_bookkeeping(self):
-        psi = PhaseFunction(lambda x, xi: x[0] * xi[1], 1.0)
-        assert john_apply(psi, 0, 1, 0.1).degree == 0.0
-        assert john_apply(PhaseFunction(lambda x, xi: 0.0), 0, 1, 0.1).degree is None
-
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            john_apply(PhaseFunction(lambda x, xi: 0.0), 0, 1, 0.0)
+            john_apply(lambda x, xi: 0.0, 0, 1, 0.0)
 
 
 class TestJohnTable:
@@ -107,7 +102,7 @@ class TestJohnTable:
 
     @pytest.mark.parametrize("n, pairs, poly", CASES)
     def test_composed_matches_nested(self, n, pairs, poly):
-        psi = PhaseFunction(lambda x, xi: poly_eval(poly, np.concatenate([x, xi])))
+        psi = lambda x, xi: poly_eval(poly, np.concatenate([x, xi]))
         x, xi = np.linspace(-0.7, 0.8, n), np.linspace(1.1, -0.4, n)
         h = 0.1
         nested = psi
@@ -121,7 +116,7 @@ class TestJohnTable:
 
     def test_one_call_per_distinct_point(self):
         seen = []
-        psi = PhaseFunction(lambda x, xi: seen.append((*x, *xi)) or 1.0)
+        psi = lambda x, xi: seen.append((*x, *xi)) or 1.0
         pairs = ((0, 1),) * 3                  # n, m = 2, 2
         apply_stencil(psi, _john_table(pairs, 2), np.array([0.3, -0.2]),
                       np.array([0.9, 0.4]), 0.025)
@@ -154,9 +149,29 @@ class TestPsiFromPhi:
         f = random_field(2, 2, rng)
         moments = oracle_moment_callables(f, 1)
         psi = psi_from_phi(moments, 2, 1)
-        assert psi.degree == 0
         x, xi = np.array([0.3, -0.4]), np.array([0.8, 0.6])
-        assert psi.homogeneity_residual(x, xi, 2.0) < 1e-12
+        assert homogeneity_residual(psi, 0, x, xi, 2.0) < 1e-12
+        assert homogeneity_residual(psi, 1, x, xi, 2.0) > 0.1
+
+    def test_returns_python_floats(self):
+        # values reach CSVs through repr, which numpy 2 spells np.float64(...)
+        f = random_field(3, 2, np.random.default_rng(2))
+        moments = [lambda x, xi, c=c: np.float64(c(x, xi))
+                   for c in oracle_moment_callables(f, 1)]
+        x, xi = np.array([0.3, -0.4, 0.1]), np.array([0.8, 0.6, -0.2])
+        psi = psi_from_phi(moments, 2, 1)
+        chi = chi_build(psi, [f], 1, 2)
+        for fun in (psi, chi, john_apply(psi, 0, 1, 0.05)):
+            assert type(fun(x, xi)) is float
+        assert type(homogeneity_residual(psi, 0, x, xi)) is float
+
+    @pytest.mark.parametrize("m, k", [(0, 0), (2, 1), (3, 3)])
+    def test_order_beyond_data_rejected(self, m, k):
+        moments = oracle_moment_callables(random_field(2, m, np.random.default_rng(3)), k)
+        with pytest.raises(ValueError, match="not available"):
+            psi_from_phi(moments, m, len(moments))
+        with pytest.raises(ValueError, match="not available"):
+            psi_from_phi(moments, m, -1)
 
 
 class TestTransportIdentity:
@@ -182,7 +197,7 @@ class TestTransportIdentity:
         f = random_field(2, 2, rng)
         moments = oracle_moment_callables(f, 1)
         psi1 = psi_from_phi(moments, 2, 1)
-        bad = PhaseFunction(lambda x, xi: 0.0)
+        bad = lambda x, xi: 0.0
         x, xi = np.array([0.5, -0.2]), np.array([1.0, 0.3])
         assert transport_identity_residual(psi1, bad, 1, 1, x, xi, 0.05) > 1e-3
 
@@ -216,7 +231,7 @@ class TestChiBuild:
         moments = oracle_moment_callables(f, 1)
         chi = chi_build(psi_from_phi(moments, m, ell), gs[:1], ell, m)
         x, xi = np.array([0.3, 0.7]), np.array([0.6, -0.8])
-        assert chi.homogeneity_residual(x, xi, 2.0) < 1e-10
+        assert homogeneity_residual(chi, m - ell - 1, x, xi, 2.0) < 1e-10
         # t < 0: chi(x, t xi) = t^{m-ell} / |t| chi(x, xi)
         want = (-1.0) ** (m - ell) * chi(x, xi)
         assert chi(x, -xi) == pytest.approx(want, abs=1e-10)
@@ -336,8 +351,8 @@ class TestRangeTest:
         assert not report.parity_pass
 
     def test_parity_tolerance_does_not_depend_on_callables(self):
-        # parity is read from the sampled data, so interpolating the data for
-        # the John tests must not loosen it
+        # parity is read from the sampled data, so exact callables for the
+        # John tests must not loosen it
         rng = np.random.default_rng(16)
         f = random_field(2, 2, rng)
         data = batch_transform(f, 1, ndirs=16, noffsets=16)
@@ -345,13 +360,26 @@ class TestRangeTest:
         broken[0, 0, :] *= 1.0 + 1e-9
         from dataclasses import replace
         bad = replace(data, values=broken)
-        interpolated = range_test(bad, 2, 1, npoints=0, ntuples=1)
         oracle = range_test(bad, 2, 1, moment_callables=oracle_moment_callables(f, 1),
                             npoints=0, ntuples=1)
-        assert 1e-12 < interpolated.parity[0] < 1e-8
-        assert interpolated.parity_tol == oracle.parity_tol == 1e-12
-        assert not interpolated.parity_pass
+        assert 1e-12 < oracle.parity[0] < 1e-8
+        assert oracle.parity_tol == 1e-12
         assert not oracle.parity_pass
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_data_without_callables_rejected(self, n):
+        # sampled data supplies parity only; John needs moment callables
+        f = random_field(n, 2, np.random.default_rng(18))
+        data = batch_transform(f, 1, ndirs=8, noffsets=4)
+        with pytest.raises(ValueError, match="callables"):
+            range_test(data, 2, 1, npoints=0, ntuples=1)
+
+    def test_no_data_no_parity(self):
+        f = random_field(3, 1, np.random.default_rng(19), degree=1)
+        report = range_test(None, 1, 1, moment_callables=oracle_moment_callables(f, 1),
+                            npoints=0, ntuples=1, n=3)
+        assert report.parity == {}
+        assert report.parity_pass
 
     def test_negative_npoints_rejected(self):
         f = random_field(2, 1, np.random.default_rng(17), degree=1)
@@ -372,6 +400,9 @@ class TestRangeTest:
         f = random_field(2, 1, rng, degree=1)
         with pytest.raises(ValueError):
             range_test(None, 1, 2,
+                       moment_callables=oracle_moment_callables(f, 1), n=2)
+        with pytest.raises(ValueError):
+            range_test(None, 1, -1,
                        moment_callables=oracle_moment_callables(f, 1), n=2)
         with pytest.raises(ValueError):
             range_test(None, 1, 1, steps=(0.1,),

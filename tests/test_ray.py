@@ -11,8 +11,6 @@ from raymoments.ray import (
     batch_transform,
     direction_grid,
     householder_frame,
-    interpolating_moment_callables,
-    make_extend_J,
     moment_numeric,
     moment_oracle,
     oracle_moment_callables,
@@ -20,6 +18,7 @@ from raymoments.ray import (
     restricted_transform,
 )
 from raymoments.ray import _gauss_hermite
+from raymoments.john import psi_from_phi
 
 
 def unit(v):
@@ -91,14 +90,12 @@ class TestMomentNumeric:
         with pytest.warns(RuntimeWarning):
             moment_numeric(f, ln, 0, QuadratureRule(radius=2.0))
 
-    def test_grid_field_path(self):
+    def test_grid_field_rejected(self):
         from raymoments.fields import GridSpec
-        f = GaussPolyField.scalar(2)
-        g = f.sample(GridSpec(2, 128, 8.0))
+        g = GaussPolyField.scalar(2).sample(GridSpec(2, 16, 8.0))
         ln = Line(np.array([0.0, 0.3]), np.array([1.0, 0.0]))
-        rule = QuadratureRule(radius=6.0)
-        want = math.sqrt(math.pi) * math.exp(-0.09)
-        assert moment_numeric(g, ln, 0, rule) == pytest.approx(want, rel=1e-5)
+        with pytest.raises(TypeError, match="unsupported field type"):
+            moment_numeric(g, ln, 0, QuadratureRule(radius=6.0))
 
 
 class TestMomentOracle:
@@ -188,20 +185,22 @@ class TestMomentOracle:
 
 
 class TestExtendJ:
+    # the I -> J conversion is psi_from_phi: psi^q = J^q f on oracle I-data
+
     def test_identity_on_line_space(self):
         rng = np.random.default_rng(7)
         f = random_field(2, 2, rng)
         moments = oracle_moment_callables(f, 2)
         ln = random_line(2, rng)
         for q in range(3):
-            got = make_extend_J(moments, f.m)(ln.x, ln.xi, q)
+            got = psi_from_phi(moments, f.m, q)(ln.x, ln.xi)
             assert got == pytest.approx(moments[q](ln.x, ln.xi), rel=1e-12)
 
     def test_scalar_scaling(self):
         f = GaussPolyField.scalar(2)
         moments = oracle_moment_callables(f, 0)
         ln = random_line(2, np.random.default_rng(8))
-        got = make_extend_J(moments, 0)(ln.x, 2.0 * ln.xi, 0)
+        got = psi_from_phi(moments, 0, 0)(ln.x, 2.0 * ln.xi)
         assert got == pytest.approx(0.5 * moments[0](ln.x, ln.xi), rel=1e-12)
 
     def test_matches_oracle_at_phase_points(self):
@@ -213,7 +212,7 @@ class TestExtendJ:
                 x = rng.uniform(-2, 2, size=n)
                 xi = rng.normal(size=n)
                 for q in range(m + 1):
-                    got = make_extend_J(moments, m)(x, xi, q)
+                    got = psi_from_phi(moments, m, q)(x, xi)
                     want = moment_oracle(f, x, xi, q)
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -221,7 +220,7 @@ class TestExtendJ:
         f = GaussPolyField.scalar(2)
         moments = oracle_moment_callables(f, 0)
         with pytest.raises(ValueError):
-            make_extend_J(moments, 0)(np.zeros(2), np.array([1.0, 0.0]), 1)
+            psi_from_phi(moments, 0, 1)
 
 
 class TestLadder:
@@ -285,23 +284,13 @@ class TestBatchTransform:
         ln = data.line(1, 2)
         assert abs(ln.x @ ln.xi) < 1e-12
 
-    def test_interpolating_callables(self):
-        rng = np.random.default_rng(13)
-        f = random_field(2, 1, rng)
-        data = batch_transform(f, 1, ndirs=64, noffsets=64)
-        calls = interpolating_moment_callables(data)
-        ln = random_line(2, rng, radius=1.5)
-        for ell in range(2):
-            want = moment_oracle(f, ln.x, ln.xi, ell)
-            assert calls[ell](ln.x, ln.xi) == pytest.approx(want, abs=2e-3)
-
 
 class TestRestrictedTransform:
     def test_r_zero_is_J0(self):
         rng = np.random.default_rng(14)
         f = random_field(2, 2, rng)
         moments = oracle_moment_callables(f, 0)
-        J = [lambda x, xi: make_extend_J(moments, f.m)(x, xi, 0)]
+        J = [psi_from_phi(moments, f.m, 0)]
         ln = random_line(2, rng)
         got = restricted_transform(J, (), ln.x, ln.xi, m=f.m)
         assert got == pytest.approx(moment_oracle(f, ln.x, ln.xi, 0), rel=1e-12)
@@ -311,8 +300,7 @@ class TestRestrictedTransform:
         rng = np.random.default_rng(15)
         f = random_field(2, 1, rng, degree=1)
         moments = oracle_moment_callables(f, 1)
-        J = make_extend_J(moments, f.m)
-        Js = [lambda x, xi, q=q: J(x, xi, q) for q in range(2)]
+        Js = [psi_from_phi(moments, f.m, q) for q in range(2)]
         ln = random_line(2, rng)
         for i in range(2):
             got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=1)

@@ -57,3 +57,17 @@ def test_no_dense_solve_in_helmholtz():
              for lineno, line in enumerate((SRC / "helmholtz.py").read_text().splitlines(), 1)
              if pattern.search(line)]
     assert not found, f"dense solves or per-bin matrices in helmholtz: {found}"
+
+
+def test_no_not_implemented():
+    # accepted input must work or raise ValueError, never NotImplementedError
+    def raises_not_implemented(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and raises_not_implemented(node)]
+    assert not found, f"raise NotImplementedError in src/raymoments: {found}"
