@@ -17,7 +17,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,11 +116,15 @@ def poly_dtype(*polys: Poly) -> type:
     return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
 
 
-def poly_degree(p: Poly) -> int:
-    return max((sum(e) for e in p), default=0)
-
-
 # ---------------------------------------------------------------------------
+
+
+class PackedPoly(NamedTuple):
+    """The components of a :class:`GaussPolyField` as arrays, read-only."""
+    exps: np.ndarray      # (T, n) int: the distinct exponents, sorted
+    coef: np.ndarray      # (T, S): coefficient of exps[t] in component s
+    degree: int           # total degree, max |e|
+    bound: float          # max over components of sum |c|, 1.0 for a zero field
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,21 @@ class GaussPolyField:
     @classmethod
     def scalar(cls, n: int, a: float = 1.0, poly: Poly | None = None) -> "GaussPolyField":
         return cls(n, 0, a, (dict(poly) if poly else {(0,) * n: 1.0},))
+
+    @cached_property
+    def packed(self) -> PackedPoly:
+        """``comps`` packed once, on first use; the oracle and sampling read it.
+
+        Cached on the instance: ``replace``, the algebra and the operators
+        build new instances, so a packed form never outlives its comps.
+        """
+        exps = sorted({e for p in self.comps for e in p})
+        coef = np.array([[p.get(e, 0.0) for p in self.comps] for e in exps],
+                        poly_dtype(*self.comps)).reshape(len(exps), len(self.comps))
+        bound = max(sum(abs(c) for c in p.values()) for p in self.comps) or 1.0
+        exps_arr = np.array(exps, dtype=int).reshape(len(exps), self.n)
+        exps_arr.flags.writeable = coef.flags.writeable = False
+        return PackedPoly(exps_arr, coef, max(map(sum, exps), default=0), bound)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -260,8 +280,7 @@ class GaussPolyField:
 
     def effective_radius(self, cutoff: float = 1e-12) -> float:
         """Radius R with e^{-a R^2} * (coefficient-sum bound on |p|) < cutoff."""
-        bound = max(sum(abs(c) for c in p.values()) for p in self.comps) or 1.0
-        deg = max(poly_degree(p) for p in self.comps)
+        _, _, deg, bound = self.packed
         r = 1.0
         while bound * max(r, 1.0) ** deg * math.exp(-self.a * r * r) >= cutoff:
             r *= 1.25
@@ -275,11 +294,10 @@ class GaussPolyField:
         Contracts the dense coefficient tensor (component, exponent per
         axis) with the table x^p e^{-a x^2} of the grid axis.
         """
-        deg = max((max(e) for p in self.comps for e in p), default=0)
-        data = np.zeros((len(self.comps),) + (deg + 1,) * self.n, poly_dtype(*self.comps))
-        for col, p in enumerate(self.comps):
-            for e, c in p.items():
-                data[(col,) + e] = c
+        exps, coef, _, _ = self.packed
+        deg = int(exps.max(initial=0))
+        data = np.zeros((len(self.comps),) + (deg + 1,) * self.n, coef.dtype)
+        data[(slice(None), *exps.T)] = coef.T
         x = spec.axes()[0]
         table = np.exp(-self.a * x * x) * x ** np.arange(deg + 1)[:, None]
         for _ in range(self.n):      # contracts the leading exponent axis each time

@@ -19,6 +19,7 @@ transform.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridField, d_symbol, delta_symbol
-from .symtensor import SymTensor, contract, sym_dim, sym_mult, symmetrize
+from .symtensor import SymTensor, sym_dim, sym_mult_operators, symmetrize
 
 __all__ = [
     "FreqProjection",
@@ -52,8 +53,9 @@ class FreqProjection:
 def freq_project(f_hat: SymTensor, y: np.ndarray, k: int) -> FreqProjection:
     """Split f_hat at frequency y into j_{y^(k)} g_hat = 0 and i_{y^(k)} v_hat.
 
-    The top-down peel of :func:`_peel` with :func:`contract` and
-    :func:`sym_mult` at this one y, for any 0 <= k <= m.
+    The top-down peel of :func:`_peel` with j_y and i_y at this one y, for
+    any 0 <= k <= m; each step's contraction and multiplication share one
+    :func:`sym_mult_operators` pair.
     """
     y = np.asarray(y, dtype=float)
     ynorm = float(np.linalg.norm(y))
@@ -62,9 +64,9 @@ def freq_project(f_hat: SymTensor, y: np.ndarray, k: int) -> FreqProjection:
     n, m = f_hat.n, f_hat.m
     if k > m:
         raise ValueError("splitting order exceeds rank")
+    ops = functools.cache(lambda lo, p: sym_mult_operators(n, lo, p, y))   # one A(y) each
     g, v = _peel(f_hat.coeffs * 1.0, m, k, ynorm ** -2,       # a float copy to peel
-                 lambda r, j: contract(SymTensor(n, m, r), y, j).coeffs,
-                 lambda h, lo, p: sym_mult(SymTensor(n, lo, h), y, p).coeffs)
+                 lambda r, j: ops(m - j, j)[1](r), lambda h, lo, p: ops(lo, p)[0](h))
     return FreqProjection(y, k, SymTensor(n, m, g), SymTensor(n, m - k, v))
 
 

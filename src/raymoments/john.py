@@ -102,7 +102,7 @@ def psi_from_phi(moments, m: int, ell: int):
     def psi(x, xi) -> float:
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        norm = float(np.linalg.norm(xi))
+        norm = math.sqrt(float(xi @ xi))
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
         u = xi / norm

@@ -186,11 +186,9 @@ def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
     width = 1.0 / np.sqrt(f.a * nxi2)
     t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
     pts = x[..., None, :] + t[..., None] * xi[..., None, :]   # (..., N, n)
-    exps = sorted({e for comp in f.comps for e in comp})
-    coef = np.array([[comp.get(e, 0.0) for e in exps] for comp in f.comps])
-    monos = np.prod(pts[..., None, :] ** np.reshape(exps, (-1, f.n)), axis=-1)  # (..., N, T)
-    weights = xi_power_weights(f.n, f.m, xi)[..., None, :]          # (..., 1, S)
-    line = np.real(((monos @ coef.T) * weights).sum(axis=-1))       # (..., N)
+    monos = (pts[..., None, :] ** f.packed.exps).prod(axis=-1)  # (..., N, T)
+    weights = xi_power_weights(f.n, f.m, xi)[..., None, :]     # (..., 1, S)
+    line = ((monos @ f.packed.coef) * weights).sum(axis=-1).real  # (..., N)
     amp = np.exp(-f.a * ((x * x).sum(axis=-1) - dot * dot / nxi2)) * width
     return (amp * ((line * t ** q) @ w)).astype(float)
 
@@ -206,10 +204,9 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int):
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
-    if not np.all(np.square(xi).sum(axis=-1) > 0.0):
+    if not (np.square(xi).sum(axis=-1) > 0.0).all():
         raise ValueError("direction must be nonzero")
-    deg = max(map(sum, {e for comp in f.comps for e in comp}), default=0)
-    out = _gauss_hermite(f, x, xi, q, (deg + q) // 2 + 1)
+    out = _gauss_hermite(f, x, xi, q, (f.packed.degree + q) // 2 + 1)
     return float(out) if out.ndim == 0 else out
 
 

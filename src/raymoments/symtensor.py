@@ -27,6 +27,7 @@ __all__ = [
     "eval_power",
     "sym_inner",
     "sym_mult_matrix",
+    "sym_mult_operators",
     "sym_mult_monomials",
     "xi_power_weights",
 ]
@@ -180,25 +181,35 @@ def symmetrize(raw: np.ndarray) -> SymTensor:
     return SymTensor(n, m, out)
 
 
+def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):
+    """i_{x^(k)} on rank lo and its adjoint j_{x^(k)}, as maps of packed coefficients.
+
+    Both read one :func:`sym_mult_matrix` A(x): i is A, and j, the adjoint under
+    :func:`sym_inner`, is W_lo^-1 A^T W_hi (W the multiplicity weights); k = 0 is I.
+    """
+    A = sym_mult_matrix(n, lo, k, _vector(x, n))
+    if k == 0:      # exactly I: W_lo^-1 (W_hi w) can round
+        return (lambda u: u), (lambda w: w)
+    w_hi, w_lo = mult_weights(n, lo + k), mult_weights(n, lo)
+    return (lambda u: A @ u), (lambda w: A.T @ (w_hi * w) / w_lo)
+
+
 def sym_mult(u: SymTensor, x: np.ndarray, k: int) -> SymTensor:
     """Symmetric multiplication i_{x^(k)} u = sigma(x^{(x)k} (x) u), rank m+k."""
-    A = sym_mult_matrix(u.n, u.m, k, _vector(x, u.n))
-    return u if k == 0 else SymTensor(u.n, u.m + k, A @ u.coeffs)
+    mult, _ = sym_mult_operators(u.n, u.m, k, x)
+    return u if k == 0 else SymTensor(u.n, u.m + k, mult(u.coeffs))
 
 
 def contract(w: SymTensor, x: np.ndarray, k: int) -> SymTensor:
     """Contraction j_{x^(k)} w: sum the last k slots of w against x, rank m-k.
 
-    The adjoint of :func:`sym_mult` under :func:`sym_inner`, so its packed
-    matrix is W_lo^-1 A(x)^T W_hi with A(x) = i_{x^(k)} and W the
-    multiplicity weights.
+    The adjoint of :func:`sym_mult` under :func:`sym_inner`
+    (:func:`sym_mult_operators`).
     """
     if k > w.m:
         raise ValueError(f"contraction order {k} exceeds rank {w.m}")
-    n, lo = w.n, w.m - k
-    A = sym_mult_matrix(n, lo, k, _vector(x, n))
-    return w if k == 0 else SymTensor(
-        n, lo, A.T @ (mult_weights(n, w.m) * w.coeffs) / mult_weights(n, lo))
+    _, adjoint = sym_mult_operators(w.n, w.m - k, k, x)
+    return w if k == 0 else SymTensor(w.n, w.m - k, adjoint(w.coeffs))
 
 
 def _vector(x, n: int) -> np.ndarray:
@@ -222,10 +233,7 @@ def xi_power_weights(n: int, m: int, xi: np.ndarray) -> np.ndarray:
     factors of xi^alpha multiply left to right along alpha.
     """
     factors = np.asarray(xi, dtype=float)[..., _index_table(n, m)]
-    pw = np.ones(factors.shape[:-1])
-    for j in range(m):
-        pw = pw * factors[..., j]
-    return mult_weights(n, m) * pw
+    return mult_weights(n, m) * factors.prod(axis=-1)
 
 
 def eval_power(f: SymTensor, xi: np.ndarray) -> complex:

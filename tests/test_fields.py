@@ -10,6 +10,7 @@ from raymoments.fields import (
     GaussPolyField,
     GridField,
     GridSpec,
+    poly_dtype,
     poly_eval,
     random_field,
 )
@@ -25,6 +26,41 @@ from raymoments.symtensor import (
 
 def scalar_gaussian(n, a=1.0):
     return GaussPolyField.scalar(n, a)
+
+
+def comps_scan_radius(f, cutoff):
+    """effective_radius with its bound and degree scanned from comps."""
+    bound = max(sum(abs(c) for c in p.values()) for p in f.comps) or 1.0
+    deg = max(max((sum(e) for e in p), default=0) for p in f.comps)
+    r = 1.0
+    while bound * max(r, 1.0) ** deg * math.exp(-f.a * r * r) >= cutoff:
+        r *= 1.25
+    return r
+
+
+def term_by_term_sample(f, spec):
+    """GaussPolyField.sample's grid data, its coefficient tensor filled per dict term."""
+    deg = max((max(e) for p in f.comps for e in p), default=0)
+    data = np.zeros((len(f.comps),) + (deg + 1,) * f.n, poly_dtype(*f.comps))
+    for col, p in enumerate(f.comps):
+        for e, c in p.items():
+            data[(col,) + e] = c
+    x = spec.axes()[0]
+    table = np.exp(-f.a * x * x) * x ** np.arange(deg + 1)[:, None]
+    for _ in range(f.n):
+        data = np.tensordot(data, table, axes=([1], [0]))
+    return data
+
+
+def packing_cases(rng):
+    """Dense, sparse, zero and complex fields, n in {2, 3}, m <= 3, degree <= 3."""
+    for n in (2, 3):
+        for m in range(4):
+            for degree in range(4):
+                yield random_field(n, m, rng, a=rng.uniform(0.1, 2.5), degree=degree)
+        yield random_field(n, 1, rng).inner_derivative(1)
+        yield GaussPolyField.zero(n, 2)
+        yield random_field(n, 1, rng).fourier_analytic()
 
 
 class TestEval:
@@ -325,6 +361,33 @@ class TestSampling:
         f = GaussPolyField.scalar(2, poly={(0, 0): 1.0, (1, 2): float("nan")})
         with pytest.raises(FloatingPointError):
             f.sample(GridSpec(2, 8, 4.0))
+
+
+class TestPackedForm:
+    def test_layout(self):
+        for f in packing_cases(np.random.default_rng(40)):
+            exps, coef, degree, bound = f.packed
+            rows = [tuple(e) for e in exps.tolist()]
+            assert rows == sorted({e for p in f.comps for e in p})
+            assert exps.shape == (len(rows), f.n) and exps.dtype.kind == "i"
+            assert coef.shape == (len(rows), sym_dim(f.n, f.m))
+            assert coef.dtype == poly_dtype(*f.comps)
+            for t, e in enumerate(rows):
+                assert coef[t].tolist() == [p.get(e, 0.0) for p in f.comps]
+            assert degree == max(map(sum, rows), default=0)
+            assert not exps.flags.writeable and not coef.flags.writeable
+
+    def test_effective_radius_matches_comps_scan(self):
+        for f in packing_cases(np.random.default_rng(41)):
+            for cutoff in (1e-12, 1e-10):
+                assert f.effective_radius(cutoff) == comps_scan_radius(f, cutoff)
+
+    @pytest.mark.parametrize("n, count", [(2, 33), (2, 16), (3, 9), (3, 10)])
+    def test_sample_matches_term_by_term_fill(self, n, count):
+        spec = GridSpec(n, count, 8.0)
+        for f in packing_cases(np.random.default_rng(42 + n + count)):
+            if f.n == n and f.packed.coef.dtype == float:
+                assert np.array_equal(f.sample(spec).data, term_by_term_sample(f, spec))
 
 
 class TestGridField:

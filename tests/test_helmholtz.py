@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from raymoments import symtensor
 from raymoments.fields import GridField, GridSpec, random_field
 from raymoments.helmholtz import (
     decompose_k,
@@ -115,6 +116,26 @@ class TestFreqProject:
         f_hat = random_tensor(2, 1, np.random.default_rng(3))
         with pytest.raises(ValueError):
             freq_project(f_hat, np.zeros(2), 1)
+
+    @pytest.mark.parametrize("m, k, builds",
+                             [(3, 1, 5), (3, 2, 3), (2, 1, 3), (2, 2, 1), (3, 0, 6)])
+    def test_one_matrix_per_peel_step(self, monkeypatch, m, k, builds):
+        # each step's contraction and multiplication share one A(y); the
+        # Horner step adds one i_y on rank m-j-1 for every j < m
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:3])
+            return sym_mult_matrix(*args)
+
+        monkeypatch.setattr(symtensor, "sym_mult_matrix", counted)
+        f_hat = random_tensor(3, m, np.random.default_rng(8))
+        y = np.array([0.3, -1.1, 0.7])
+        pr = freq_project(f_hat, y, k)
+        assert len(calls) == len(set(calls)) == builds
+        monkeypatch.undo()
+        g, _ = normal_equations_split(f_hat.coeffs[None], y[None], m, k)
+        np.testing.assert_allclose(pr.g_hat.coeffs, g[0], rtol=0, atol=1e-13)
 
 
 class TestProjectorFormula:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,57 @@ from raymoments.ray import (
 )
 from raymoments.ray import _gauss_hermite
 from raymoments.john import psi_from_phi
+from raymoments.symtensor import multi_indices, mult_weights
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def per_call_packing_oracle(f, x, xi, q):
+    """moment_oracle with the field's dicts packed again on every call.
+
+    The reference for the packed form: the exponent set, coefficient
+    matrix, degree and xi-power weights are all rebuilt here from comps.
+    """
+    if not np.all(np.square(xi).sum(axis=-1) > 0.0):
+        raise ValueError("direction must be nonzero")
+    exps = sorted({e for comp in f.comps for e in comp})
+    coef = np.array([[comp.get(e, 0.0) for e in exps] for comp in f.comps])
+    deg = max(map(sum, exps), default=0)
+    s, w = np.polynomial.hermite.hermgauss((deg + q) // 2 + 1)
+    x, xi = np.asarray(x, np.longdouble), np.asarray(xi, np.longdouble)
+    dot = (x * xi).sum(axis=-1)
+    nxi2 = (xi * xi).sum(axis=-1)
+    width = 1.0 / np.sqrt(f.a * nxi2)
+    t = (-dot / nxi2)[..., None] + width[..., None] * s
+    pts = x[..., None, :] + t[..., None] * xi[..., None, :]
+    monos = np.prod(pts[..., None, :] ** np.reshape(exps, (-1, f.n)), axis=-1)
+    alphas = multi_indices(f.n, f.m)
+    factors = xi.astype(float)[..., np.array(alphas, int).reshape(len(alphas), f.m)]
+    pw = np.ones(factors.shape[:-1])
+    for j in range(f.m):
+        pw = pw * factors[..., j]
+    weights = (mult_weights(f.n, f.m) * pw)[..., None, :]
+    line = np.real(((monos @ coef.T) * weights).sum(axis=-1))
+    amp = np.exp(-f.a * ((x * x).sum(axis=-1) - dot * dot / nxi2)) * width
+    out = (amp * ((line * t ** q) @ w)).astype(float)
+    return float(out) if out.ndim == 0 else out
+
+
+def assert_oracle_matches_reference(f, rng, q):
+    """Batched, one-direction and scalar calls, bit for bit."""
+    x = rng.uniform(-2.0, 2.0, size=(4, 5, f.n))
+    xi = rng.normal(size=(4, 5, f.n))
+    got = moment_oracle(f, x, xi, q)
+    assert np.array_equal(got, per_call_packing_oracle(f, x, xi, q))
+    got = moment_oracle(f, x[0], xi[0, 0], q)
+    assert np.array_equal(got, per_call_packing_oracle(f, x[0], xi[0, 0], q))
+    for j in range(5):
+        got = moment_oracle(f, x[1, j], xi[1, j], q)
+        want = per_call_packing_oracle(f, x[1, j], xi[1, j], q)
+        assert type(got) is float and got == want
 
 
 class TestGeometry:
@@ -134,6 +181,46 @@ class TestMomentOracle:
         f = GaussPolyField.scalar(2)
         with pytest.raises(ValueError):
             moment_oracle(f, np.zeros(2), np.zeros(2), 0)
+
+    def test_zero_direction_in_batch_rejected(self):
+        f = random_field(3, 1, np.random.default_rng(20))
+        xi = np.ones((4, 3))
+        xi[2] = 0.0
+        with pytest.raises(ValueError):
+            moment_oracle(f, np.zeros((4, 3)), xi, 0)
+        # a direction whose squares underflow counts as zero, as before
+        xi[2] = 1e-170
+        with pytest.raises(ValueError):
+            moment_oracle(f, np.zeros((4, 3)), xi, 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_packed_form_matches_per_call_packing(self, n):
+        rng = np.random.default_rng(21 + n)
+        for m in range(4):
+            for degree in range(4):
+                f = random_field(n, m, rng, a=rng.uniform(0.5, 1.5), degree=degree)
+                for q in range(m + 2):
+                    assert_oracle_matches_reference(f, rng, q)
+
+    def test_packed_form_of_complex_field(self):
+        rng = np.random.default_rng(24)
+        fhat = random_field(3, 2, rng).fourier_analytic()
+        assert fhat.packed.coef.dtype == complex
+        for q in range(4):
+            assert_oracle_matches_reference(fhat, rng, q)
+
+    def test_packed_form_fresh_after_algebra(self):
+        # packed is cached on the instance; fields derived after it was
+        # built must pack their own comps
+        rng = np.random.default_rng(25)
+        f, g = random_field(3, 1, rng), random_field(3, 1, rng, degree=3)
+        packed = f.packed
+        derived = [f + g, 2 * f, f.inner_derivative(1), replace(f, a=0.7)]
+        for h in derived:
+            for q in range(h.m + 2):
+                assert_oracle_matches_reference(h, rng, q)
+        assert all(h.packed is not packed for h in derived)
+        assert f.packed is packed
 
     def test_node_count_invariance(self):
         # floor((deg + q)/2) + 1 nodes are already exact, so four more nodes

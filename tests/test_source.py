@@ -71,3 +71,13 @@ def test_no_not_implemented():
              if isinstance(node, ast.Raise) and node.exc is not None
              and raises_not_implemented(node)]
     assert not found, f"raise NotImplementedError in src/raymoments: {found}"
+
+
+def test_oracle_reads_packed_field():
+    # the per-point oracle and psi read GaussPolyField.packed, built once
+    # per field, never the dict polynomials in comps
+    found = [f"{name}:{node.lineno}"
+             for name in ("ray.py", "john.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "comps"]
+    assert not found, f"comps read in the oracle path: {found}"
