@@ -30,7 +30,6 @@ from .symtensor import (
     mult_weights,
     sym_dim,
     sym_mult_monomials,
-    xi_power_weights,
 )
 
 __all__ = [
@@ -116,6 +115,14 @@ def poly_dtype(*polys: Poly) -> type:
     return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
 
 
+def json_keys(d: dict, keys: tuple[str, ...], what: str) -> list:
+    """``[d[key] for key in keys]``; a missing key is a ValueError naming it."""
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"malformed {what}: missing key '{key}'")
+    return [d[key] for key in keys]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -189,7 +196,8 @@ class GaussPolyField:
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
         """Packed coefficients at points (..., n) -> (..., sym_dim)."""
         # filled in place and allocated before its temporaries, so freeing them
-        # does not shrink and regrow the heap in loops such as batch_transform
+        # does not shrink and regrow the heap when moment_numeric calls it line
+        # after line
         out = np.empty(np.shape(pts)[:-1] + (len(self.comps),), poly_dtype(*self.comps))
         env = self.envelope(pts)
         monomials: dict = {}
@@ -199,17 +207,6 @@ class GaussPolyField:
 
     def eval(self, x) -> SymTensor:
         return SymTensor(self.n, self.m, self.eval_packed(np.asarray(x, dtype=float)))
-
-    def line_values(self, x, xi, ts: np.ndarray) -> np.ndarray:
-        """<f(x + t xi), xi^(x)m> for line parameters t: x (..., n) -> (..., T).
-
-        Batched over the leading axes of the base points x; xi is one
-        direction (n,).
-        """
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        pts = x[..., None, :] + np.asarray(ts)[:, None] * xi
-        return self.eval_packed(pts) @ xi_power_weights(self.n, self.m, xi)
 
     # -- algebra ------------------------------------------------------------
 
@@ -339,12 +336,10 @@ class GaussPolyField:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed field JSON: {exc}") from exc
-        for key in ("n", "m", "a", "components"):
-            if key not in d:
-                raise ValueError(f"malformed field JSON: missing key '{key}'")
-        n, m, a = int(d["n"]), int(d["m"]), float(d["a"])
+        n, m, a, components = json_keys(d, ("n", "m", "a", "components"), "field JSON")
+        n, m, a = int(n), int(m), float(a)
         comp_map = {}
-        for key, terms in d["components"].items():
+        for key, terms in components.items():
             alpha = tuple(int(c) - 1 for c in key)
             if len(alpha) != m or any(not 0 <= i < n for i in alpha):
                 raise ValueError(f"malformed field JSON: bad component key '{key}'")
@@ -567,5 +562,7 @@ class GridField:
     def load(cls, path_prefix: str) -> "GridField":
         with open(path_prefix + ".json") as fh:
             sc = json.load(fh)
-        data = np.fromfile(path_prefix + ".bin").reshape(sc["shape"])
-        return cls(sc["n"], sc["m"], GridSpec(sc["n"], sc["count"], sc["extent"]), data)
+        n, m, count, extent, shape = json_keys(
+            sc, ("n", "m", "count", "extent", "shape"), "grid sidecar")
+        data = np.fromfile(path_prefix + ".bin").reshape(shape)
+        return cls(n, m, GridSpec(n, count, extent), data)

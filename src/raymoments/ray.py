@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField, poly_add, poly_mul
+from .fields import GaussPolyField, json_keys, poly_add, poly_mul
 from .symtensor import xi_power_weights
 
 __all__ = [
@@ -143,8 +143,8 @@ class QuadratureRule:
         return t * self.radius, w * self.radius
 
     @classmethod
-    def for_field(cls, f: GaussPolyField, count: int = 200) -> "QuadratureRule":
-        return cls(count, f.effective_radius())
+    def for_field(cls, f: GaussPolyField) -> "QuadratureRule":
+        return cls(radius=f.effective_radius())
 
 
 def moment_numeric(f: GaussPolyField, line: Line, q: int, rule: QuadratureRule) -> float:
@@ -162,7 +162,8 @@ def moment_numeric(f: GaussPolyField, line: Line, q: int, rule: QuadratureRule) 
     if rule.radius < f.effective_radius(1e-10):
         warnings.warn("quadrature radius below field effective support",
                       RuntimeWarning, stacklevel=2)
-    vals = f.line_values(line.x, line.xi, t)
+    pts = line.x + t[:, None] * line.xi
+    vals = f.eval_packed(pts) @ xi_power_weights(f.n, f.m, line.xi)
     return float((w * t ** q * vals).sum()) if q else float((w * vals).sum())
 
 
@@ -182,6 +183,8 @@ def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
     x, xi = np.asarray(x, np.longdouble), np.asarray(xi, np.longdouble)
     dot = (x * xi).sum(axis=-1)
     nxi2 = (xi * xi).sum(axis=-1)
+    if not (nxi2 > 0.0).all():
+        raise ValueError("direction must be nonzero")
     s, w = _gauss_rule(np.polynomial.hermite.hermgauss, count)
     width = 1.0 / np.sqrt(f.a * nxi2)
     t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
@@ -204,8 +207,6 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int):
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
-    if not (np.square(xi).sum(axis=-1) > 0.0).all():
-        raise ValueError("direction must be nonzero")
     out = _gauss_hermite(f, x, xi, q, (f.packed.degree + q) // 2 + 1)
     return float(out) if out.ndim == 0 else out
 
@@ -236,7 +237,6 @@ class MomentData:
     frames: np.ndarray
     offsets: np.ndarray
     values: np.ndarray = field(repr=False)
-    quadrature: QuadratureRule = QuadratureRule()
 
     def __post_init__(self):
         want = (self.k + 1, self.directions.shape[0], self.offsets.size ** (self.n - 1))
@@ -259,52 +259,40 @@ class MomentData:
                 "directions": self.directions.tolist(),
                 "frames": self.frames.tolist(),
                 "offsets": self.offsets.tolist(),
-                "quadrature": {"scheme": "gauss-legendre",
-                               "count": self.quadrature.count,
-                               "radius": self.quadrature.radius},
             },
             "moments": [self.values[ell].ravel().tolist() for ell in range(self.k + 1)],
         })
 
     @classmethod
     def from_json(cls, text: str) -> "MomentData":
-        d = json.loads(text)
-        g = d["geometry"]
-        dirs = np.asarray(g["directions"], dtype=float)
-        offs = np.asarray(g["offsets"], dtype=float)
-        n = d["n"]
-        vals = np.asarray(d["moments"], dtype=float).reshape(
-            d["k"] + 1, dirs.shape[0], offs.size ** (n - 1))
-        quad = dict(g["quadrature"])
-        scheme = quad.pop("scheme", None)
-        if scheme != "gauss-legendre":
-            raise ValueError(f"unsupported quadrature scheme {scheme!r}")
-        rule = QuadratureRule(**quad)
-        return cls(n, d["m"], d["k"], dirs, np.asarray(g["frames"], dtype=float),
-                   offs, vals, rule)
+        n, m, k, g, moments = json_keys(
+            json.loads(text), ("n", "m", "k", "geometry", "moments"), "moment JSON")
+        dirs, frames, offs = (np.asarray(a, dtype=float) for a in json_keys(
+            g, ("directions", "frames", "offsets"), "moment JSON geometry"))
+        vals = np.asarray(moments, dtype=float).reshape(
+            k + 1, dirs.shape[0], offs.size ** (n - 1))
+        return cls(n, m, k, dirs, frames, offs, vals)
 
 
 def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
-                    noffsets: int = 32, extent: float | None = None,
-                    rule: QuadratureRule | None = None) -> MomentData:
-    """Moments I^0..I^k of f on a full line-space grid."""
+                    noffsets: int = 32, extent: float | None = None) -> MomentData:
+    """Moments I^0..I^k of f on a full line-space grid, from the exact oracle."""
     if k > f.m:
         raise ValueError("moment order exceeds field rank")
-    if rule is None:
-        rule = QuadratureRule.for_field(f)
     if extent is None:
         extent = f.effective_radius()
     dirs, frames = direction_grid(f.n, ndirs)
     offsets = np.linspace(-extent, extent, noffsets)
-    t, w = rule.nodes()
     grids = np.meshgrid(*([offsets] * (f.n - 1)), indexing="ij")
     s = np.stack([g.ravel() for g in grids], axis=-1)      # (P, n-1)
     values = np.empty((k + 1, dirs.shape[0], s.shape[0]))
+    # one oracle call per direction: a call over the whole grid holds every
+    # node point at once and peaks at about 5x the memory
     for d in range(dirs.shape[0]):
-        integrand = f.line_values(s @ frames[d].T, dirs[d], t)  # (P, T)
+        x = s @ frames[d].T
         for ell in range(k + 1):
-            values[ell, d] = integrand @ (w * t ** ell)
-    return MomentData(f.n, f.m, k, dirs, frames, offsets, values, rule)
+            values[ell, d] = moment_oracle(f, x, dirs[d], ell)
+    return MomentData(f.n, f.m, k, dirs, frames, offsets, values)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,18 @@ class TestDecomposeVerify:
         assert main(["verify", "--prefix", str(tmp_path / "nope"),
                      "--k", "1"]) == 2
 
+    def test_verify_sidecar_missing_key(self, tmp_path, field_path, capsys):
+        prefix = str(tmp_path / "dec")
+        assert main(["decompose", "--field", field_path, "--k", "1",
+                     "--grid", "16", "--out-prefix", prefix]) == 0
+        sidecar = tmp_path / "dec.f.json"
+        d = json.loads(sidecar.read_text())
+        del d["count"]
+        sidecar.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["verify", "--prefix", prefix, "--k", "1"]) == 2
+        assert "missing key 'count'" in capsys.readouterr().err
+
     def test_verify_fails_on_wrong_k_claim(self, tmp_path, field_path):
         prefix = str(tmp_path / "dec")
         main(["decompose", "--field", field_path, "--k", "1",

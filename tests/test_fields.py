@@ -102,16 +102,6 @@ class TestEval:
         assert np.array_equal(got, want)
 
 
-    def test_line_values_batched_over_base_points(self):
-        rng = np.random.default_rng(3)
-        f = random_field(3, 2, rng)
-        x, xi, ts = rng.normal(size=(4, 5, 3)), rng.normal(size=3), np.linspace(-3, 3, 11)
-        got = f.line_values(x, xi, ts)
-        assert got.shape == (4, 5, 11)
-        for i, j in np.ndindex(4, 5):
-            assert np.array_equal(got[i, j], f.line_values(x[i, j], xi, ts))
-
-
 class TestInnerDerivative:
     def test_scalar_gradient(self):
         f = scalar_gaussian(2)

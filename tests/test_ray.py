@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -103,11 +104,6 @@ class TestGeometry:
             QuadratureRule(count=4)
         with pytest.raises(ValueError):
             QuadratureRule(radius=-1.0)
-        text = batch_transform(GaussPolyField.scalar(2), 0, ndirs=4,
-                               noffsets=4).to_json()
-        assert '"scheme": "gauss-legendre"' in text
-        with pytest.raises(ValueError):
-            MomentData.from_json(text.replace("gauss-legendre", "simpson"))
 
 
 class TestMomentNumeric:
@@ -186,12 +182,30 @@ class TestMomentOracle:
         f = random_field(3, 1, np.random.default_rng(20))
         xi = np.ones((4, 3))
         xi[2] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzero"):
             moment_oracle(f, np.zeros((4, 3)), xi, 0)
-        # a direction whose squares underflow counts as zero, as before
-        xi[2] = 1e-170
-        with pytest.raises(ValueError):
-            moment_oracle(f, np.zeros((4, 3)), xi, 0)
+
+    def test_integer_direction_judged_without_overflow(self):
+        # 65536**2 wraps to 0 in int32; the check reads the long-double |xi|^2
+        f = random_field(3, 1, np.random.default_rng(26))
+        x = np.array([0.3, -0.2, 0.5])
+        want = moment_oracle(f, x, np.array([65536, 0, 0], dtype=np.int64), 0)
+        got = moment_oracle(f, x, np.array([65536, 0, 0], dtype=np.int32), 0)
+        assert got == want
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).minexp > -2000,
+                        reason="long double without extended exponent range")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_tiny_direction_accepted(self, scale):
+        # J^0 of a rank-1 field is homogeneous of degree 0 in xi, and |xi|^2
+        # underflows float64 but not the long double the oracle works in
+        rng = np.random.default_rng(27)
+        f = random_field(3, 1, rng)
+        x, u = rng.normal(size=3), unit(rng.normal(size=3))
+        want = moment_oracle(f, x, u, 0)
+        assert moment_oracle(f, x, scale * u, 0) == pytest.approx(want, rel=1e-12)
+        got = moment_oracle(f, np.stack([x, x]), np.stack([u, scale * u]), 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_packed_form_matches_per_call_packing(self, n):
@@ -350,8 +364,7 @@ class TestBatchTransform:
         rng = np.random.default_rng(12)
         f1 = random_field(2, 1, rng)
         f2 = random_field(2, 1, rng)
-        rule = QuadratureRule(radius=8.0)
-        kw = dict(ndirs=4, noffsets=4, extent=4.0, rule=rule)
+        kw = dict(ndirs=4, noffsets=4, extent=4.0)
         a = batch_transform(f1, 1, **kw)
         b = batch_transform(f2, 1, **kw)
         c = batch_transform(f1 + f2, 1, **kw)
@@ -363,7 +376,51 @@ class TestBatchTransform:
         back = MomentData.from_json(data.to_json())
         np.testing.assert_allclose(back.values, data.values)
         np.testing.assert_allclose(back.directions, data.directions)
-        assert back.quadrature == data.quadrature
+
+    def test_json_missing_key_named(self):
+        d = json.loads(batch_transform(GaussPolyField.scalar(2), 0, ndirs=4,
+                                       noffsets=4).to_json())
+        del d["geometry"]["offsets"]
+        with pytest.raises(ValueError, match="missing key 'offsets'"):
+            MomentData.from_json(json.dumps(d))
+        with pytest.raises(ValueError, match="missing key 'moments'"):
+            MomentData.from_json(json.dumps({"n": 2, "m": 0, "k": 0, "geometry": {}}))
+
+    def test_json_with_quadrature_entry_loads(self):
+        # files written when the values came from Gauss-Legendre quadrature
+        # carry its rule; nothing reads it
+        data = batch_transform(GaussPolyField.scalar(2), 0, ndirs=4, noffsets=4)
+        d = json.loads(data.to_json())
+        d["geometry"]["quadrature"] = {"scheme": "gauss-legendre", "count": 200,
+                                       "radius": 8.0}
+        back = MomentData.from_json(json.dumps(d))
+        assert np.array_equal(back.values, data.values)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_quadrature_at_every_line(self, n):
+        rng = np.random.default_rng(28 + n)
+        for m in range(4):
+            f = random_field(n, m, rng)
+            rule = QuadratureRule.for_field(f)
+            for k in range(m + 1):
+                data = batch_transform(f, k, ndirs=8, noffsets=4)
+                for d, o in np.ndindex(data.values.shape[1:]):
+                    ln = data.line(d, o)
+                    for ell in range(k + 1):
+                        assert data.values[ell, d, o] == pytest.approx(
+                            moment_numeric(f, ln, ell, rule), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_samples_the_oracle_per_direction(self, n):
+        f = random_field(n, 3, np.random.default_rng(30 + n))
+        data = batch_transform(f, 3, ndirs=8, noffsets=5)
+        grids = np.meshgrid(*([data.offsets] * (n - 1)), indexing="ij")
+        s = np.stack([g.ravel() for g in grids], axis=-1)
+        for d in range(data.ndirs):
+            x = s @ data.frames[d].T
+            for ell in range(4):
+                assert np.array_equal(data.values[ell, d],
+                                      moment_oracle(f, x, data.directions[d], ell))
 
     def test_line_accessor(self):
         f = GaussPolyField.scalar(2)

@@ -81,3 +81,17 @@ def test_oracle_reads_packed_field():
              for node in ast.walk(ast.parse((SRC / name).read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "comps"]
     assert not found, f"comps read in the oracle path: {found}"
+
+
+def test_one_line_quadrature():
+    # batch_transform samples the exact oracle; Gauss-Legendre quadrature
+    # lives only in QuadratureRule and its one user, moment_numeric
+    pattern = re.compile(r"\.nodes\(\)|\bleggauss\b")
+    owners = [node for node in ast.parse((SRC / "ray.py").read_text()).body
+              if getattr(node, "name", None) in ("QuadratureRule", "moment_numeric")]
+    inside = {lineno for node in owners for lineno in range(node.lineno, node.end_lineno + 1)}
+    found = [f"{path.relative_to(SRC)}:{lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line) and not (path.name == "ray.py" and lineno in inside)]
+    assert not found, f"quadrature nodes outside QuadratureRule/moment_numeric: {found}"
