@@ -27,7 +27,6 @@ from .john import (
     RangeReport,
     chi_build,
     homogeneity_residual,
-    john_apply,
     psi_from_phi,
     range_test,
     transport_identity_residual,

@@ -152,10 +152,12 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     t0 = time.time()
+    k = args.k if args.k is not None else args.m
+    if k < 0:
+        raise ValueError(f"moment order k must be non-negative, got k={k}")
     rng = _rng(args.seed)
     f = random_field(args.n, args.m, rng)
     rule = QuadratureRule.for_field(f)
-    k = args.k if args.k is not None else args.m
     rows, worst = [], 0.0
     for i in range(args.lines):
         ln = random_line(args.n, rng)
@@ -244,10 +246,8 @@ def cmd_check_range(args) -> int:
 
 def cmd_chi_verify(args) -> int:
     t0 = time.time()
-    if args.ell > args.m:
-        print(f"error: need ell <= m, got ell={args.ell}, m={args.m}",
-              file=sys.stderr)
-        return 2
+    if not 0 <= args.ell <= args.m:
+        raise ValueError(f"need 0 <= ell <= m, got ell={args.ell}, m={args.m}")
     rng = _rng(args.seed)
     gs = [random_field(args.n, args.m - s, rng, degree=1)
           for s in range(args.ell + 1)]

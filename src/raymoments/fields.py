@@ -26,6 +26,9 @@ from .symtensor import (
     SymTensor,
     _index_map,
     _json_real,
+    json_index,
+    json_keys,
+    monomials,
     multi_indices,
     mult_weights,
     sym_dim,
@@ -89,38 +92,8 @@ def gauss_partial(p: Poly, axis: int, a: float) -> Poly:
     return poly_add(poly_diff(p, axis), poly_shift_axis(p, axis), -2.0 * a)
 
 
-def poly_eval(p: Poly, pts: np.ndarray, monomials: dict | None = None):
-    """Evaluate at points of shape (..., n); broadcasts over leading axes.
-
-    ``monomials`` caches each monomial's values by exponent tuple, so
-    polynomials evaluated at the same points share them.
-    """
-    pts = np.asarray(pts)
-    if monomials is None:
-        monomials = {}
-    out = np.zeros(pts.shape[:-1], dtype=poly_dtype(p))
-    for e, c in p.items():
-        term = monomials.get(e)
-        if term is None:
-            term = np.ones(pts.shape[:-1])
-            for ax, k in enumerate(e):
-                if k:
-                    term = term * pts[..., ax] ** k
-            monomials[e] = term
-        out = out + c * term
-    return out
-
-
 def poly_dtype(*polys: Poly) -> type:
     return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
-
-
-def json_keys(d: dict, keys: tuple[str, ...], what: str) -> list:
-    """``[d[key] for key in keys]``; a missing key is a ValueError naming it."""
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"malformed {what}: missing key '{key}'")
-    return [d[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +147,10 @@ class GaussPolyField:
 
     @cached_property
     def packed(self) -> PackedPoly:
-        """``comps`` packed once, on first use; the oracle and sampling read it.
+        """``comps`` packed once, on first use; every numeric value reads it.
+
+        Evaluation, the oracle and sampling read it; the dict polynomials in
+        ``comps`` serve the algebra, the operators and JSON.
 
         Cached on the instance: ``replace``, the algebra and the operators
         build new instances, so a packed form never outlives its comps.
@@ -194,16 +170,9 @@ class GaussPolyField:
         return np.exp(-self.a * (pts ** 2).sum(axis=-1))
 
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
-        """Packed coefficients at points (..., n) -> (..., sym_dim)."""
-        # filled in place and allocated before its temporaries, so freeing them
-        # does not shrink and regrow the heap when moment_numeric calls it line
-        # after line
-        out = np.empty(np.shape(pts)[:-1] + (len(self.comps),), poly_dtype(*self.comps))
-        env = self.envelope(pts)
-        monomials: dict = {}
-        for col, p in enumerate(self.comps):
-            out[..., col] = poly_eval(p, pts, monomials) * env
-        return out
+        """Packed coefficients at points (..., n) -> (..., sym_dim), read from ``packed``."""
+        exps, coef, _, _ = self.packed
+        return (monomials(pts, exps) @ coef) * self.envelope(pts)[..., None]
 
     def eval(self, x) -> SymTensor:
         return SymTensor(self.n, self.m, self.eval_packed(np.asarray(x, dtype=float)))
@@ -340,9 +309,7 @@ class GaussPolyField:
         n, m, a = int(n), int(m), float(a)
         comp_map = {}
         for key, terms in components.items():
-            alpha = tuple(int(c) - 1 for c in key)
-            if len(alpha) != m or any(not 0 <= i < n for i in alpha):
-                raise ValueError(f"malformed field JSON: bad component key '{key}'")
+            alpha = json_index(key, n, m, "field JSON")
             poly: Poly = {}
             for t in terms:
                 e = tuple(int(v) for v in t.get("pow", ()))

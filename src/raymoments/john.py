@@ -27,7 +27,6 @@ from .ray import MomentData, apply_stencil, central_table, moment_oracle
 __all__ = [
     "RangeReport",
     "homogeneity_residual",
-    "john_apply",
     "psi_from_phi",
     "transport_identity_residual",
     "chi_build",
@@ -66,22 +65,6 @@ def _john_table(pairs: tuple, n: int) -> dict:
                           central_table((j, n + i), 2 * n), -1)
         table = poly_mul(table, factor)
     return table
-
-
-def john_apply(psi, i: int, j: int, h: float):
-    """J_ij psi = d^2 psi / dx^i dxi^j - d^2 psi / dx^j dxi^i, central stencil.
-
-    Returns an (x, xi) -> float callable, so applications compose; J_ii is
-    the exact zero function and J_ji = -J_ij holds exactly at the stencil
-    level because the two mixed stencils swap roles.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-
-    def jpsi(x, xi) -> float:
-        return apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h) / (2 * h) ** 2
-
-    return jpsi
 
 
 def psi_from_phi(moments, m: int, ell: int):

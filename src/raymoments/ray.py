@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField, json_keys, poly_add, poly_mul
-from .symtensor import xi_power_weights
+from .fields import GaussPolyField, poly_add, poly_mul
+from .symtensor import json_keys, xi_power_weights
 
 __all__ = [
     "Line",
@@ -38,7 +38,6 @@ __all__ = [
     "restricted_transform",
     "central_table",
     "apply_stencil",
-    "mixed_central",
 ]
 
 _GEOM_TOL = 1e-12
@@ -189,6 +188,7 @@ def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
     width = 1.0 / np.sqrt(f.a * nxi2)
     t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
     pts = x[..., None, :] + t[..., None] * xi[..., None, :]   # (..., N, n)
+    # `**`, not symtensor.monomials: on the 2-3 nodes of one phase point a table costs more
     monos = (pts[..., None, :] ** f.packed.exps).prod(axis=-1)  # (..., N, T)
     weights = xi_power_weights(f.n, f.m, xi)[..., None, :]     # (..., 1, S)
     line = ((monos @ f.packed.coef) * weights).sum(axis=-1).real  # (..., N)
@@ -328,14 +328,6 @@ def apply_stencil(fun, table: dict, x, xi, h: float, basis=None) -> float:
     disp = np.array(list(table), dtype=float).reshape(len(table), len(basis)) @ basis
     return math.fsum(w * float(fun(x + d[:n], xi + d[n:]))
                      for w, d in zip(table.values(), disp))
-
-
-def mixed_central(fun, x, xi, x_axes: tuple[int, ...], xi_axes: tuple[int, ...],
-                  h: float) -> float:
-    """Nested central differences d^r fun / dx^{x_axes} dxi^{xi_axes}."""
-    n = np.asarray(x).size
-    axes = (*x_axes, *(n + a for a in xi_axes))
-    return apply_stencil(fun, central_table(axes, 2 * n), x, xi, h) / (2 * h) ** len(axes)
 
 
 def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,

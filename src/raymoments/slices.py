@@ -193,6 +193,8 @@ def kernel_check(v: GaussPolyField, k: int, lines, orders=None) -> float:
     since I^{k+1}(d^(k+1) v) = (-1)^{k+1} (k+1)! I^0 v is generically
     nonzero.
     """
+    if k < 0:
+        raise ValueError(f"order k must be non-negative, got k={k}")
     if orders is None:
         orders = range(k + 1)
     f = v.inner_derivative(k + 1)

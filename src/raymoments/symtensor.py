@@ -25,6 +25,7 @@ __all__ = [
     "sym_mult",
     "contract",
     "eval_power",
+    "monomials",
     "sym_inner",
     "sym_mult_matrix",
     "sym_mult_operators",
@@ -150,9 +151,9 @@ class SymTensor:
 
     @classmethod
     def from_json(cls, text: str) -> "SymTensor":
-        d = json.loads(text)
-        comp = {tuple(int(c) - 1 for c in key): v for key, v in d["coeffs"].items()}
-        return cls.from_components(d["n"], d["m"], comp)
+        n, m, coeffs = json_keys(json.loads(text), ("n", "m", "coeffs"), "tensor JSON")
+        comp = {json_index(key, n, m, "tensor JSON"): v for key, v in coeffs.items()}
+        return cls.from_components(n, m, comp)
 
 
 def _json_real(c) -> float:
@@ -160,6 +161,25 @@ def _json_real(c) -> float:
     if np.imag(c) != 0:
         raise ValueError(f"coefficient {c} is not real and has no JSON form")
     return float(np.real(c))
+
+
+def json_keys(d: dict, keys: tuple[str, ...], what: str) -> list:
+    """``[d[key] for key in keys]``; a missing key is a ValueError naming it."""
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"malformed {what}: missing key '{key}'")
+    return [d[key] for key in keys]
+
+
+def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
+    """The 0-based multi-index of a component key of 1-based axis labels.
+
+    A key that is not m labels in 1..n is a ValueError naming it.
+    """
+    alpha = tuple(int(c) - 1 for c in key)
+    if len(alpha) != m or any(not 0 <= i < n for i in alpha):
+        raise ValueError(f"malformed {what}: bad component key '{key}'")
+    return alpha
 
 
 def symmetrize(raw: np.ndarray) -> SymTensor:
@@ -297,7 +317,8 @@ def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
     """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
 
     Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).  Each distinct
-    monomial x^e is evaluated once and weighs its constant matrix C_e.
+    monomial x^e is evaluated once (:func:`monomials`) and weighs its
+    constant matrix C_e.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -305,9 +326,20 @@ def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
     if x.shape[-1:] != (n,):
         raise ValueError(f"x must have a trailing axis of length {n}, got shape {x.shape}")
     E, C = _sym_mult_terms(n, m, k)
-    powers = np.ones((k + 1,) + x.shape[::-1])         # powers[p, j] = x_j^p
-    for p in range(k):
-        powers[p + 1] = powers[p] * x.T
-    monos = powers[E, np.arange(n)].prod(axis=1)      # x^e for each row e of E
-    A = np.einsum("...e,ed->...d", monos.T, C)
+    A = np.einsum("...e,ed->...d", monomials(x, E), C)
     return A.reshape(x.shape[:-1] + (sym_dim(n, m + k), sym_dim(n, m)))
+
+
+def monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """x^e for every row e of exps: (..., n), (E, n) -> (..., E).
+
+    One table of powers, powers[p, j] = x_j^p by repeated multiplication,
+    gathered per exponent.  Built in np.result_type(x, float), so an
+    integer x gives floats rather than wrapping.
+    """
+    x, exps = np.asarray(x), np.asarray(exps)
+    powers = np.ones((int(exps.max(initial=0)) + 1,) + x.shape[::-1],
+                     np.result_type(x, float))
+    for p in range(1, len(powers)):
+        powers[p] = powers[p - 1] * x.T
+    return powers[exps, np.arange(x.shape[-1])].prod(axis=1).T

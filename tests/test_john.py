@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.fields import poly_add, poly_diff, poly_eval, random_field
+from raymoments.fields import poly_add, poly_diff, random_field
 from raymoments.john import (
     chi_build,
     homogeneity_residual,
-    john_apply,
     psi_from_phi,
     range_test,
     transport_identity_residual,
@@ -17,11 +16,18 @@ from raymoments.john import _john_table
 from raymoments.ray import (
     apply_stencil,
     batch_transform,
-    mixed_central,
     moment_oracle,
     oracle_moment_callables,
     restricted_transform,
 )
+
+from references import mixed_central, poly_eval
+
+
+def john_pair(psi, i, j, h):
+    """J_ij psi as an (x, xi) callable: the one-pair table that range_test composes."""
+    return lambda x, xi: (apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h)
+                          / (2 * h) ** 2)
 
 
 def ladder_field(n, m, depth, rng, a=1.0):
@@ -44,45 +50,47 @@ def phase_points(n, rng, count=3):
 
 
 class TestJohnApply:
+    # J_ij as the one-pair stencil table of _john_table, which range_test composes
     def test_inner_product_annihilated(self):
         psi = lambda x, xi: float(np.dot(x, xi))
-        out = john_apply(psi, 0, 1, 0.1)
+        out = john_pair(psi, 0, 1, 0.1)
         x, xi = np.array([0.3, -0.7]), np.array([1.1, 0.4])
         assert out(x, xi) == pytest.approx(0.0, abs=1e-13)
 
     def test_monomial_example(self):
         psi = lambda x, xi: x[1] * xi[2]
         x, xi = np.array([0.2, 0.5, -0.3]), np.array([0.9, -0.1, 0.6])
-        assert john_apply(psi, 1, 2, 0.05)(x, xi) == pytest.approx(1.0)
-        assert john_apply(psi, 2, 1, 0.05)(x, xi) == pytest.approx(-1.0)
+        assert john_pair(psi, 1, 2, 0.05)(x, xi) == pytest.approx(1.0)
+        assert john_pair(psi, 2, 1, 0.05)(x, xi) == pytest.approx(-1.0)
 
     def test_diagonal_is_exact_zero(self):
         psi = lambda x, xi: math.sin(x[0]) * xi[1] ** 2
-        assert john_apply(psi, 1, 1, 0.1)(np.ones(2), np.ones(2)) == 0.0
+        assert john_pair(psi, 1, 1, 0.1)(np.ones(2), np.ones(2)) == 0.0
 
     def test_antisymmetry(self):
         psi = lambda x, xi: math.sin(x[0] * xi[1]) + x[1] ** 3
         x, xi = np.array([0.4, -0.2]), np.array([0.7, 1.3])
-        a = john_apply(psi, 0, 1, 0.02)(x, xi)
-        b = john_apply(psi, 1, 0, 0.02)(x, xi)
+        a = john_pair(psi, 0, 1, 0.02)(x, xi)
+        b = john_pair(psi, 1, 0, 0.02)(x, xi)
         assert a == pytest.approx(-b, rel=1e-12)
 
     def test_second_order_convergence(self):
         psi = lambda x, xi: math.sin(x[0]) * math.cos(xi[1])
         x, xi = np.array([0.3, 0.8]), np.array([1.0, 0.5])
         exact = -math.cos(x[0]) * math.sin(xi[1])
-        e1 = abs(john_apply(psi, 0, 1, 0.04)(x, xi) - exact)
-        e2 = abs(john_apply(psi, 0, 1, 0.02)(x, xi) - exact)
+        e1 = abs(john_pair(psi, 0, 1, 0.04)(x, xi) - exact)
+        e2 = abs(john_pair(psi, 0, 1, 0.02)(x, xi) - exact)
         assert 3.5 < e1 / e2 < 4.5
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            john_apply(lambda x, xi: 0.0, 0, 1, 0.0)
+        for h in (0.0, -0.1):
+            with pytest.raises(ValueError, match="step size"):
+                john_pair(lambda x, xi: 0.0, 0, 1, h)(np.ones(2), np.ones(2))
 
 
 class TestJohnTable:
     # psi has degree <= 2 in every phase variable, where central differences
-    # are exact: the composed table, nested john_apply and the analytic
+    # are exact: the composed table, nested mixed differences and the analytic
     # operator must then agree to rounding
     CASES = [
         (2, ((0, 1),) * 3,
@@ -107,7 +115,8 @@ class TestJohnTable:
         h = 0.1
         nested = psi
         for i, j in pairs:
-            nested = john_apply(nested, i, j, h)
+            nested = (lambda x, xi, f=nested, i=i, j=j: mixed_central(f, x, xi, (i,), (j,), h)
+                      - mixed_central(f, x, xi, (j,), (i,), h))
         want = poly_eval(self.analytic(poly, pairs, n), np.concatenate([x, xi]))
         got = apply_stencil(psi, _john_table(pairs, n), x, xi, h) / (2 * h) ** 6
         assert abs(want) > 1.0
@@ -161,7 +170,7 @@ class TestPsiFromPhi:
         x, xi = np.array([0.3, -0.4, 0.1]), np.array([0.8, 0.6, -0.2])
         psi = psi_from_phi(moments, 2, 1)
         chi = chi_build(psi, [f], 1, 2)
-        for fun in (psi, chi, john_apply(psi, 0, 1, 0.05)):
+        for fun in (psi, chi, john_pair(psi, 0, 1, 0.05)):
             assert type(fun(x, xi)) is float
         assert type(homogeneity_residual(psi, 0, x, xi)) is float
 

@@ -134,6 +134,13 @@ class TestKernelCheck:
         assert kernel_check(v, 1, lines) == 0.0
         assert kernel_check(random_field(2, 0, np.random.default_rng(9)), 1, []) == 0.0
 
+    def test_negative_order_rejected(self):
+        # k = -1 would test the empty order list 0..k and read 0.0
+        rng = np.random.default_rng(10)
+        v = random_field(3, 1, rng, degree=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            kernel_check(v, -1, [random_line(3, rng) for _ in range(3)])
+
 
 class TestSliceReconstruction:
     def test_recover_fhat_from_transform_data(self):

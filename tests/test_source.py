@@ -95,3 +95,24 @@ def test_one_line_quadrature():
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line) and not (path.name == "ray.py" and lineno in inside)]
     assert not found, f"quadrature nodes outside QuadratureRule/moment_numeric: {found}"
+
+
+def test_one_monomial_table():
+    # symtensor.monomials is the one power table behind the symbol matrices
+    # and field evaluation; no term-by-term evaluator remains beside it
+    def calls_monomials(node):
+        return any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "monomials"
+                   for c in ast.walk(node))
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "poly_eval"]
+    assert not found, f"poly_eval defined in src/raymoments: {found}"
+    matrix = next(node for node in trees["symtensor.py"].body
+                  if getattr(node, "name", None) == "sym_mult_matrix")
+    field = next(node for node in trees["fields.py"].body
+                 if getattr(node, "name", None) == "GaussPolyField")
+    evaluate = next(node for node in field.body if getattr(node, "name", None) == "eval_packed")
+    assert calls_monomials(matrix), "sym_mult_matrix does not call monomials"
+    assert calls_monomials(evaluate), "GaussPolyField.eval_packed does not call monomials"

@@ -9,6 +9,7 @@ from raymoments.symtensor import (
     SymTensor,
     contract,
     eval_power,
+    monomials,
     multi_indices,
     multiplicity,
     mult_weights,
@@ -273,3 +274,34 @@ class TestPackedStorage:
         assert SymTensor.from_json(real.to_json()).coeffs.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError, match="not real"):
             SymTensor(2, 1, np.array([1.0, 2.0 - 0.5j])).to_json()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n": 2, "coeffs": {"11": 1.0}}', "'m'"),
+        ('{"n": 2, "m": 2, "coeffs": {"13": 1.0}}', "'13'"),
+        ('{"n": 2, "m": 2, "coeffs": {"1": 1.0}}', "'1'"),
+    ], ids=["missing-m", "axis-beyond-n", "key-length"])
+    def test_json_bad_key_named(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            SymTensor.from_json(text)
+
+
+class TestMonomials:
+    EXPS = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 1], [3, 1, 2], [0, 0, 3]])
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 2, 3)])
+    def test_matches_direct_powers(self, shape):
+        x = np.random.default_rng(8).normal(size=shape)
+        got = monomials(x, self.EXPS)
+        want = np.prod(x[..., None, :] ** self.EXPS, axis=-1)
+        assert got.shape == shape[:-1] + (len(self.EXPS),)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert np.all(got[..., 0] == 1.0)
+
+    def test_integer_input_gives_floats(self):
+        # (2^21)^3 = 2^63 wraps in int64; the table is built in floats
+        x = np.array([2 ** 21, -3, 1], dtype=np.int64)
+        got = monomials(x, self.EXPS)
+        want = np.prod(x.astype(float)[None, :] ** self.EXPS, axis=-1)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert got[3] == 2.0 ** 63 * -3 * 1
