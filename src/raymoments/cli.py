@@ -2,11 +2,12 @@
 
 One subcommand per verification cluster: transform, decompose, verify,
 oracle-diff, rank-probe, check-kernel, check-range, chi-verify, slice-check.
-Every run emits a JSON report (config echo, library versions, seed, wall
-time) and a CSV table of the residual family it measures; identical
-(config, seed) pairs produce byte-identical CSV output.
+Each subcommand returns its table (CSV header and rows), its results and its
+verdict; ``main`` writes the table as CSV and a JSON report (config echo,
+library versions, seed, wall time, results, verdict).  Identical (config,
+seed) pairs produce byte-identical CSV output.
 
-Exit codes: 0 success, 1 verdict failure, 2 configuration error.
+Exit codes: 0 success, 1 verdict failure, 2 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -34,21 +35,18 @@ from .ray import (
     random_line,
 )
 from .slices import assemble_slice_system, kernel_check, rank_probe, slice_check
+from .symtensor import sym_dim
 
 _GENERATOR = "numpy PCG64"
 
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+# subcommand -> (default CSV path, report path), each a function of the args;
+# kept off the args so that the report's config echo holds only options
+_OUTPUTS: dict = {}
 
 
 def _load_field(path: str) -> GaussPolyField:
-    try:
-        with open(path) as fh:
-            return GaussPolyField.from_json(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load field spec '{path}': {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    with open(path) as fh:
+        return GaussPolyField.from_json(fh.read())
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -59,11 +57,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _write_report(path: str, command: str, args: argparse.Namespace,
-                  results: dict, passed: bool, t0: float) -> None:
+def _write_report(path: str, args: argparse.Namespace, results: dict,
+                  passed: bool, t0: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     report = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "generator": _GENERATOR,
@@ -82,16 +80,11 @@ def _write_report(path: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def _csv_path(args: argparse.Namespace, default: str) -> str:
-    return args.csv if getattr(args, "csv", None) else default
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (CSV header, CSV rows, report results, verdict)
 
 
-def cmd_transform(args) -> int:
-    t0 = time.time()
+def cmd_transform(args):
     f = _load_field(args.field)
     data = batch_transform(f, args.k, ndirs=args.dirs, noffsets=args.offsets,
                            extent=args.extent)
@@ -102,17 +95,18 @@ def cmd_transform(args) -> int:
         for d in range(data.ndirs):
             for o in range(data.values.shape[2]):
                 rows.append((ell, d, o, float(data.values[ell, d, o])))
-    _write_csv(_csv_path(args, args.out + ".csv"),
-               ["moment", "direction", "offset", "value"], rows)
-    _write_report(args.out + ".report.json", "transform", args,
-                  {"ndirs": data.ndirs, "noffsets": int(data.offsets.size),
-                   "max_abs_value": float(np.abs(data.values).max())},
-                  True, t0)
-    return 0
+    return (["moment", "direction", "offset", "value"], rows,
+            {"ndirs": data.ndirs, "noffsets": int(data.offsets.size),
+             "max_abs_value": float(np.abs(data.values).max())}, True)
 
 
-def cmd_decompose(args) -> int:
-    t0 = time.time()
+def _decomposition_verdict(report: dict, tol: float):
+    passed = (report["reconstruction_residual"] < tol
+              and report["solenoidal_residual"] < tol)
+    return ["quantity", "value"], sorted(report.items()), report, passed
+
+
+def cmd_decompose(args):
     f = _load_field(args.field)
     spec = GridSpec(f.n, args.grid, args.extent)
     F = f.sample(spec)
@@ -120,42 +114,21 @@ def cmd_decompose(args) -> int:
     F.dump(args.out_prefix + ".f")
     g.dump(args.out_prefix + ".g")
     v.dump(args.out_prefix + ".v")
-    report = verify_decomposition(F, g, v, args.k)
-    passed = (report["reconstruction_residual"] < args.tol
-              and report["solenoidal_residual"] < args.tol)
-    _write_csv(_csv_path(args, args.out_prefix + ".csv"),
-               ["quantity", "value"], sorted(report.items()))
-    _write_report(args.out_prefix + ".report.json", "decompose", args,
-                  report, passed, t0)
-    return 0 if passed else 1
+    return _decomposition_verdict(verify_decomposition(F, g, v, args.k), args.tol)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    try:
-        F = GridField.load(args.prefix + ".f")
-        g = GridField.load(args.prefix + ".g")
-        v = GridField.load(args.prefix + ".v")
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load grid fields '{args.prefix}': {exc}",
-              file=sys.stderr)
-        return 2
-    report = verify_decomposition(F, g, v, args.k)
-    passed = (report["reconstruction_residual"] < args.tol
-              and report["solenoidal_residual"] < args.tol)
-    _write_csv(_csv_path(args, args.prefix + ".verify.csv"),
-               ["quantity", "value"], sorted(report.items()))
-    _write_report(args.out or args.prefix + ".verify.json", "verify", args,
-                  report, passed, t0)
-    return 0 if passed else 1
+def cmd_verify(args):
+    F = GridField.load(args.prefix + ".f")
+    g = GridField.load(args.prefix + ".g")
+    v = GridField.load(args.prefix + ".v")
+    return _decomposition_verdict(verify_decomposition(F, g, v, args.k), args.tol)
 
 
-def cmd_oracle_diff(args) -> int:
-    t0 = time.time()
+def cmd_oracle_diff(args):
     k = args.k if args.k is not None else args.m
     if k < 0:
         raise ValueError(f"moment order k must be non-negative, got k={k}")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     f = random_field(args.n, args.m, rng)
     rule = QuadratureRule.for_field(f)
     rows, worst = [], 0.0
@@ -167,19 +140,13 @@ def cmd_oracle_diff(args) -> int:
             rel = abs(num - exact) / max(abs(exact), 1e-300)
             worst = max(worst, rel)
             rows.append((i, q, rel))
-    passed = worst < args.tol
-    _write_csv(_csv_path(args, args.out + ".csv"),
-               ["line", "q", "rel_error"], rows)
-    _write_report(args.out, "oracle-diff", args,
-                  {"max_rel_error": worst, "lines": args.lines}, passed, t0)
-    return 0 if passed else 1
+    return (["line", "q", "rel_error"], rows,
+            {"max_rel_error": worst, "lines": args.lines}, worst < args.tol)
 
 
-def cmd_rank_probe(args) -> int:
-    t0 = time.time()
-    rng = _rng(args.seed)
+def cmd_rank_probe(args):
+    rng = np.random.default_rng(args.seed)
     rows, passed = [], True
-    from .symtensor import sym_dim
     full = sym_dim(args.n, args.m)
     for trial in range(args.trials):
         y = rng.normal(size=args.n)
@@ -187,40 +154,29 @@ def cmd_rank_probe(args) -> int:
         ok = res.rank == full and res.sigma_min / res.sigma_max > 1e-6
         passed = passed and ok
         rows.append((trial, *[float(c) for c in y], res.rank, res.sigma_min))
-    _write_csv(_csv_path(args, args.out),
-               ["trial"] + [f"y{i+1}" for i in range(args.n)]
-               + ["rank", "sigma_min"], rows)
-    _write_report(args.out + ".report.json", "rank-probe", args,
-                  {"full_rank": full, "trials": args.trials}, passed, t0)
-    return 0 if passed else 1
+    return (["trial"] + [f"y{i+1}" for i in range(args.n)] + ["rank", "sigma_min"],
+            rows, {"full_rank": full, "trials": args.trials}, passed)
 
 
-def cmd_check_kernel(args) -> int:
-    t0 = time.time()
+def cmd_check_kernel(args):
     if args.k + 1 > args.m:
-        print(f"error: need k+1 <= m, got k={args.k}, m={args.m}",
-              file=sys.stderr)
-        return 2
-    rng = _rng(args.seed)
+        raise ValueError(f"need k+1 <= m, got k={args.k}, m={args.m}")
+    rng = np.random.default_rng(args.seed)
     v = random_field(args.n, args.m - args.k - 1, rng, degree=1)
     lines = [random_line(args.n, rng) for _ in range(args.lines)]
     residual = kernel_check(v, args.k, lines)
     control = kernel_check(v, args.k, lines, orders=[args.k + 1])
-    passed = residual < 1e-8 and control > 1e-3
-    _write_csv(_csv_path(args, args.out + ".csv"), ["quantity", "value"],
-               [("kernel_residual", residual), ("negative_control", control)])
-    _write_report(args.out, "check-kernel", args,
-                  {"kernel_residual": residual, "negative_control": control},
-                  passed, t0)
-    return 0 if passed else 1
+    return (["quantity", "value"],
+            [("kernel_residual", residual), ("negative_control", control)],
+            {"kernel_residual": residual, "negative_control": control},
+            residual < 1e-8 and control > 1e-3)
 
 
-def cmd_check_range(args) -> int:
-    t0 = time.time()
+def cmd_check_range(args):
     if args.field:
         f = _load_field(args.field)
     else:
-        f = random_field(args.n, args.m, _rng(args.seed))
+        f = random_field(args.n, args.m, np.random.default_rng(args.seed))
     steps = tuple(float(s) for s in args.steps.split(","))
     data = batch_transform(f, args.k, ndirs=args.dirs, noffsets=args.offsets)
     rep = range_test(data, f.m, args.k, steps=steps,
@@ -233,22 +189,16 @@ def cmd_check_range(args) -> int:
              for r in rep.john]
     rows += [("transport", str(r["ell"]), r["residuals"][0],
               r["residuals"][-1], r["order"]) for r in rep.transport]
-    _write_csv(_csv_path(args, args.out + ".csv"),
-               ["test", "id", "residual_coarse", "residual_fine", "order"],
-               rows)
-    _write_report(args.out, "check-range", args,
-                  {"parity_pass": rep.parity_pass, "john_pass": rep.john_pass,
-                   "transport_pass": rep.transport_pass,
-                   "max_john_residual": rep.max_john_residual()},
-                  rep.passed, t0)
-    return 0 if rep.passed else 1
+    return (["test", "id", "residual_coarse", "residual_fine", "order"], rows,
+            {"parity_pass": rep.parity_pass, "john_pass": rep.john_pass,
+             "transport_pass": rep.transport_pass,
+             "max_john_residual": rep.max_john_residual()}, rep.passed)
 
 
-def cmd_chi_verify(args) -> int:
-    t0 = time.time()
+def cmd_chi_verify(args):
     if not 0 <= args.ell <= args.m:
         raise ValueError(f"need 0 <= ell <= m, got ell={args.ell}, m={args.m}")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     gs = [random_field(args.n, args.m - s, rng, degree=1)
           for s in range(args.ell + 1)]
     f = gs[0]
@@ -271,17 +221,12 @@ def cmd_chi_verify(args) -> int:
         homogeneity = homogeneity_residual(chi, args.m - args.ell - 1, x, xi)
         worst = max(worst, identity, translation, homogeneity)
         rows.append((i, identity, translation, homogeneity))
-    passed = worst < args.tol
-    _write_csv(_csv_path(args, args.out + ".csv"),
-               ["point", "identity", "translation", "homogeneity"], rows)
-    _write_report(args.out, "chi-verify", args,
-                  {"max_residual": worst, "points": args.points}, passed, t0)
-    return 0 if passed else 1
+    return (["point", "identity", "translation", "homogeneity"], rows,
+            {"max_residual": worst, "points": args.points}, worst < args.tol)
 
 
-def cmd_slice_check(args) -> int:
-    t0 = time.time()
-    rng = _rng(args.seed)
+def cmd_slice_check(args):
+    rng = np.random.default_rng(args.seed)
     if args.field:
         f = _load_field(args.field)
     else:
@@ -296,12 +241,8 @@ def cmd_slice_check(args) -> int:
             dev = slice_check(f, xi, y, q, noffsets=args.offsets)
             worst = max(worst, dev)
             rows.append((trial, q, dev))
-    passed = worst < args.tol
-    _write_csv(_csv_path(args, args.out + ".csv"),
-               ["trial", "q", "deviation"], rows)
-    _write_report(args.out, "slice-check", args,
-                  {"max_deviation": worst, "trials": args.trials}, passed, t0)
-    return 0 if passed else 1
+    return (["trial", "q", "deviation"], rows,
+            {"max_deviation": worst, "trials": args.trials}, worst < args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="raymoments", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, csv=lambda a: a.out + ".csv", report=lambda a: a.out,
+            **kwargs):
+        _OUTPUTS[name] = (csv, report)
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
         p.add_argument("--csv", help="override the CSV output path")
         return p
 
-    p = add("transform", cmd_transform, help="sample I^0..I^k on a line grid")
+    p = add("transform", cmd_transform, report=lambda a: a.out + ".report.json",
+            help="sample I^0..I^k on a line grid")
     p.add_argument("--field", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dirs", type=int, default=64)
@@ -326,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", type=float, default=None)
     p.add_argument("--out", required=True)
 
-    p = add("decompose", cmd_decompose, help="k-solenoidal/k-potential split")
+    p = add("decompose", cmd_decompose, csv=lambda a: a.out_prefix + ".csv",
+            report=lambda a: a.out_prefix + ".report.json",
+            help="k-solenoidal/k-potential split")
     p.add_argument("--field", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=int, default=128)
@@ -334,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out-prefix", required=True)
 
-    p = add("verify", cmd_verify, help="re-check a dumped decomposition")
+    p = add("verify", cmd_verify, csv=lambda a: a.prefix + ".verify.csv",
+            report=lambda a: a.out or a.prefix + ".verify.json",
+            help="re-check a dumped decomposition")
     p.add_argument("--prefix", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -350,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
 
-    p = add("rank-probe", cmd_rank_probe, help="slice-system rank statistics")
+    p = add("rank-probe", cmd_rank_probe, csv=lambda a: a.out,
+            report=lambda a: a.out + ".report.json",
+            help="slice-system rank statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -403,12 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
+    csv_path, report_path = _OUTPUTS[args.command]
     try:
-        return args.func(args)
-    except ValueError as exc:
-        # the library rejects an invalid configuration with ValueError
+        header, rows, results, passed = args.func(args)
+        _write_csv(args.csv or csv_path(args), header, rows)
+        _write_report(report_path(args), args, results, passed, t0)
+    except (OSError, ValueError) as exc:
+        # the library rejects an invalid configuration with ValueError; an
+        # unreadable input or unwritable output is an OSError naming its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -107,6 +107,17 @@ class PackedPoly(NamedTuple):
     bound: float          # max over components of sum |c|, 1.0 for a zero field
 
 
+@lru_cache(maxsize=256)
+def _support_radius(a: float, degree: int, bound: float, cutoff: float) -> float:
+    # cached: moment_numeric asks for the same field's radius on every line
+    r = 1.0
+    while bound * max(r, 1.0) ** degree * math.exp(-a * r * r) >= cutoff:
+        r *= 1.25
+        if r > 1e4:
+            raise RuntimeError("effective support radius did not converge")
+    return r
+
+
 @dataclass(frozen=True)
 class GaussPolyField:
     """Symmetric m-tensor field with components p_alpha(x) exp(-a |x|^2).
@@ -247,12 +258,7 @@ class GaussPolyField:
     def effective_radius(self, cutoff: float = 1e-12) -> float:
         """Radius R with e^{-a R^2} * (coefficient-sum bound on |p|) < cutoff."""
         _, _, deg, bound = self.packed
-        r = 1.0
-        while bound * max(r, 1.0) ** deg * math.exp(-self.a * r * r) >= cutoff:
-            r *= 1.25
-            if r > 1e4:
-                raise RuntimeError("effective support radius did not converge")
-        return r
+        return _support_radius(self.a, deg, bound, cutoff)
 
     def sample(self, spec: "GridSpec") -> "GridField":
         """Nodewise evaluation onto a uniform grid, one axis at a time.

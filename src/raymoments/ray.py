@@ -77,8 +77,9 @@ def direction_grid(n: int, count: int = 64) -> tuple[np.ndarray, np.ndarray]:
     pairs share the same frame so that parity checks are exact grid
     symmetries.
     """
-    if count % 2:
-        raise ValueError("direction count must be even (antipodal closure)")
+    if count < 2 or count % 2:
+        raise ValueError("direction count must be a positive even number "
+                         f"(antipodal closure), got {count}")
     half = count // 2
     if n == 2:
         theta = np.pi * np.arange(half) / half
@@ -277,10 +278,16 @@ class MomentData:
 def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
                     noffsets: int = 32, extent: float | None = None) -> MomentData:
     """Moments I^0..I^k of f on a full line-space grid, from the exact oracle."""
+    if k < 0:
+        raise ValueError(f"moment order must be non-negative, got k={k}")
     if k > f.m:
         raise ValueError("moment order exceeds field rank")
+    if noffsets < 2:
+        raise ValueError(f"need at least two offsets per axis, got {noffsets}")
     if extent is None:
         extent = f.effective_radius()
+    elif not extent > 0:
+        raise ValueError(f"offset extent must be positive, got {extent}")
     dirs, frames = direction_grid(f.n, ndirs)
     offsets = np.linspace(-extent, extent, noffsets)
     grids = np.meshgrid(*([offsets] * (f.n - 1)), indexing="ij")

@@ -63,6 +63,8 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
     transform.  Requires y in xi-perp and |xi| = 1.  ``scale_floor`` guards
     the relative-deviation denominator for cases where both sides vanish.
     """
+    if f.n < 2:
+        raise ValueError(f"slice identity needs dimension n >= 2, got n={f.n}")
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:

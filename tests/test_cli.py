@@ -36,19 +36,20 @@ class TestTransform:
         assert main(["transform", "--field", field_path, "--k", "3",
                      "--out", out]) == 2
 
-    def test_malformed_field(self, tmp_path):
+    def test_malformed_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["transform", "--field", str(bad), "--k", "0",
-                  "--out", str(tmp_path / "o.json")])
-        assert exc.value.code == 2
+        assert main(["transform", "--field", str(bad), "--k", "0",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed field JSON: ")
 
-    def test_missing_field_file(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["transform", "--field", str(tmp_path / "nope.json"),
-                  "--k", "0", "--out", str(tmp_path / "o.json")])
-        assert exc.value.code == 2
+    def test_missing_field_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert main(["transform", "--field", missing, "--k", "0",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert repr(missing) in err
 
 
 class TestDecomposeVerify:
@@ -108,11 +109,25 @@ class TestDecomposeVerify:
     (["oracle-diff", "--n", "2", "--m", "2", "--k", "-1", "--lines", "5",
       "--out", "{out}"], {2}),
     (["chi-verify", "--n", "2", "--m", "2", "--ell", "-1", "--out", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "0", "--dirs", "4", "--offsets", "4",
+      "--out", "{out}/missing/o.json"], {2}),
+    (["transform", "--field", "{field}", "--k", "1", "--extent", "-1",
+      "--out", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "-1", "--out", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "1", "--offsets", "0",
+      "--out", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "1", "--dirs", "0",
+      "--out", "{out}"], {2}),
+    (["transform", "--field", "{field}", "--k", "1", "--dirs", "-2",
+      "--out", "{out}"], {2}),
+    (["slice-check", "--n", "1", "--out", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
         "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
         "check-range-k2", "verify-wrong-k", "check-kernel-k-1", "oracle-diff-k-1",
-        "chi-verify-ell-1"])
+        "chi-verify-ell-1", "transform-unwritable-out", "transform-extent-1",
+        "transform-k-1", "transform-offsets0", "transform-dirs0", "transform-dirs-2",
+        "slice-check-n1"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     if args[0] == "verify":

@@ -96,8 +96,9 @@ class TestGeometry:
             half = 8
             np.testing.assert_allclose(dirs[half:], -dirs[:half])
             np.testing.assert_array_equal(frames[half:], frames[:half])
-        with pytest.raises(ValueError):
-            direction_grid(2, 15)
+        for count in (15, 0, -2):
+            with pytest.raises(ValueError, match="positive even number"):
+                direction_grid(2, count)
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
@@ -347,6 +348,14 @@ class TestBatchTransform:
         want = math.sqrt(math.pi) * np.exp(-data.offsets ** 2)
         for d in range(8):
             np.testing.assert_allclose(data.values[0, d], want, rtol=1e-10)
+
+    def test_rejects_degenerate_grids(self):
+        f = GaussPolyField.scalar(2)
+        for kw, msg in [(dict(k=-1), "non-negative"), (dict(noffsets=1), "two offsets"),
+                        (dict(noffsets=0), "two offsets"), (dict(extent=0.0), "extent"),
+                        (dict(extent=-1.0), "extent"), (dict(extent=math.nan), "extent")]:
+            with pytest.raises(ValueError, match=msg):
+                batch_transform(f, **{"k": 0, "ndirs": 4, "noffsets": 4, **kw})
 
     def test_parity(self):
         rng = np.random.default_rng(11)

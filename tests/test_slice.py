@@ -60,6 +60,8 @@ class TestSliceCheck:
             slice_check(f, np.array([1.0, 0.0]), np.array([0.5, 1.0]), 0)
         with pytest.raises(ValueError):
             slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0, noffsets=1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            slice_check(GaussPolyField.scalar(1), np.array([1.0]), np.zeros(1), 0)
 
     def test_refinement_improves(self):
         rng = np.random.default_rng(3)

@@ -116,3 +116,30 @@ def test_one_monomial_table():
     evaluate = next(node for node in field.body if getattr(node, "name", None) == "eval_packed")
     assert calls_monomials(matrix), "sym_mult_matrix does not call monomials"
     assert calls_monomials(evaluate), "GaussPolyField.eval_packed does not call monomials"
+
+
+def test_one_cli_exit_path():
+    # subcommands return their table and verdict; main alone writes the CSV
+    # and the report, and alone turns an error into exit 2
+    def is_exit(node):
+        if isinstance(node, ast.Name):
+            return node.id == "SystemExit"
+        if isinstance(node, ast.Attribute):
+            return node.attr == "exit" and getattr(node.value, "id", None) == "sys"
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                and any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                        for kw in node.keywords))
+
+    def writes(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("_write_csv", "_write_report"))
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    exits = [f"{fn.name}:{node.lineno}" for fn in funcs if fn.name.startswith("cmd_")
+             for node in ast.walk(fn) if is_exit(node)]
+    assert not exits, f"subcommands that exit or print errors themselves: {exits}"
+    writers = {node.lineno for node in ast.walk(tree) if writes(node)}
+    in_main = {node.lineno for fn in funcs if fn.name == "main"
+               for node in ast.walk(fn) if writes(node)}
+    assert in_main and writers == in_main, f"CSV/report writes outside main: {writers - in_main}"
