@@ -49,6 +49,13 @@ def _load_field(path: str) -> GaussPolyField:
         return GaussPolyField.from_json(fh.read())
 
 
+def _samples(count: int, option: str) -> range:
+    """range(count) for a sampling loop; a verdict over no samples would pass vacuously."""
+    if count < 1:
+        raise ValueError(f"{option} must be at least 1, got {count}")
+    return range(count)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -132,7 +139,7 @@ def cmd_oracle_diff(args):
     f = random_field(args.n, args.m, rng)
     rule = QuadratureRule.for_field(f)
     rows, worst = [], 0.0
-    for i in range(args.lines):
+    for i in _samples(args.lines, "--lines"):
         ln = random_line(args.n, rng)
         for q in range(k + 1):
             num = moment_numeric(f, ln, q, rule)
@@ -148,7 +155,7 @@ def cmd_rank_probe(args):
     rng = np.random.default_rng(args.seed)
     rows, passed = [], True
     full = sym_dim(args.n, args.m)
-    for trial in range(args.trials):
+    for trial in _samples(args.trials, "--trials"):
         y = rng.normal(size=args.n)
         res = rank_probe(assemble_slice_system(args.n, args.m, args.k, y))
         ok = res.rank == full and res.sigma_min / res.sigma_max > 1e-6
@@ -208,7 +215,7 @@ def cmd_chi_verify(args):
     psi = psi_from_phi(moments, args.m, args.ell)
     chi = chi_build(psi, gs[: args.ell], args.ell, args.m)
     rows, worst = [], 0.0
-    for i in range(args.points):
+    for i in _samples(args.points, "--points"):
         x = rng.uniform(-1.0, 1.0, size=args.n)
         xi = rng.normal(size=args.n)
         xi /= np.linalg.norm(xi)
@@ -232,7 +239,7 @@ def cmd_slice_check(args):
     else:
         f = random_field(args.n, args.m, rng)
     rows, worst = [], 0.0
-    for trial in range(args.trials):
+    for trial in _samples(args.trials, "--trials"):
         xi = rng.normal(size=f.n)
         xi /= np.linalg.norm(xi)
         y = rng.normal(size=f.n)

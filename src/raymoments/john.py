@@ -43,6 +43,8 @@ _DEFAULT_STEPS = (0.025, 0.0125)
 # below which a row counts as converged into the noise floor
 _ORDER_WINDOW = (1.5, 2.5)
 _NOISE_FLOOR = 1e-10
+# absolute tolerance of the antipodal parity of sampled data, an exact symmetry
+_PARITY_TOL = 1e-12
 
 
 def homogeneity_residual(fun, degree: float, x, xi, c: float = 2.0) -> float:
@@ -171,11 +173,10 @@ class RangeReport:
     parity: dict = field(repr=False)
     john: list = field(repr=False)
     transport: list = field(repr=False)
-    parity_tol: float
 
     @property
     def parity_pass(self) -> bool:
-        return all(r < self.parity_tol for r in self.parity.values())
+        return all(r < _PARITY_TOL for r in self.parity.values())
 
     @property
     def john_pass(self) -> bool:
@@ -282,8 +283,7 @@ def range_test(data: MomentData | None, m: int, k: int,
                                    "residuals": residuals,
                                    "order": _order(residuals, steps)})
 
-    return RangeReport(m, k, tuple(steps), parity, john_rows, transport_rows,
-                       parity_tol=1e-12)
+    return RangeReport(m, k, tuple(steps), parity, john_rows, transport_rows)
 
 
 def _order(residuals, steps) -> float:

@@ -275,6 +275,12 @@ class MomentData:
         return cls(n, m, k, dirs, frames, offs, vals)
 
 
+def _offset_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The tensor grid axis^dim as points, shape (len(axis)**dim, dim), first axis slowest."""
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
                     noffsets: int = 32, extent: float | None = None) -> MomentData:
     """Moments I^0..I^k of f on a full line-space grid, from the exact oracle."""
@@ -290,8 +296,7 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
         raise ValueError(f"offset extent must be positive, got {extent}")
     dirs, frames = direction_grid(f.n, ndirs)
     offsets = np.linspace(-extent, extent, noffsets)
-    grids = np.meshgrid(*([offsets] * (f.n - 1)), indexing="ij")
-    s = np.stack([g.ravel() for g in grids], axis=-1)      # (P, n-1)
+    s = _offset_grid(offsets, f.n - 1)                     # (P, n-1)
     values = np.empty((k + 1, dirs.shape[0], s.shape[0]))
     # one oracle call per direction: a call over the whole grid holds every
     # node point at once and peaks at about 5x the memory

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussPolyField, gauss_partial, poly_add, poly_scale
-from .ray import householder_frame, moment_oracle
-from .symtensor import (
-    SymTensor,
-    multi_indices,
-    mult_weights,
-    sym_mult,
-    xi_power_weights,
-)
+from .fields import GaussPolyField, poly_add
+from .ray import _offset_grid, householder_frame, moment_oracle
+from .symtensor import multi_indices, mult_weights, sym_mult_matrix, xi_power_weights
 
 __all__ = [
     "SliceSystem",
@@ -43,25 +37,17 @@ __all__ = [
 _RANK_THRESHOLD = 1e-10
 
 
-def _directional_derivative(comp: dict, xi: np.ndarray, b: float) -> dict:
-    """<xi, d/dy> acting on p(y) e^{-b|y|^2}, returned as the new polynomial."""
-    out: dict = {}
-    for ax, c in enumerate(xi):
-        if c:
-            out = poly_add(out, gauss_partial(comp, ax, b), c)
-    return out
-
-
 def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
                 noffsets: int = 256, extent: float | None = None,
                 scale_floor: float = 1e-300) -> float:
     """Relative deviation between the two sides of the slice identity at y.
 
     The left side is a direct numeric Fourier sum over an offset grid in
-    xi-perp of the transform values I^q f(x, xi); the right side evaluates
-    (2 pi)^{1/2} i^q <xi, d/dy>^q <fhat(y), xi^(x)m> on the closed-form
-    transform.  Requires y in xi-perp and |xi| = 1.  ``scale_floor`` guards
-    the relative-deviation denominator for cases where both sides vanish.
+    xi-perp of the transform values I^q f(x, xi); the right side contracts
+    p = <f, xi^(x)m> first (xi is constant, so F commutes with it) and
+    evaluates (2 pi)^{1/2} i^q <d^q phat(y), xi^(x)q> in closed form.
+    Requires y in xi-perp and |xi| = 1.  ``scale_floor`` guards the
+    relative-deviation denominator for cases where both sides vanish.
     """
     if f.n < 2:
         raise ValueError(f"slice identity needs dimension n >= 2, got n={f.n}")
@@ -79,22 +65,18 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
     frame = householder_frame(xi)                      # (n, n-1)
     ax = np.linspace(-extent, extent, noffsets, endpoint=False)
     ds = ax[1] - ax[0]
-    grids = np.meshgrid(*([ax] * (n - 1)), indexing="ij")
-    s = np.stack([g.ravel() for g in grids], axis=-1)  # (P, n-1)
+    s = _offset_grid(ax, n - 1)                        # (P, n-1)
     vals = moment_oracle(f, s @ frame.T, xi, q)
     yp = frame.T @ y                                   # y in frame coordinates
     phase = np.exp(-1j * (s @ yp))
     left = (2.0 * np.pi) ** (-(n - 1) / 2.0) * (phase * vals).sum() * ds ** (n - 1)
 
-    fhat = f.fourier_analytic()
     scalar: dict = {}
-    for comp, wp in zip(fhat.comps, xi_power_weights(n, f.m, xi)):
-        if wp:
-            scalar = poly_add(scalar, poly_scale(comp, wp))
-    for _ in range(q):
-        scalar = _directional_derivative(scalar, xi, fhat.a)
-    probe = GaussPolyField(n, 0, fhat.a, (scalar,))
-    right = math.sqrt(2.0 * np.pi) * (1j ** q) * probe.eval_packed(y)[0]
+    for comp, w in zip(f.comps, xi_power_weights(n, f.m, xi)):
+        scalar = poly_add(scalar, comp, w)
+    dq = GaussPolyField(n, 0, f.a, (scalar,)).fourier_analytic().inner_derivative(q)
+    pairing = xi_power_weights(n, q, xi) @ dq.eval_packed(y)
+    right = math.sqrt(2.0 * np.pi) * (1j ** q) * pairing
 
     scale = max(abs(left), abs(right), scale_floor)
     return float(abs(left - right) / scale)
@@ -130,13 +112,13 @@ class SliceSystem:
     tags: tuple = field(repr=False)
 
 
-def _polarization_row(y: np.ndarray, zeta: np.ndarray, ypow: int,
-                      mono: tuple[int, ...], n: int, m: int) -> np.ndarray:
-    t = SymTensor(n, 0, np.ones(1))
-    for j in mono:
-        t = sym_mult(t, zeta[:, j], 1)
-    t = sym_mult(t, y, ypow)
-    return mult_weights(n, m) * t.coeffs
+def _symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
+    """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
+    table = {(): np.ones(1)}
+    for r in range(m):
+        mult = sym_mult_matrix(n, r, 1, U.T)           # mult[j]: i_{u_j} on rank r
+        table = {g: mult[g[-1]] @ table[g[:-1]] for g in multi_indices(n, r + 1)}
+    return table
 
 
 def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
@@ -146,7 +128,8 @@ def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
     the pairing with sigma(y^(x)l (x) zeta-monomial).  Divergence rows: the
     pairings with sigma(y^(x)(k+p) (x) zeta-monomial of degree m - k - p)
     for p = 1..m-k.  Row order is deterministic: blocks in the order above,
-    monomials colexicographic within a block.
+    monomials colexicographic within a block.  Each row is one entry of the
+    table of symmetric products of the adapted basis [zeta_1 .. zeta_{n-1}, y].
     """
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
@@ -154,15 +137,13 @@ def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     zeta = householder_frame(y)
+    products = _symmetric_products(n, m, np.column_stack([zeta, y]))
     rows, tags = [], []
-    for ell in range(k + 1):
+    for ell in range(m + 1):
         for mono in multi_indices(n - 1, m - ell):
-            rows.append(_polarization_row(y, zeta, ell, mono, n, m))
-            tags.append(("moment", ell, mono))
-    for p in range(1, m - k + 1):
-        for mono in multi_indices(n - 1, m - k - p):
-            rows.append(_polarization_row(y, zeta, k + p, mono, n, m))
-            tags.append(("divergence", p, mono))
+            rows.append(mult_weights(n, m) * products[mono + (n - 1,) * ell])
+            tags.append(("moment", ell, mono) if ell <= k
+                        else ("divergence", ell - k, mono))
     return SliceSystem(y, zeta, m, k, np.array(rows), tuple(tags))
 
 
@@ -197,11 +178,13 @@ def kernel_check(v: GaussPolyField, k: int, lines, orders=None) -> float:
     """
     if k < 0:
         raise ValueError(f"order k must be non-negative, got k={k}")
+    if len(lines) == 0:
+        raise ValueError("kernel check needs at least one line")
     if orders is None:
         orders = range(k + 1)
     f = v.inner_derivative(k + 1)
     x = np.array([ln.x for ln in lines]).reshape(-1, v.n)
     xi = np.array([ln.xi for ln in lines]).reshape(-1, v.n)
-    scale = max(np.abs(moment_oracle(v, x, xi, 0)).max(initial=0.0), 1e-300)
+    scale = max(np.abs(moment_oracle(v, x, xi, 0)).max(), 1e-300)
     worst = np.abs([moment_oracle(f, x, xi, ell) for ell in orders]).max(initial=0.0)
     return float(worst / scale)

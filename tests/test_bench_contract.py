@@ -3,7 +3,8 @@
 Runs cycle 0 of seed 1 of each workload in ``bench/workloads.py`` over every
 timed configuration, untraced, and requires what ``bench/run.py`` requires of
 a run: no job raises, and every failed check is one that
-``bench/expectations.json`` lists for its configuration.
+``bench/expectations.json`` lists for its configuration.  The warm-up job
+that set-up runs must not raise either, for every configuration.
 """
 
 import importlib.util
@@ -38,6 +39,9 @@ def test_cycle_zero_meets_expectations(workload, tmp_path):
     wl = workloads.make(workload, str(tmp_path))
     unexpected = []
     for cfg, inp in wl.inputs(1, 0):
+        # set-up records warm-up errors and still reports setup_s, so a broken
+        # warm path would only read as a faster set-up
+        wl.run(cfg, inp, spans.NullRecorder(), warm=True)
         if cfg in wl.untimed:
             continue
         verdict = wl.run(cfg, inp, spans.NullRecorder())

@@ -121,13 +121,22 @@ class TestDecomposeVerify:
     (["transform", "--field", "{field}", "--k", "1", "--dirs", "-2",
       "--out", "{out}"], {2}),
     (["slice-check", "--n", "1", "--out", "{out}"], {2}),
+    (["oracle-diff", "--n", "2", "--m", "2", "--lines", "0", "--out", "{out}"], {2}),
+    (["rank-probe", "--n", "2", "--m", "2", "--k", "1", "--trials", "0",
+      "--out", "{out}"], {2}),
+    (["slice-check", "--trials", "0", "--out", "{out}"], {2}),
+    (["chi-verify", "--n", "2", "--m", "2", "--ell", "1", "--points", "0",
+      "--out", "{out}"], {2}),
+    (["check-kernel", "--n", "3", "--m", "2", "--k", "1", "--lines", "0",
+      "--out", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
         "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
         "check-range-k2", "verify-wrong-k", "check-kernel-k-1", "oracle-diff-k-1",
         "chi-verify-ell-1", "transform-unwritable-out", "transform-extent-1",
         "transform-k-1", "transform-offsets0", "transform-dirs0", "transform-dirs-2",
-        "slice-check-n1"])
+        "slice-check-n1", "oracle-diff-lines0", "rank-probe-trials0",
+        "slice-check-trials0", "chi-verify-points0", "check-kernel-lines0"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     if args[0] == "verify":

@@ -14,6 +14,8 @@ from raymoments.slices import (
 )
 from raymoments.symtensor import SymTensor, sym_dim, sym_mult
 
+from references import slice_system_rows
+
 
 class TestSliceCheck:
     def test_scalar_gaussian(self):
@@ -107,6 +109,17 @@ class TestSliceSystem:
                 assert res.rank == sym_dim(n, m)
                 assert res.sigma_min / res.sigma_max > 1e-6
 
+    @pytest.mark.parametrize("n, m, k", [(n, m, k) for n in (2, 3, 4)
+                                         for m in (1, 2, 3) for k in range(m)])
+    def test_rows_match_polarization_chain(self, n, m, k):
+        rng = np.random.default_rng(100 * n + 10 * m + k)
+        for y in (rng.normal(size=n), 0.2 * rng.normal(size=n),
+                  5.0 * rng.normal(size=n), np.eye(n)[0], -np.eye(n)[-1]):
+            sysm = assemble_slice_system(n, m, k, y)
+            rows, tags = slice_system_rows(n, m, k, y)
+            assert sysm.tags == tags
+            assert np.abs(sysm.rows - rows).max() <= 1e-14 * np.abs(rows).max()
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
             assemble_slice_system(3, 2, 1, np.zeros(3))
@@ -134,7 +147,12 @@ class TestKernelCheck:
         v = GaussPolyField.zero(2, 0)
         lines = [random_line(2, np.random.default_rng(9)) for _ in range(5)]
         assert kernel_check(v, 1, lines) == 0.0
-        assert kernel_check(random_field(2, 0, np.random.default_rng(9)), 1, []) == 0.0
+
+    def test_empty_lines_rejected(self):
+        # no lines would read residual 0.0 and control 0.0
+        v = random_field(2, 0, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="at least one line"):
+            kernel_check(v, 1, [])
 
     def test_negative_order_rejected(self):
         # k = -1 would test the empty order list 0..k and read 0.0

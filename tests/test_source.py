@@ -118,6 +118,19 @@ def test_one_monomial_table():
     assert calls_monomials(evaluate), "GaussPolyField.eval_packed does not call monomials"
 
 
+def test_one_symmetric_product_table():
+    # slice rows are entries of one table of symmetric products, and the
+    # slice identity's analytic side comes from the field operators; no
+    # per-row sym_mult chain or private derivative remains in slices
+    tree = ast.parse((SRC / "slices.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    stale = (defined & {"_polarization_row", "_directional_derivative"}
+             | imported & {"SymTensor", "sym_mult", "gauss_partial"})
+    assert not stale, f"per-row chain left in slices.py: {sorted(stale)}"
+
+
 def test_one_cli_exit_path():
     # subcommands return their table and verdict; main alone writes the CSV
     # and the report, and alone turns an error into exit 2
