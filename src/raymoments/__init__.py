@@ -16,13 +16,7 @@ Submodules:
 """
 
 from .fields import GaussPolyField, GridField, GridSpec, random_field
-from .helmholtz import (
-    FreqProjection,
-    decompose_k,
-    freq_project,
-    projector_formula,
-    verify_decomposition,
-)
+from .helmholtz import decompose_k, freq_project, projector_formula, verify_decomposition
 from .john import (
     RangeReport,
     chi_build,
@@ -53,16 +47,6 @@ from .slices import (
     slice_check,
     slice_row_count,
 )
-from .symtensor import (
-    SymTensor,
-    contract,
-    eval_power,
-    multi_indices,
-    multiplicity,
-    sym_dim,
-    sym_inner,
-    sym_mult,
-    symmetrize,
-)
+from .symtensor import multi_indices, multiplicity, sym_dim
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ Fourier convention throughout: F u(y) = (2 pi)^{-n/2} int e^{-i<x,y>} u(x) dx.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .symtensor import (
-    SymTensor,
     _index_map,
     _json_real,
     json_index,
@@ -185,9 +183,6 @@ class GaussPolyField:
         exps, coef, _, _ = self.packed
         return (monomials(pts, exps) @ coef) * self.envelope(pts)[..., None]
 
-    def eval(self, x) -> SymTensor:
-        return SymTensor(self.n, self.m, self.eval_packed(np.asarray(x, dtype=float)))
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "GaussPolyField") -> "GaussPolyField":
@@ -330,7 +325,7 @@ def random_field(n: int, m: int, rng: np.random.Generator,
                  a: float = 1.0, degree: int = 2) -> GaussPolyField:
     """Random Gaussian-polynomial field with O(1) coefficients."""
     comps = []
-    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    exps = [e for e in np.ndindex((degree + 1,) * n) if sum(e) <= degree]
     for _ in range(sym_dim(n, m)):
         poly = {e: float(c) for e, c in zip(exps, rng.uniform(-1, 1, len(exps)))}
         comps.append(poly)

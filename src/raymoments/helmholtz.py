@@ -1,8 +1,10 @@
 """k-solenoidal / k-potential decomposition of symmetric tensor fields.
 
 At a single nonzero frequency y, f = g + i_{y^(k)} v with j_{y^(k)} g = 0
-(:func:`freq_project`); the same g also has an explicit projector product
-form (:func:`projector_formula`), and the two constructions agreeing is a
+(:func:`freq_project`, on packed coefficient arrays); the same g is also f
+with every component along a symmetric product of the orthonormal frame
+[zeta_1 .. zeta_{n-1}, y/|y|] that carries k or more factors of y removed
+(:func:`projector_formula`), and the two constructions agreeing is a
 uniqueness statement worth testing.  Globally, :func:`decompose_k` splits
 the real-FFT half spectrum of a grid field into the k-solenoidal part g and
 the k-potential generator v with f = g + d^k v.  Both peel f from the top
@@ -20,17 +22,22 @@ transform.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GridField, d_symbol, delta_symbol
-from .symtensor import SymTensor, sym_dim, sym_mult_operators, symmetrize
+from .ray import householder_frame
+from .symtensor import (
+    multi_indices,
+    multiplicity,
+    mult_weights,
+    sym_dim,
+    sym_mult_operators,
+    symmetric_products,
+)
 
 __all__ = [
-    "FreqProjection",
     "freq_project",
     "projector_formula",
     "decompose_k",
@@ -40,34 +47,38 @@ __all__ = [
 _SINGULAR_FREQ = 1e-14
 
 
-@dataclass(frozen=True)
-class FreqProjection:
-    """Pointwise frequency splitting f_hat = g_hat + i_{y^(k)} v_hat."""
+def _split_input(f_hat, y, m: int, k: int):
+    """f_hat and y as arrays, and |y|, for a splitting of rank m at order k.
 
-    y: np.ndarray
-    k: int
-    g_hat: SymTensor
-    v_hat: SymTensor
-
-
-def freq_project(f_hat: SymTensor, y: np.ndarray, k: int) -> FreqProjection:
-    """Split f_hat at frequency y into j_{y^(k)} g_hat = 0 and i_{y^(k)} v_hat.
-
-    The top-down peel of :func:`_peel` with j_y and i_y at this one y, for
-    any 0 <= k <= m; each step's contraction and multiplication share one
-    :func:`sym_mult_operators` pair.
+    Packed input carries no shape of its own, so a wrong length, a y that is
+    not a vector, an order outside 0..m or y near zero is a ValueError.
     """
-    y = np.asarray(y, dtype=float)
+    f_hat, y = np.asarray(f_hat), np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"frequency y must be 1-D, got shape {y.shape}")
+    if f_hat.shape != (sym_dim(y.size, m),):
+        raise ValueError(f"f_hat shape {f_hat.shape} does not match "
+                         f"sym_dim({y.size}, {m}) = {sym_dim(y.size, m)}")
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m = {m}, got k={k}")
     ynorm = float(np.linalg.norm(y))
     if ynorm < _SINGULAR_FREQ:
         raise ValueError("frequency too close to zero for the splitting")
-    n, m = f_hat.n, f_hat.m
-    if k > m:
-        raise ValueError("splitting order exceeds rank")
-    ops = functools.cache(lambda lo, p: sym_mult_operators(n, lo, p, y))   # one A(y) each
-    g, v = _peel(f_hat.coeffs * 1.0, m, k, ynorm ** -2,       # a float copy to peel
+    return f_hat, y, ynorm
+
+
+def freq_project(f_hat: np.ndarray, y: np.ndarray, m: int,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split packed rank-m f_hat at y into (g_hat, v_hat), f_hat = g_hat + i_{y^(k)} v_hat.
+
+    j_{y^(k)} g_hat = 0.  The top-down peel of :func:`_peel` with j_y and
+    i_y at this one y, for any 0 <= k <= m; each step's contraction and
+    multiplication share one :func:`sym_mult_operators` pair.
+    """
+    f_hat, y, ynorm = _split_input(f_hat, y, m, k)
+    ops = functools.cache(lambda lo, p: sym_mult_operators(y.size, lo, p, y))  # one A(y) each
+    return _peel(f_hat * 1.0, m, k, ynorm ** -2,       # a float copy to peel
                  lambda r, j: ops(m - j, j)[1](r), lambda h, lo, p: ops(lo, p)[0](h))
-    return FreqProjection(y, k, SymTensor(n, m, g), SymTensor(n, m - k, v))
 
 
 def _peel(r: np.ndarray, m: int, k: int, inv_lap, delta, d):
@@ -90,41 +101,29 @@ def _peel(r: np.ndarray, m: int, k: int, inv_lap, delta, d):
     return r, v
 
 
-def projector_formula(f_hat: SymTensor, y: np.ndarray, k: int) -> SymTensor:
-    """The annihilated part g via an explicit frame-adapted construction.
+def projector_formula(f_hat: np.ndarray, y: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The annihilated part g of packed rank-m f_hat, expanded in an adapted frame.
 
-    Rotate into an orthonormal frame whose last axis is y/|y|; a symmetric
-    tensor is annihilated by the k-fold contraction with y exactly when every
-    component carrying k or more last-axis indices vanishes, so zeroing those
-    components and rotating back is an orthogonal projection onto that kernel.
-    The complement consists of k-fold symmetric multiples of y, which makes
-    this the same g as in :func:`freq_project` by uniqueness of the
-    splitting.  For k = m it reduces to removing the rank-one piece
-    sigma(y^(x)m) <f, y^m> / |y|^{2m}; for k = 1 it is the product of
-    tangential projectors delta - y y / |y|^2 over all slots.
+    In the orthonormal frame U = [householder_frame(u), u], u = y/|y|, the
+    symmetric products sigma(u_gamma) over multisets gamma (the
+    :func:`symmetric_products` table that the slice systems read) are
+    orthogonal under the multiplicity weights W, with <sigma(u_gamma),
+    sigma(u_gamma)> = 1/mult(gamma).  A tensor is annihilated by j_{y^(k)}
+    exactly when its components along every gamma with k or more factors of
+    u vanish, so g = f - sum over those gamma of mult(gamma) <W f,
+    sigma(u_gamma)> sigma(u_gamma), an orthogonal projection.  The removed
+    part is a k-fold symmetric multiple of y, which makes this the same g
+    as in :func:`freq_project` by uniqueness of the splitting; k = 0 gives
+    g = 0 up to rounding.
     """
-    y = np.asarray(y, dtype=float)
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0:
-        raise ValueError("projector undefined at y = 0")
-    n, m = f_hat.n, f_hat.m
-    if k > m:
-        raise ValueError("splitting order exceeds rank")
-    from .ray import householder_frame
-
+    f_hat, y, ynorm = _split_input(f_hat, y, m, k)
+    n = y.size
     u = y / ynorm
-    R = np.column_stack([householder_frame(u), u])   # orthonormal, last col = u
-    full = f_hat.to_full()
-    for ax in range(m):
-        full = np.moveaxis(np.tensordot(full, R, axes=([ax], [0])), -1, ax)
-    # zero every component with k or more indices along u (last axis label)
-    last = n - 1
-    for idx in itertools.product(range(n), repeat=m):
-        if sum(1 for i in idx if i == last) >= k:
-            full[idx] = 0.0
-    for ax in range(m):
-        full = np.moveaxis(np.tensordot(full, R, axes=([ax], [1])), -1, ax)
-    return symmetrize(full)
+    products = symmetric_products(n, m, np.column_stack([householder_frame(u), u]))
+    along = [g for g in multi_indices(n, m) if g.count(n - 1) >= k]
+    S = np.array([products[g] for g in along])
+    coef = np.array([multiplicity(g) for g in along]) * (S @ (mult_weights(n, m) * f_hat))
+    return f_hat - coef @ S
 
 
 def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import GaussPolyField, poly_add
 from .ray import _offset_grid, householder_frame, moment_oracle
-from .symtensor import multi_indices, mult_weights, sym_mult_matrix, xi_power_weights
+from .symtensor import multi_indices, mult_weights, symmetric_products, xi_power_weights
 
 __all__ = [
     "SliceSystem",
@@ -112,15 +112,6 @@ class SliceSystem:
     tags: tuple = field(repr=False)
 
 
-def _symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
-    """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
-    table = {(): np.ones(1)}
-    for r in range(m):
-        mult = sym_mult_matrix(n, r, 1, U.T)           # mult[j]: i_{u_j} on rank r
-        table = {g: mult[g[-1]] @ table[g[:-1]] for g in multi_indices(n, r + 1)}
-    return table
-
-
 def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
     """All moment and divergence conditions at the frequency point y.
 
@@ -137,7 +128,7 @@ def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     zeta = householder_frame(y)
-    products = _symmetric_products(n, m, np.column_stack([zeta, y]))
+    products = symmetric_products(n, m, np.column_stack([zeta, y]))
     rows, tags = [], []
     for ell in range(m + 1):
         for mono in multi_indices(n - 1, m - ell):
@@ -174,17 +165,18 @@ def kernel_check(v: GaussPolyField, k: int, lines, orders=None) -> float:
     the field scale max |I^0 v| over the same lines.  Passing
     ``orders=[k+1]`` turns the same machinery into the negative control,
     since I^{k+1}(d^(k+1) v) = (-1)^{k+1} (k+1)! I^0 v is generically
-    nonzero.
+    nonzero.  An empty ``orders`` checks nothing and is a ValueError.
     """
     if k < 0:
         raise ValueError(f"order k must be non-negative, got k={k}")
     if len(lines) == 0:
         raise ValueError("kernel check needs at least one line")
-    if orders is None:
-        orders = range(k + 1)
+    orders = range(k + 1) if orders is None else list(orders)
+    if len(orders) == 0:
+        raise ValueError("kernel check needs at least one moment order")
     f = v.inner_derivative(k + 1)
     x = np.array([ln.x for ln in lines]).reshape(-1, v.n)
     xi = np.array([ln.xi for ln in lines]).reshape(-1, v.n)
     scale = max(np.abs(moment_oracle(v, x, xi, 0)).max(), 1e-300)
-    worst = np.abs([moment_oracle(f, x, xi, ell) for ell in orders]).max(initial=0.0)
+    worst = np.abs([moment_oracle(f, x, xi, ell) for ell in orders]).max()
     return float(worst / scale)

@@ -1,35 +1,29 @@
 """Packed symmetric tensor algebra.
 
 A rank-m symmetric tensor over R^n is stored as one coefficient per
-non-decreasing multi-index, ordered colexicographically.  All operations
-are pure functions; tensors are immutable after construction.
+non-decreasing multi-index, ordered colexicographically, in a 1-D array of
+length sym_dim(n, m).  That array is the one tensor type; every operation is
+a pure function of such arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SymTensor",
     "sym_dim",
     "multi_indices",
     "multiplicity",
     "mult_weights",
-    "symmetrize",
-    "sym_mult",
-    "contract",
-    "eval_power",
     "monomials",
-    "sym_inner",
     "sym_mult_matrix",
     "sym_mult_operators",
     "sym_mult_monomials",
+    "symmetric_products",
     "xi_power_weights",
 ]
 
@@ -76,86 +70,6 @@ def mult_weights(n: int, m: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class SymTensor:
-    """Symmetric m-tensor over R^n in packed form.
-
-    ``coeffs[p]`` is the component at the p-th non-decreasing multi-index
-    (see :func:`multi_indices`); lookup through ``__getitem__`` accepts any
-    ordering of an index tuple.
-    """
-
-    n: int
-    m: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if c.shape != (sym_dim(self.n, self.m),):
-            raise ValueError(
-                f"coeffs length {c.shape} does not match sym_dim({self.n},{self.m})"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zeros(cls, n: int, m: int, dtype=float) -> "SymTensor":
-        return cls(n, m, np.zeros(sym_dim(n, m), dtype=dtype))
-
-    @classmethod
-    def from_components(cls, n: int, m: int, comp: dict[tuple[int, ...], complex]) -> "SymTensor":
-        t = np.zeros(sym_dim(n, m), dtype=complex if any(
-            isinstance(v, complex) for v in comp.values()) else float)
-        idx = _index_map(n, m)
-        for alpha, v in comp.items():
-            t[idx[tuple(sorted(alpha))]] = v
-        return cls(n, m, t)
-
-    def __getitem__(self, alpha) -> complex:
-        if isinstance(alpha, int):
-            alpha = (alpha,)
-        return self.coeffs[_index_map(self.n, self.m)[tuple(sorted(alpha))]]
-
-    def to_full(self) -> np.ndarray:
-        """Unpack to the full n^m component table."""
-        full = np.zeros((self.n,) * self.m, dtype=self.coeffs.dtype)
-        for p, alpha in enumerate(multi_indices(self.n, self.m)):
-            for perm in set(itertools.permutations(alpha)):
-                full[perm] = self.coeffs[p]
-        return full
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._check_like(other)
-        return SymTensor(self.n, self.m, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        self._check_like(other)
-        return SymTensor(self.n, self.m, self.coeffs - other.coeffs)
-
-    def __mul__(self, s: complex) -> "SymTensor":
-        return SymTensor(self.n, self.m, self.coeffs * s)
-
-    __rmul__ = __mul__
-
-    def _check_like(self, other: "SymTensor") -> None:
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError("rank/dimension mismatch")
-
-    # -- JSON form: {"n":2,"m":2,"coeffs":{"11":1.0,"12":0.5}}; axis labels 1-based.
-
-    def to_json(self) -> str:
-        comp = {}
-        for p, alpha in enumerate(multi_indices(self.n, self.m)):
-            if self.coeffs[p] != 0:
-                comp["".join(str(i + 1) for i in alpha)] = _json_real(self.coeffs[p])
-        return json.dumps({"n": self.n, "m": self.m, "coeffs": comp})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymTensor":
-        n, m, coeffs = json_keys(json.loads(text), ("n", "m", "coeffs"), "tensor JSON")
-        comp = {json_index(key, n, m, "tensor JSON"): v for key, v in coeffs.items()}
-        return cls.from_components(n, m, comp)
-
-
 def _json_real(c) -> float:
     """c as a JSON float; the JSON forms hold real coefficients only."""
     if np.imag(c) != 0:
@@ -182,31 +96,15 @@ def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
     return alpha
 
 
-def symmetrize(raw: np.ndarray) -> SymTensor:
-    """Project a full rank-m component table onto its symmetric part.
-
-    Groups the m! permutations by the sorted index they produce, so the cost
-    is one pass over the distinct orderings of each multi-index rather than
-    an m!-fold sum.
-    """
-    raw = np.asarray(raw)
-    m = raw.ndim
-    n = raw.shape[0] if m > 0 else 1
-    if m > 0 and raw.shape != (n,) * m:
-        raise ValueError(f"expected cubic table, got shape {raw.shape}")
-    out = np.zeros(sym_dim(n, m), dtype=raw.dtype)
-    for p, alpha in enumerate(multi_indices(n, m)):
-        perms = set(itertools.permutations(alpha))
-        out[p] = sum(raw[q] for q in perms) / len(perms)
-    return SymTensor(n, m, out)
-
-
 def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):
     """i_{x^(k)} on rank lo and its adjoint j_{x^(k)}, as maps of packed coefficients.
 
     Both read one :func:`sym_mult_matrix` A(x): i is A, and j, the adjoint under
-    :func:`sym_inner`, is W_lo^-1 A^T W_hi (W the multiplicity weights); k = 0 is I.
+    the multiplicity-weighted inner product <a, b> = sum W a b, is
+    W_lo^-1 A^T W_hi (W the multiplicity weights); k = 0 is I.
     """
+    if lo < 0:
+        raise ValueError(f"contraction order {k} exceeds rank {lo + k}")
     A = sym_mult_matrix(n, lo, k, _vector(x, n))
     if k == 0:      # exactly I: W_lo^-1 (W_hi w) can round
         return (lambda u: u), (lambda w: w)
@@ -214,22 +112,13 @@ def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):
     return (lambda u: A @ u), (lambda w: A.T @ (w_hi * w) / w_lo)
 
 
-def sym_mult(u: SymTensor, x: np.ndarray, k: int) -> SymTensor:
-    """Symmetric multiplication i_{x^(k)} u = sigma(x^{(x)k} (x) u), rank m+k."""
-    mult, _ = sym_mult_operators(u.n, u.m, k, x)
-    return u if k == 0 else SymTensor(u.n, u.m + k, mult(u.coeffs))
-
-
-def contract(w: SymTensor, x: np.ndarray, k: int) -> SymTensor:
-    """Contraction j_{x^(k)} w: sum the last k slots of w against x, rank m-k.
-
-    The adjoint of :func:`sym_mult` under :func:`sym_inner`
-    (:func:`sym_mult_operators`).
-    """
-    if k > w.m:
-        raise ValueError(f"contraction order {k} exceeds rank {w.m}")
-    _, adjoint = sym_mult_operators(w.n, w.m - k, k, x)
-    return w if k == 0 else SymTensor(w.n, w.m - k, adjoint(w.coeffs))
+def symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
+    """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
+    table = {(): np.ones(1)}
+    for r in range(m):
+        mult = sym_mult_matrix(n, r, 1, U.T)           # mult[j]: i_{u_j} on rank r
+        table = {g: mult[g[-1]] @ table[g[:-1]] for g in multi_indices(n, r + 1)}
+    return table
 
 
 def _vector(x, n: int) -> np.ndarray:
@@ -256,29 +145,16 @@ def xi_power_weights(n: int, m: int, xi: np.ndarray) -> np.ndarray:
     return mult_weights(n, m) * factors.prod(axis=-1)
 
 
-def eval_power(f: SymTensor, xi: np.ndarray) -> complex:
-    """Full contraction <f, xi^(x)m> = sum_alpha mult(alpha) f_alpha xi^alpha."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (f.n,):
-        raise ValueError("dimension mismatch")
-    return (xi_power_weights(f.n, f.m, xi) * f.coeffs).sum()
-
-
-def sym_inner(a: SymTensor, b: SymTensor) -> complex:
-    """Multiplicity-weighted inner product; equals the full-tensor Euclidean one."""
-    a._check_like(b)
-    return (mult_weights(a.n, a.m) * a.coeffs * b.coeffs).sum()
-
-
 @lru_cache(maxsize=None)
 def sym_mult_monomials(n: int, m: int, k: int):
     """Monomial table of the packed matrix of i_{x^(k)}: S^m -> S^{m+k}.
 
     Returns tuples (row, col, coeff, exponents) with
     A(x)[row, col] = sum coeff * prod_j x_j^exponents[j].  This is the one
-    encoding of the symmetrization: sym_mult, contract, the grid symbols of
-    d^k and delta^k and the analytic derivatives of GaussPolyField all read
-    it (with x_j standing for the partial derivative d_j in space).
+    encoding of the symmetrization: :func:`sym_mult_operators`,
+    :func:`symmetric_products`, the grid symbols of d^k and delta^k and the
+    analytic derivatives of GaussPolyField all read it (with x_j standing
+    for the partial derivative d_j in space).
     """
     if k < 0:
         raise ValueError(f"order k must be non-negative, got k={k}")

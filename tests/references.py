@@ -1,10 +1,12 @@
 """Independent term-by-term references that the tests compare the package against."""
 
+import itertools
+
 import numpy as np
 
 from raymoments.fields import poly_dtype
 from raymoments.ray import apply_stencil, central_table, householder_frame
-from raymoments.symtensor import SymTensor, multi_indices, mult_weights, sym_mult
+from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
 
 def poly_eval(p, pts):
@@ -26,6 +28,46 @@ def mixed_central(fun, x, xi, x_axes, xi_axes, h):
     return apply_stencil(fun, central_table(axes, 2 * len(x)), x, xi, h) / (2 * h) ** len(axes)
 
 
+def to_full(c, n, m):
+    """Packed rank-m coefficients c on R^n unpacked to the full n^m table."""
+    full = np.zeros((n,) * m, dtype=np.asarray(c).dtype)
+    for p, alpha in enumerate(multi_indices(n, m)):
+        for perm in set(itertools.permutations(alpha)):
+            full[perm] = c[p]
+    return full
+
+
+def symmetrize(raw):
+    """The packed symmetric part of a full n^m table: each entry averaged over its orderings."""
+    raw = np.asarray(raw)
+    m, n = raw.ndim, (raw.shape[0] if raw.ndim else 1)
+    out = np.zeros(sym_dim(n, m), dtype=raw.dtype)
+    for p, alpha in enumerate(multi_indices(n, m)):
+        perms = set(itertools.permutations(alpha))
+        out[p] = sum(raw[q] for q in perms) / len(perms)
+    return out
+
+
+def projector_rotation(f_hat, y, m, k):
+    """The k-solenoidal part of packed f_hat at y by rotating the full table.
+
+    Rotate into an orthonormal frame whose last axis is y/|y|, zero every
+    component with k or more last-axis indices, rotate back, symmetrize.
+    """
+    n = len(y)
+    u = y / np.linalg.norm(y)
+    R = np.column_stack([householder_frame(u), u])
+    full = to_full(f_hat, n, m)
+    for ax in range(m):
+        full = np.moveaxis(np.tensordot(full, R, axes=([ax], [0])), -1, ax)
+    for idx in itertools.product(range(n), repeat=m):
+        if idx.count(n - 1) >= k:
+            full[idx] = 0.0
+    for ax in range(m):
+        full = np.moveaxis(np.tensordot(full, R, axes=([ax], [1])), -1, ax)
+    return symmetrize(full)
+
+
 def slice_system_rows(n, m, k, y):
     """Rows and tags of the slice system at y, each row by its own sym_mult chain.
 
@@ -36,10 +78,10 @@ def slice_system_rows(n, m, k, y):
     zeta = householder_frame(y)
 
     def row(ypow, mono):
-        t = SymTensor(n, 0, np.ones(1))
-        for j in mono:
-            t = sym_mult(t, zeta[:, j], 1)
-        return mult_weights(n, m) * sym_mult(t, y, ypow).coeffs
+        t = np.ones(1)
+        for r, j in enumerate(mono):
+            t = sym_mult_matrix(n, r, 1, zeta[:, j]) @ t
+        return mult_weights(n, m) * (sym_mult_matrix(n, len(mono), ypow, y) @ t)
 
     rows, tags = [], []
     for ell in range(k + 1):

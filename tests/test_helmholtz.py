@@ -9,21 +9,16 @@ from raymoments.helmholtz import (
     projector_formula,
     verify_decomposition,
 )
-from raymoments.symtensor import (
-    SymTensor,
-    contract,
-    mult_weights,
-    sym_dim,
-    sym_mult,
-    sym_mult_matrix,
-)
+from raymoments.symtensor import mult_weights, sym_dim, sym_mult_matrix, sym_mult_operators
+
+from references import projector_rotation
 
 
 def random_tensor(n, m, rng, complex_=True):
     c = rng.normal(size=sym_dim(n, m))
     if complex_:
         c = c + 1j * rng.normal(size=sym_dim(n, m))
-    return SymTensor(n, m, c)
+    return c
 
 
 def normal_equations_split(f_hat, ys, m, k):
@@ -56,27 +51,26 @@ class TestFreqProject:
         for n, m, k in [(2, 2, 1), (3, 2, 2), (3, 3, 1)]:
             u = random_tensor(n, m - k, rng)
             y = rng.normal(size=n)
-            f_hat = sym_mult(u, y, k)
-            pr = freq_project(f_hat, y, k)
-            np.testing.assert_allclose(pr.g_hat.coeffs, 0.0, atol=1e-12)
-            np.testing.assert_allclose(pr.v_hat.coeffs, u.coeffs, atol=1e-10)
+            f_hat = sym_mult_matrix(n, m - k, k, y) @ u
+            g, v = freq_project(f_hat, y, m, k)
+            np.testing.assert_allclose(g, 0.0, atol=1e-12)
+            np.testing.assert_allclose(v, u, atol=1e-10)
 
     def test_pure_solenoidal_input(self):
         rng = np.random.default_rng(1)
         n, m, k = 3, 2, 1
         y = rng.normal(size=n)
         f_hat = random_tensor(n, m, rng)
-        sol = SymTensor(n, m, projector_formula(f_hat, y, k).coeffs)
-        pr = freq_project(sol, y, k)
-        np.testing.assert_allclose(pr.v_hat.coeffs, 0.0, atol=1e-12)
-        np.testing.assert_allclose(pr.g_hat.coeffs, sol.coeffs, atol=1e-12)
+        sol = projector_formula(f_hat, y, m, k)
+        g, v = freq_project(sol, y, m, k)
+        np.testing.assert_allclose(v, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g, sol, atol=1e-12)
 
     def test_n2_m1_orthogonal_projection(self):
         y = np.array([1.0, 0.0])
-        f_hat = SymTensor(2, 1, np.array([0.7, -0.4]))
-        pr = freq_project(f_hat, y, 1)
-        np.testing.assert_allclose(pr.g_hat.coeffs, [0.0, -0.4], atol=1e-14)
-        assert pr.v_hat.coeffs[0] == pytest.approx(0.7)
+        g, v = freq_project(np.array([0.7, -0.4]), y, 1, 1)
+        np.testing.assert_allclose(g, [0.0, -0.4], atol=1e-14)
+        assert v[0] == pytest.approx(0.7)
 
     def test_invariants(self):
         rng = np.random.default_rng(2)
@@ -85,13 +79,11 @@ class TestFreqProject:
                 for k in range(1, min(n - 1, m) + 1):
                     f_hat = random_tensor(n, m, rng)
                     y = rng.normal(size=n)
-                    pr = freq_project(f_hat, y, k)
-                    recon = pr.g_hat.coeffs + sym_mult(pr.v_hat, y, k).coeffs
-                    scale = np.abs(f_hat.coeffs).max()
-                    np.testing.assert_allclose(recon, f_hat.coeffs,
-                                               atol=1e-10 * scale)
-                    res = contract(pr.g_hat, y, k).coeffs
-                    np.testing.assert_allclose(res, 0.0, atol=1e-10 * scale)
+                    g, v = freq_project(f_hat, y, m, k)
+                    mult, contract = sym_mult_operators(n, m - k, k, y)
+                    scale = np.abs(f_hat).max()
+                    np.testing.assert_allclose(g + mult(v), f_hat, atol=1e-10 * scale)
+                    np.testing.assert_allclose(contract(g), 0.0, atol=1e-10 * scale)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(19)
@@ -102,20 +94,19 @@ class TestFreqProject:
                         f_hat = random_tensor(n, m, rng)
                         u = rng.normal(size=n)
                         y = u / np.linalg.norm(u) * 10.0 ** rng.uniform(-1.0, 1.0)
-                        pr = freq_project(f_hat, y, k)
-                        g, v = normal_equations_split(f_hat.coeffs[None], y[None], m, k)
-                        scale = np.abs(f_hat.coeffs).max()
-                        np.testing.assert_allclose(pr.g_hat.coeffs, g[0],
-                                                   rtol=0, atol=1e-13 * scale)
+                        g_hat, v_hat = freq_project(f_hat, y, m, k)
+                        g, v = normal_equations_split(f_hat[None], y[None], m, k)
+                        scale = np.abs(f_hat).max()
+                        np.testing.assert_allclose(g_hat, g[0], rtol=0, atol=1e-13 * scale)
                         # v scales like f / |y|^k
                         np.testing.assert_allclose(
-                            pr.v_hat.coeffs * np.linalg.norm(y) ** k,
+                            v_hat * np.linalg.norm(y) ** k,
                             v[0] * np.linalg.norm(y) ** k, rtol=0, atol=1e-13 * scale)
 
     def test_singular_frequency_rejected(self):
         f_hat = random_tensor(2, 1, np.random.default_rng(3))
         with pytest.raises(ValueError):
-            freq_project(f_hat, np.zeros(2), 1)
+            freq_project(f_hat, np.zeros(2), 1, 1)
 
     @pytest.mark.parametrize("m, k, builds",
                              [(3, 1, 5), (3, 2, 3), (2, 1, 3), (2, 2, 1), (3, 0, 6)])
@@ -131,11 +122,11 @@ class TestFreqProject:
         monkeypatch.setattr(symtensor, "sym_mult_matrix", counted)
         f_hat = random_tensor(3, m, np.random.default_rng(8))
         y = np.array([0.3, -1.1, 0.7])
-        pr = freq_project(f_hat, y, k)
+        g_hat, _ = freq_project(f_hat, y, m, k)
         assert len(calls) == len(set(calls)) == builds
         monkeypatch.undo()
-        g, _ = normal_equations_split(f_hat.coeffs[None], y[None], m, k)
-        np.testing.assert_allclose(pr.g_hat.coeffs, g[0], rtol=0, atol=1e-13)
+        g, _ = normal_equations_split(f_hat[None], y[None], m, k)
+        np.testing.assert_allclose(g_hat, g[0], rtol=0, atol=1e-13)
 
 
 class TestProjectorFormula:
@@ -144,15 +135,14 @@ class TestProjectorFormula:
         n, m = 3, 2
         f_hat = random_tensor(n, m, rng, complex_=False)
         y = rng.normal(size=n)
-        got = projector_formula(f_hat, y, m)
-        want = freq_project(f_hat, y, m).g_hat
-        np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
+        got = projector_formula(f_hat, y, m, m)
+        want, _ = freq_project(f_hat, y, m, m)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_k1_n2_matches_projection_example(self):
         y = np.array([1.0, 0.0])
-        f_hat = SymTensor(2, 1, np.array([0.7, -0.4]))
-        got = projector_formula(f_hat, y, 1)
-        np.testing.assert_allclose(got.coeffs, [0.0, -0.4], atol=1e-14)
+        got = projector_formula(np.array([0.7, -0.4]), y, 1, 1)
+        np.testing.assert_allclose(got, [0.0, -0.4], atol=1e-14)
 
     def test_agrees_with_solve_across_configs(self):
         rng = np.random.default_rng(5)
@@ -161,16 +151,44 @@ class TestProjectorFormula:
             for _ in range(20):
                 f_hat = random_tensor(n, m, rng, complex_=False)
                 y = rng.normal(size=n)
-                got = projector_formula(f_hat, y, k)
-                want = freq_project(f_hat, y, k).g_hat
-                scale = max(np.abs(f_hat.coeffs).max(), 1e-300)
-                np.testing.assert_allclose(got.coeffs, np.real(want.coeffs),
-                                           atol=1e-10 * scale)
+                got = projector_formula(f_hat, y, m, k)
+                want, _ = freq_project(f_hat, y, m, k)
+                scale = max(np.abs(f_hat).max(), 1e-300)
+                np.testing.assert_allclose(got, want, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_rotation_reference(self, n, m):
+        # the frame-table expansion against rotating the full n^m table
+        rng = np.random.default_rng(10 * n + m)
+        for k in range(m + 1):
+            for complex_ in (False, True):
+                for _ in range(5):
+                    f_hat = random_tensor(n, m, rng, complex_)
+                    y = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)
+                    want = projector_rotation(f_hat, y, m, k)
+                    got = projector_formula(f_hat, y, m, k)
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(f_hat).max()
 
     def test_zero_frequency_rejected(self):
         f_hat = random_tensor(2, 1, np.random.default_rng(6), complex_=False)
         with pytest.raises(ValueError):
-            projector_formula(f_hat, np.zeros(2), 1)
+            projector_formula(f_hat, np.zeros(2), 1, 1)
+
+
+@pytest.mark.parametrize("split", [freq_project, projector_formula],
+                         ids=["freq_project", "projector_formula"])
+@pytest.mark.parametrize("f_hat, y, k, message", [
+    (np.ones(4), np.ones(2), 1, r"f_hat shape \(4,\) does not match sym_dim\(2, 2\)"),
+    (np.ones(3), np.ones((2, 1)), 1, "frequency y must be 1-D"),
+    (np.ones(3), np.ones(2), 3, "need 0 <= k <= m"),
+    (np.ones(3), np.ones(2), -1, "need 0 <= k <= m"),
+    (np.ones(3), np.full(2, 1e-15), 1, "frequency too close to zero"),
+], ids=["wrong-length", "y-not-1d", "k-above-m", "k-negative", "zero-frequency"])
+def test_bad_input_named(split, f_hat, y, k, message):
+    # packed arrays carry no shape of their own; each splitting checks its input
+    with pytest.raises(ValueError, match=message):
+        split(f_hat, y, 2, k)
 
 
 class TestDecomposeK:

@@ -12,7 +12,7 @@ from raymoments.slices import (
     slice_check,
     slice_row_count,
 )
-from raymoments.symtensor import SymTensor, sym_dim, sym_mult
+from raymoments.symtensor import sym_dim, sym_mult_matrix
 
 from references import slice_system_rows
 
@@ -94,11 +94,11 @@ class TestSliceSystem:
         n, m, k = 3, 3, 1
         y = rng.normal(size=n)
         sysm = assemble_slice_system(n, m, k, y)
-        u = SymTensor(n, m - k - 1, rng.normal(size=sym_dim(n, m - k - 1)))
-        pot = sym_mult(u, y, k + 1)
+        u = rng.normal(size=sym_dim(n, m - k - 1))
+        pot = sym_mult_matrix(n, m - k - 1, k + 1, y) @ u
         for row, tag in zip(sysm.rows, sysm.tags):
             if tag[0] == "moment":
-                assert abs(row @ pot.coeffs) < 1e-12
+                assert abs(row @ pot) < 1e-12
 
     def test_full_rank_generic(self):
         rng = np.random.default_rng(6)
@@ -153,6 +153,13 @@ class TestKernelCheck:
         v = random_field(2, 0, np.random.default_rng(9))
         with pytest.raises(ValueError, match="at least one line"):
             kernel_check(v, 1, [])
+
+    def test_empty_orders_rejected(self):
+        # no moment order checked would read as a perfect annihilation
+        rng = np.random.default_rng(11)
+        v = random_field(2, 0, rng)
+        with pytest.raises(ValueError, match="at least one moment order"):
+            kernel_check(v, 1, [random_line(2, rng) for _ in range(3)], orders=[])
 
     def test_negative_order_rejected(self):
         # k = -1 would test the empty order list 0..k and read 0.0

@@ -131,6 +131,31 @@ def test_one_symmetric_product_table():
     assert not stale, f"per-row chain left in slices.py: {sorted(stale)}"
 
 
+def test_one_tensor_type():
+    # the packed coefficient array is the one tensor type: no class or full
+    # n^m table beside it, and the slice systems and the projector read one
+    # table of symmetric products
+    full_table = {"SymTensor", "symmetrize", "to_full"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    stale = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in full_table
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name in full_table for alias in node.names)
+             or isinstance(node, ast.Call) and ast.unparse(node.func) == "itertools.product"]
+    assert not stale, f"full-table tensor code in src/raymoments: {stale}"
+
+    def calls(tree, name):
+        return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                   for node in ast.walk(tree))
+
+    defined = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "symmetric_products"]
+    assert defined == ["symtensor.py"], f"symmetric_products defined in {defined}"
+    callers = {name for name, tree in trees.items() if calls(tree, "symmetric_products")}
+    assert {"slices.py", "helmholtz.py"} <= callers, f"symmetric_products callers: {callers}"
+
+
 def test_one_cli_exit_path():
     # subcommands return their table and verdict; main alone writes the CSV
     # and the report, and alone turns an error into exit 2

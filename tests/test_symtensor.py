@@ -1,28 +1,45 @@
 import itertools
-import math
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raymoments.fields import GaussPolyField
 from raymoments.symtensor import (
-    SymTensor,
-    contract,
-    eval_power,
+    _json_real,
+    json_index,
+    json_keys,
     monomials,
     multi_indices,
     multiplicity,
     mult_weights,
     sym_dim,
-    sym_inner,
-    sym_mult,
     sym_mult_matrix,
-    symmetrize,
+    sym_mult_operators,
+    xi_power_weights,
 )
 
+from references import symmetrize, to_full
 
-def full_inner(a: SymTensor, b: SymTensor) -> float:
-    return float((a.to_full() * b.to_full()).sum())
+
+def sym_mult(u, n, m, x, k):
+    """i_{x^(k)} u for packed rank-m u, through sym_mult_operators."""
+    return sym_mult_operators(n, m, k, x)[0](u)
+
+
+def contract(w, n, m, x, k):
+    """j_{x^(k)} w for packed rank-m w, through sym_mult_operators."""
+    return sym_mult_operators(n, m - k, k, x)[1](w)
+
+
+def sym_inner(a, b, n, m):
+    return (mult_weights(n, m) * a * b).sum()
+
+
+def at(t, n, m, alpha):
+    """The packed entry of t at the multi-index alpha, in any order."""
+    return t[multi_indices(n, m).index(tuple(sorted(alpha)))]
 
 
 class TestSymDim:
@@ -64,65 +81,64 @@ class TestMultiIndices:
 
 
 class TestSymmetrize:
+    """The brute-force symmetrization that the table tests compare against."""
+
     def test_off_diagonal_average(self):
         raw = np.zeros((2, 2))
         raw[0, 1] = 1.0
         t = symmetrize(raw)
-        assert t[(0, 1)] == pytest.approx(0.5)
-        assert t[(0, 0)] == 0.0
+        assert at(t, 2, 2, (0, 1)) == pytest.approx(0.5)
+        assert at(t, 2, 2, (0, 0)) == 0.0
 
     def test_diagonal_fixed_point(self):
         raw = np.zeros((2, 2))
         raw[0, 0] = 3.0
-        assert symmetrize(raw)[(0, 0)] == pytest.approx(3.0)
+        assert at(symmetrize(raw), 2, 2, (0, 0)) == pytest.approx(3.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         raw = rng.normal(size=(3, 3, 3))
         once = symmetrize(raw)
-        twice = symmetrize(once.to_full())
-        np.testing.assert_allclose(once.coeffs, twice.coeffs, atol=1e-15)
+        twice = symmetrize(to_full(once, 3, 3))
+        np.testing.assert_allclose(once, twice, atol=1e-15)
 
     def test_symmetric_input_unchanged(self):
         rng = np.random.default_rng(1)
-        t = SymTensor(3, 2, rng.normal(size=6))
-        np.testing.assert_allclose(symmetrize(t.to_full()).coeffs, t.coeffs)
+        t = rng.normal(size=6)
+        np.testing.assert_allclose(symmetrize(to_full(t, 3, 2)), t)
 
 
 class TestSymMult:
     def test_scalar_base(self):
-        u = SymTensor(2, 0, np.array([1.0]))
-        out = sym_mult(u, np.array([1.0, 0.0]), 1)
-        np.testing.assert_allclose(out.coeffs, [1.0, 0.0])
+        out = sym_mult(np.array([1.0]), 2, 0, np.array([1.0, 0.0]), 1)
+        np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_k_zero_identity(self):
-        u = SymTensor(2, 1, np.array([2.0, -1.0]))
-        assert sym_mult(u, np.array([5.0, 5.0]), 0) is u
+        u = np.array([2.0, -1.0])
+        assert sym_mult(u, 2, 1, np.array([5.0, 5.0]), 0) is u
 
     def test_rank_one_example(self):
         # sigma(x (x) u) for x = e_1, u = (a, b)
         a, b = 1.7, -0.3
-        u = SymTensor(2, 1, np.array([a, b]))
-        out = sym_mult(u, np.array([1.0, 0.0]), 1)
-        assert out[(0, 0)] == pytest.approx(a)
-        assert out[(0, 1)] == pytest.approx(b / 2)
-        assert out[(1, 1)] == 0.0
+        out = sym_mult(np.array([a, b]), 2, 1, np.array([1.0, 0.0]), 1)
+        assert at(out, 2, 2, (0, 0)) == pytest.approx(a)
+        assert at(out, 2, 2, (0, 1)) == pytest.approx(b / 2)
+        assert at(out, 2, 2, (1, 1)) == 0.0
 
     def test_matches_brute_force_symmetrization(self):
         rng = np.random.default_rng(2)
-        u = SymTensor(3, 2, rng.normal(size=6))
+        u = rng.normal(size=6)
         x = rng.normal(size=3)
-        raw = np.einsum("i,jk->ijk", x, u.to_full())
-        np.testing.assert_allclose(sym_mult(u, x, 1).coeffs,
-                                   symmetrize(raw).coeffs, atol=1e-14)
+        raw = np.einsum("i,jk->ijk", x, to_full(u, 3, 2))
+        np.testing.assert_allclose(sym_mult(u, 3, 2, x, 1), symmetrize(raw), atol=1e-14)
 
     def test_matrix_agrees_with_operator(self):
         rng = np.random.default_rng(3)
         for n, m, k in [(2, 1, 1), (3, 1, 2), (3, 2, 1)]:
-            u = SymTensor(n, m, rng.normal(size=sym_dim(n, m)))
+            u = rng.normal(size=sym_dim(n, m))
             x = rng.normal(size=n)
-            np.testing.assert_allclose(sym_mult_matrix(n, m, k, x) @ u.coeffs,
-                                       sym_mult(u, x, k).coeffs, atol=1e-14)
+            np.testing.assert_allclose(sym_mult_matrix(n, m, k, x) @ u,
+                                       sym_mult(u, n, m, x, k), atol=1e-14)
             xs = rng.normal(size=(2, 3, n))          # batched over leading axes
             batch = sym_mult_matrix(n, m, k, xs)
             for i, j in np.ndindex(2, 3):
@@ -132,18 +148,17 @@ class TestSymMult:
 
 class TestContract:
     def test_k_zero_identity(self):
-        w = SymTensor(2, 2, np.array([1.0, 2.0, 3.0]))
-        assert contract(w, np.ones(2), 0) is w
+        w = np.array([1.0, 2.0, 3.0])
+        assert contract(w, 2, 2, np.ones(2), 0) is w
 
     def test_rank_one_dot_product(self):
-        w = SymTensor(3, 1, np.array([1.0, -2.0, 0.5]))
+        w = np.array([1.0, -2.0, 0.5])
         x = np.array([0.3, 0.1, 4.0])
-        assert contract(w, x, 1).coeffs[0] == pytest.approx(w.coeffs @ x)
+        assert contract(w, 3, 1, x, 1)[0] == pytest.approx(w @ x)
 
     def test_excess_order_rejected(self):
-        w = SymTensor(2, 1, np.ones(2))
-        with pytest.raises(ValueError):
-            contract(w, np.ones(2), 2)
+        with pytest.raises(ValueError, match="contraction order 2 exceeds rank 1"):
+            contract(np.ones(2), 2, 1, np.ones(2), 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -153,11 +168,11 @@ class TestContract:
         n = int(rng.integers(2, 4))
         m = int(rng.integers(0, 3))
         k = int(rng.integers(1, 3))
-        u = SymTensor(n, m, rng.normal(size=sym_dim(n, m)))
-        w = SymTensor(n, m + k, rng.normal(size=sym_dim(n, m + k)))
+        u = rng.normal(size=sym_dim(n, m))
+        w = rng.normal(size=sym_dim(n, m + k))
         x = rng.normal(size=n)
-        lhs = sym_inner(sym_mult(u, x, k), w)
-        rhs = sym_inner(u, contract(w, x, k))
+        lhs = sym_inner(sym_mult(u, n, m, x, k), w, n, m + k)
+        rhs = sym_inner(u, contract(w, n, m + k, x, k), n, m)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -169,12 +184,12 @@ class TestFullTableReference:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sym_mult(self, n, m, k):
         rng = np.random.default_rng(100 * n + 10 * m + k)
-        u = SymTensor(n, m, rng.normal(size=sym_dim(n, m)))
+        u = rng.normal(size=sym_dim(n, m))
         x = rng.normal(size=n)
-        raw = u.to_full()
+        raw = to_full(u, n, m)
         for _ in range(k):
             raw = np.multiply.outer(x, raw)
-        np.testing.assert_allclose(sym_mult(u, x, k).coeffs, symmetrize(raw).coeffs,
+        np.testing.assert_allclose(sym_mult(u, n, m, x, k), symmetrize(raw),
                                    rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -182,18 +197,18 @@ class TestFullTableReference:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_contract(self, n, m, k):
         rng = np.random.default_rng(100 * n + 10 * m + k)
-        w = SymTensor(n, m + k, rng.normal(size=sym_dim(n, m + k)))
+        w = rng.normal(size=sym_dim(n, m + k))
         x = rng.normal(size=n)
-        full = w.to_full()
+        full = to_full(w, n, m + k)
         for _ in range(k):
             full = np.tensordot(full, x, axes=([-1], [0]))
-        np.testing.assert_allclose(contract(w, x, k).coeffs, symmetrize(full).coeffs,
+        np.testing.assert_allclose(contract(w, n, m + k, x, k), symmetrize(full),
                                    rtol=1e-13, atol=1e-13)
 
 
 TABLE_OPS = {
-    "sym_mult": lambda x, k: sym_mult(SymTensor(2, 2, np.ones(3)), x, k),
-    "contract": lambda x, k: contract(SymTensor(2, 2, np.ones(3)), x, k),
+    "sym_mult": lambda x, k: sym_mult(np.ones(3), 2, 2, x, k),
+    "contract": lambda x, k: contract(np.ones(3), 2, 2, x, k),
     "sym_mult_matrix": lambda x, k: sym_mult_matrix(2, 2, k, x),
 }
 
@@ -210,79 +225,81 @@ class TestValidation:
 
     @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 2))])
     def test_wrong_shape_rejected(self, x):
-        t = SymTensor(2, 1, np.ones(2))
         with pytest.raises(ValueError, match="x must have shape"):
-            sym_mult(t, x, 1)
+            sym_mult(np.ones(2), 2, 1, x, 1)
         with pytest.raises(ValueError, match="x must have shape"):
-            contract(t, x, 1)
+            contract(np.ones(2), 2, 1, x, 1)
 
 
 class TestEvalPower:
+    """<f, xi^(x)m>: xi_power_weights paired with the packed coefficients of f."""
+
     def test_diagonal(self):
-        f = SymTensor.from_components(2, 2, {(0, 0): 1.0})
-        assert eval_power(f, np.array([0.6, 0.8])) == pytest.approx(0.36)
+        f = np.array([1.0, 0.0, 0.0])                # f_00 = 1
+        assert xi_power_weights(2, 2, np.array([0.6, 0.8])) @ f == pytest.approx(0.36)
 
     def test_multiplicity_two(self):
-        f = SymTensor.from_components(2, 2, {(0, 1): 1.0})
-        assert eval_power(f, np.array([0.6, 0.8])) == pytest.approx(0.96)
+        f = np.array([0.0, 1.0, 0.0])                # f_01 = f_10 = 1
+        assert xi_power_weights(2, 2, np.array([0.6, 0.8])) @ f == pytest.approx(0.96)
 
     def test_scalar_rank(self):
-        f = SymTensor(3, 0, np.array([4.2]))
-        assert eval_power(f, np.ones(3)) == pytest.approx(4.2)
+        assert xi_power_weights(3, 0, np.ones(3)) @ np.array([4.2]) == pytest.approx(4.2)
 
     def test_equals_full_contraction(self):
         rng = np.random.default_rng(4)
-        f = SymTensor(3, 3, rng.normal(size=10))
+        f = rng.normal(size=10)
         xi = rng.normal(size=3)
-        got = eval_power(f, xi)
-        want = contract(f, xi, 3).coeffs[0]
+        got = xi_power_weights(3, 3, xi) @ f
+        want = contract(f, 3, 3, xi, 3)[0]
         assert got == pytest.approx(want, rel=1e-12)
+        full = np.einsum("ijk,i,j,k->", to_full(f, 3, 3), xi, xi, xi)
+        assert got == pytest.approx(full, rel=1e-12)
 
 
 class TestPackedStorage:
     def test_full_round_trip(self):
         rng = np.random.default_rng(5)
         for n, m in [(2, 2), (3, 3), (2, 4)]:
-            t = SymTensor(n, m, rng.normal(size=sym_dim(n, m)))
-            np.testing.assert_allclose(symmetrize(t.to_full()).coeffs, t.coeffs)
+            t = rng.normal(size=sym_dim(n, m))
+            np.testing.assert_allclose(symmetrize(to_full(t, n, m)), t)
 
     def test_permuted_lookup(self):
         rng = np.random.default_rng(6)
-        t = SymTensor(3, 3, rng.normal(size=10))
-        for alpha in multi_indices(3, 3):
+        t = rng.normal(size=10)
+        full = to_full(t, 3, 3)
+        for p, alpha in enumerate(multi_indices(3, 3)):
             for perm in itertools.permutations(alpha):
-                assert t[perm] == t[alpha]
+                assert full[perm] == t[p]
 
     def test_inner_product_matches_full(self):
         rng = np.random.default_rng(7)
-        a = SymTensor(3, 2, rng.normal(size=6))
-        b = SymTensor(3, 2, rng.normal(size=6))
-        assert sym_inner(a, b) == pytest.approx(full_inner(a, b), rel=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SymTensor(2, 2, np.zeros(4))
+        a = rng.normal(size=6)
+        b = rng.normal(size=6)
+        full = (to_full(a, 3, 2) * to_full(b, 3, 2)).sum()
+        assert sym_inner(a, b, 3, 2) == pytest.approx(full, rel=1e-12)
 
     def test_json_round_trip(self):
-        t = SymTensor.from_components(2, 2, {(0, 0): 1.0, (0, 1): 0.5})
-        back = SymTensor.from_json(t.to_json())
-        np.testing.assert_allclose(back.coeffs, t.coeffs)
-        assert '"11"' in t.to_json() and '"12"' in t.to_json()
+        # component keys are the multi-index in 1-based axis labels
+        f = GaussPolyField.from_components(2, 2, 1.0, {(0, 0): {(0, 0): 1.0},
+                                                       (1, 0): {(1, 0): 0.5}})
+        text = f.to_json()
+        assert '"11"' in text and '"12"' in text
+        assert GaussPolyField.from_json(text).comps == f.comps
 
     def test_json_rejects_complex_coefficients(self):
-        real = SymTensor(2, 1, np.array([1.0 + 0j, 2.0]))
-        assert SymTensor.from_json(real.to_json()).coeffs.tolist() == [1.0, 2.0]
+        assert _json_real(1.0 + 0j) == 1.0
         with pytest.raises(ValueError, match="not real"):
-            SymTensor(2, 1, np.array([1.0, 2.0 - 0.5j])).to_json()
+            _json_real(2.0 - 0.5j)
 
-    @pytest.mark.parametrize("text, key", [
-        ('{"n": 2, "coeffs": {"11": 1.0}}', "'m'"),
-        ('{"n": 2, "m": 2, "coeffs": {"13": 1.0}}', "'13'"),
-        ('{"n": 2, "m": 2, "coeffs": {"1": 1.0}}', "'1'"),
+    @pytest.mark.parametrize("read, key", [
+        (lambda: json_keys(json.loads('{"n": 2, "coeffs": {}}'), ("n", "m", "coeffs"), "JSON"),
+         "'m'"),
+        (lambda: json_index("13", 2, 2, "JSON"), "'13'"),
+        (lambda: json_index("1", 2, 2, "JSON"), "'1'"),
     ], ids=["missing-m", "axis-beyond-n", "key-length"])
-    def test_json_bad_key_named(self, text, key):
+    def test_json_bad_key_named(self, read, key):
         with pytest.raises(ValueError, match=key):
-            SymTensor.from_json(text)
+            read()
 
 
 class TestMonomials:
