@@ -5,6 +5,10 @@ Two realizations of a symmetric-tensor field:
 * :class:`GaussPolyField` -- components are (multivariate polynomial) x
   exp(-a|x|^2); closed under symmetrized differentiation, divergence and
   the Fourier transform, which is what makes it usable as an exact oracle.
+  The polynomials are two arrays, the distinct exponents and their
+  coefficients per packed component.  Sampling, the derivatives and the
+  Fourier transform scatter them into one dense box[s, e_1, ..., e_n] and
+  act on it axis by axis.
 * :class:`GridField` -- real uniform-grid samples with spectral derivative
   operators under periodic extension, on the real-FFT half spectrum.
 
@@ -17,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .symtensor import (
     _json_real,
     json_index,
     json_keys,
+    json_value,
     monomials,
     multi_indices,
     mult_weights,
@@ -41,68 +45,36 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# polynomial helpers: a polynomial is a dict {exponent tuple: coefficient}
+# the coefficient box: box[s, e_1, ..., e_n] is the coefficient of
+# x_1^e_1 ... x_n^e_n in component s, the same size along every exponent axis
 
-Poly = dict
+
+def _box(exps: np.ndarray, coef: np.ndarray, room: int = 0) -> np.ndarray:
+    """The terms scattered into a box, repeated rows summed, ``room`` spare powers per axis."""
+    size = int(exps.max(initial=0)) + 1 + room
+    box = np.zeros((coef.shape[1],) + (size,) * exps.shape[1], coef.dtype)
+    np.add.at(box, (slice(None), *exps.T), coef.T)
+    return box
 
 
-def poly_add(p: Poly, q: Poly, scale=1.0) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0.0) + scale * c
-        if out[e] == 0:
-            del out[e]
+def _terms(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exps, coef) of the exponents nonzero in some component, in lexicographic order."""
+    exps = np.argwhere(box.any(axis=0))
+    return exps, np.ascontiguousarray(box[(slice(None), *exps.T)].T)
+
+
+def _partial(box: np.ndarray, axis: int, a: float) -> np.ndarray:
+    """d/dx_axis (p e^{-a|x|^2}) = (dp/dx_axis - 2 a x_axis p) e^{-a|x|^2}, every component.
+
+    The top power along ``axis`` must be free: x_axis p moves every term up one.
+    """
+    lead = (slice(None),) * (axis + 1)
+    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+    powers = np.arange(1.0, box.shape[axis + 1]).reshape((-1,) + (1,) * (box.ndim - axis - 2))
+    out = np.zeros_like(box)
+    out[lo] = box[hi] * powers
+    out[hi] += (-2.0 * a) * box[lo]
     return out
-
-
-def poly_scale(p: Poly, s) -> Poly:
-    return {e: c * s for e, c in p.items()} if s != 0 else {}
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def poly_diff(p: Poly, axis: int) -> Poly:
-    out: Poly = {}
-    for e, c in p.items():
-        if e[axis] > 0:
-            e2 = e[:axis] + (e[axis] - 1,) + e[axis + 1:]
-            out[e2] = out.get(e2, 0.0) + c * e[axis]
-    return out
-
-
-def poly_shift_axis(p: Poly, axis: int) -> Poly:
-    """Multiply by the coordinate x_axis."""
-    out: Poly = {}
-    for e, c in p.items():
-        e2 = e[:axis] + (e[axis] + 1,) + e[axis + 1:]
-        out[e2] = out.get(e2, 0.0) + c
-    return out
-
-
-def gauss_partial(p: Poly, axis: int, a: float) -> Poly:
-    """d/dx_axis (p e^{-a|x|^2}) = (dp/dx_axis - 2 a x_axis p) e^{-a|x|^2}."""
-    return poly_add(poly_diff(p, axis), poly_shift_axis(p, axis), -2.0 * a)
-
-
-def poly_dtype(*polys: Poly) -> type:
-    return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
-
-
-# ---------------------------------------------------------------------------
-
-
-class PackedPoly(NamedTuple):
-    """The components of a :class:`GaussPolyField` as arrays, read-only."""
-    exps: np.ndarray      # (T, n) int: the distinct exponents, sorted
-    coef: np.ndarray      # (T, S): coefficient of exps[t] in component s
-    degree: int           # total degree, max |e|
-    bound: float          # max over components of sum |c|, 1.0 for a zero field
 
 
 @lru_cache(maxsize=256)
@@ -116,61 +88,64 @@ def _support_radius(a: float, degree: int, bound: float, cutoff: float) -> float
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussPolyField:
-    """Symmetric m-tensor field with components p_alpha(x) exp(-a |x|^2).
+    """Symmetric m-tensor field with components p_s(x) exp(-a |x|^2).
 
-    ``comps`` holds one polynomial per packed multi-index (see
-    :mod:`raymoments.symtensor` for the ordering).
+    ``exps`` (T, n) holds the distinct exponents in lexicographic order and
+    ``coef`` (T, sym_dim(n, m)) the coefficient of x^exps[t] in each packed
+    component (see :mod:`raymoments.symtensor` for the ordering).
+    Construction sums repeated exponent rows, drops rows that are zero in
+    every component and sorts the rest; both arrays are then read-only.
     """
 
     n: int
     m: int
     a: float
-    comps: tuple = field(repr=False)
+    exps: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("Gaussian width parameter a must be positive")
-        if len(self.comps) != sym_dim(self.n, self.m):
-            raise ValueError("component count does not match rank/dimension")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"Gaussian width a must be positive and finite, got {self.a}")
+        exps, coef = np.asarray(self.exps), np.asarray(self.coef)
+        if (exps.ndim != 2 or exps.shape[1] != self.n or exps.dtype.kind not in "iu"
+                or (exps < 0).any()):
+            raise ValueError(f"exps must be non-negative integers of shape (T, {self.n}), "
+                             f"got {exps!r}")
+        if coef.shape != (len(exps), sym_dim(self.n, self.m)):
+            raise ValueError(f"coef shape {coef.shape} != {(len(exps), sym_dim(self.n, self.m))}")
+        exps, coef = _terms(_box(exps, coef.astype(np.result_type(coef, float))))
+        exps.flags.writeable = coef.flags.writeable = False
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coef", coef)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, m: int, a: float = 1.0) -> "GaussPolyField":
-        return cls(n, m, a, tuple({} for _ in range(sym_dim(n, m))))
+        return cls(n, m, a, np.zeros((0, n), int), np.zeros((0, sym_dim(n, m))))
 
     @classmethod
     def from_components(cls, n, m, a, comp_map) -> "GaussPolyField":
-        """comp_map: {multi-index tuple: Poly}; missing components are zero."""
+        """comp_map: {multi-index: {exponent: coefficient}}; missing components are zero."""
         idx = _index_map(n, m)
-        comps = [dict() for _ in range(sym_dim(n, m))]
-        for alpha, poly in comp_map.items():
-            comps[idx[tuple(sorted(alpha))]] = dict(poly)
-        return cls(n, m, a, tuple(comps))
+        terms = [(e, idx[tuple(sorted(alpha))], c)
+                 for alpha, poly in comp_map.items() for e, c in poly.items()]
+        exps, cols, vals = zip(*terms) if terms else ((), (), ())
+        vals = np.asarray(vals)
+        coef = np.zeros((len(terms), sym_dim(n, m)), np.result_type(vals, float))
+        coef[np.arange(len(terms)), np.array(cols, int)] = vals
+        return cls(n, m, a, np.array(exps, int).reshape(len(terms), n), coef)
 
     @classmethod
-    def scalar(cls, n: int, a: float = 1.0, poly: Poly | None = None) -> "GaussPolyField":
-        return cls(n, 0, a, (dict(poly) if poly else {(0,) * n: 1.0},))
+    def scalar(cls, n: int, a: float = 1.0, poly: dict | None = None) -> "GaussPolyField":
+        return cls.from_components(n, 0, a, {(): poly or {(0,) * n: 1.0}})
 
     @cached_property
-    def packed(self) -> PackedPoly:
-        """``comps`` packed once, on first use; every numeric value reads it.
-
-        Evaluation, the oracle and sampling read it; the dict polynomials in
-        ``comps`` serve the algebra, the operators and JSON.
-
-        Cached on the instance: ``replace``, the algebra and the operators
-        build new instances, so a packed form never outlives its comps.
-        """
-        exps = sorted({e for p in self.comps for e in p})
-        coef = np.array([[p.get(e, 0.0) for p in self.comps] for e in exps],
-                        poly_dtype(*self.comps)).reshape(len(exps), len(self.comps))
-        bound = max(sum(abs(c) for c in p.values()) for p in self.comps) or 1.0
-        exps_arr = np.array(exps, dtype=int).reshape(len(exps), self.n)
-        exps_arr.flags.writeable = coef.flags.writeable = False
-        return PackedPoly(exps_arr, coef, max(map(sum, exps), default=0), bound)
+    def degree(self) -> int:
+        """Total degree, max |e| over the exponents; 0 for a zero field."""
+        return int(self.exps.sum(axis=1).max(initial=0))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -179,94 +154,87 @@ class GaussPolyField:
         return np.exp(-self.a * (pts ** 2).sum(axis=-1))
 
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
-        """Packed coefficients at points (..., n) -> (..., sym_dim), read from ``packed``."""
-        exps, coef, _, _ = self.packed
-        return (monomials(pts, exps) @ coef) * self.envelope(pts)[..., None]
+        """Packed coefficients at points (..., n) -> (..., sym_dim)."""
+        return (monomials(pts, self.exps) @ self.coef) * self.envelope(pts)[..., None]
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "GaussPolyField") -> "GaussPolyField":
         if (self.n, self.m, self.a) != (other.n, other.m, other.a):
             raise ValueError("fields not compatible (n, m, a must match)")
-        return replace(self, comps=tuple(
-            poly_add(p, q) for p, q in zip(self.comps, other.comps)))
+        return replace(self, exps=np.vstack([self.exps, other.exps]),
+                       coef=np.vstack([self.coef, other.coef]))
 
     def __mul__(self, s) -> "GaussPolyField":
-        return replace(self, comps=tuple(poly_scale(p, s) for p in self.comps))
+        return replace(self, coef=self.coef * s)
 
     __rmul__ = __mul__
 
     # -- differential operators ---------------------------------------------
     # The symbol tables of the grid operators, read in space: each term
-    # (dst, src, coeff, exponents) adds coeff * d^exponents comps[src] to
-    # comps[dst], so every order takes one pass.
+    # (dst, src, coeff, exponents) adds coeff * d^exponents of component src
+    # to component dst, so every order takes one pass over one box.
 
     def inner_derivative(self, order: int = 1) -> "GaussPolyField":
         """Symmetrized derivative d^order (rank goes up)."""
         terms = d_symbol(self.n, self.m, order)
-        return self if order == 0 else self._apply_symbol(self.m + order, terms)
+        return self if order == 0 else self._apply_symbol(self.m + order, terms, order)
 
     def divergence(self, order: int = 1) -> "GaussPolyField":
         """Contracted derivative delta^order (rank goes down)."""
         terms = delta_symbol(self.n, self.m, order)
-        return self if order == 0 else self._apply_symbol(self.m - order, terms)
+        return self if order == 0 else self._apply_symbol(self.m - order, terms, order)
 
-    def _apply_symbol(self, m_out: int, terms) -> "GaussPolyField":
+    def _apply_symbol(self, m_out: int, terms, order: int) -> "GaussPolyField":
+        box = _box(self.exps, self.coef, room=order)
+
         @lru_cache(maxsize=None)
-        def partial(src: int, e: tuple) -> Poly:
-            # d^e comps[src], one gauss_partial per order, cached per (src, e)
+        def partial(e: tuple) -> np.ndarray:
+            # d^e of every component, one _partial per order, cached per e
             if not any(e):
-                return self.comps[src]
+                return box
             ax = next(j for j, p in enumerate(e) if p)
-            return gauss_partial(partial(src, e[:ax] + (e[ax] - 1,) + e[ax + 1:]), ax, self.a)
+            return _partial(partial(e[:ax] + (e[ax] - 1,) + e[ax + 1:]), ax, self.a)
 
-        comps: list = [{} for _ in range(sym_dim(self.n, m_out))]
+        out = np.zeros((sym_dim(self.n, m_out),) + box.shape[1:], box.dtype)
         for dst, src, coeff, e in terms:
-            comps[dst] = poly_add(comps[dst], partial(src, e), coeff)
-        return GaussPolyField(self.n, m_out, self.a, tuple(comps))
+            out[dst] += coeff * partial(e)[src]
+        return GaussPolyField(self.n, m_out, self.a, *_terms(out))
 
     # -- Fourier transform ---------------------------------------------------
 
     def fourier_analytic(self) -> "GaussPolyField":
         """Closed-form Fourier transform; a Gaussian-polynomial field in y.
 
-        F[p(x) e^{-a|x|^2}] = p(i d/dy) [(2a)^{-n/2} e^{-|y|^2 / 4a}], applied
-        monomial factor by monomial factor; the width parameter maps to 1/(4a).
+        On each axis F[x^p e^{-a x^2}] = (i d/dy)^p [(2a)^{-1/2} e^{-y^2 / 4a}]:
+        row p of one table, contracted with every exponent axis of the box.
+        The width parameter maps to 1/(4a).
         """
         b = 1.0 / (4.0 * self.a)
-        base_amp = (2.0 * self.a) ** (-self.n / 2.0)
-        comps = []
-        for p in self.comps:
-            acc: Poly = {}
-            for e, c in p.items():
-                q: Poly = {(0,) * self.n: base_amp * c}
-                for ax, k in enumerate(e):
-                    for _ in range(k):
-                        # i d/dy_ax acting on q(y) e^{-b|y|^2}
-                        q = poly_scale(gauss_partial(q, ax, b), 1j)
-                acc = poly_add(acc, q)
-            comps.append(acc)
-        return GaussPolyField(self.n, self.m, b, tuple(comps))
+        box = _box(self.exps, self.coef)
+        table = np.zeros((box.shape[1],) * 2, complex)
+        table[0, 0] = (2.0 * self.a) ** -0.5
+        for p in range(1, len(table)):
+            table[p] = 1j * _partial(table[None, p - 1], 0, b)[0]
+        for _ in range(self.n):      # contracts the leading exponent axis each time
+            box = np.tensordot(box, table, axes=([1], [0]))
+        return GaussPolyField(self.n, self.m, b, *_terms(box))
 
     # -- support and sampling -------------------------------------------------
 
     def effective_radius(self, cutoff: float = 1e-12) -> float:
         """Radius R with e^{-a R^2} * (coefficient-sum bound on |p|) < cutoff."""
-        _, _, deg, bound = self.packed
-        return _support_radius(self.a, deg, bound, cutoff)
+        bound = float(np.abs(self.coef).sum(axis=0).max()) or 1.0
+        return _support_radius(self.a, self.degree, bound, cutoff)
 
     def sample(self, spec: "GridSpec") -> "GridField":
         """Nodewise evaluation onto a uniform grid, one axis at a time.
 
-        Contracts the dense coefficient tensor (component, exponent per
-        axis) with the table x^p e^{-a x^2} of the grid axis.
+        Contracts the box with the table x^p e^{-a x^2} of the grid axis.
         """
-        exps, coef, _, _ = self.packed
-        deg = int(exps.max(initial=0))
-        data = np.zeros((len(self.comps),) + (deg + 1,) * self.n, coef.dtype)
-        data[(slice(None), *exps.T)] = coef.T
+        data = _box(self.exps, self.coef)
         x = spec.axes()[0]
-        table = np.exp(-self.a * x * x) * x ** np.arange(deg + 1)[:, None]
+        table = np.exp(-self.a * x * x) * x ** np.arange(data.shape[1])[:, None]
         for _ in range(self.n):      # contracts the leading exponent axis each time
             data = np.tensordot(data, table, axes=([1], [0]))
         if np.isnan(data).any():
@@ -283,12 +251,9 @@ class GaussPolyField:
         ell = len(fixed)
         if ell > self.m:
             raise ValueError("cannot fix more indices than the rank")
-        n = self.n
-        idx = _index_map(n, self.m)
-        comps = []
-        for beta in multi_indices(n, self.m - ell):
-            comps.append(dict(self.comps[idx[tuple(sorted(fixed + beta))]]))
-        return GaussPolyField(n, self.m - ell, self.a, tuple(comps))
+        idx = _index_map(self.n, self.m)
+        cols = [idx[tuple(sorted(fixed + beta))] for beta in multi_indices(self.n, self.m - ell)]
+        return GaussPolyField(self.n, self.m - ell, self.a, self.exps, self.coef[:, cols])
 
     # -- JSON form -------------------------------------------------------------
 
@@ -296,27 +261,31 @@ class GaussPolyField:
         comp = {}
         for p, alpha in enumerate(multi_indices(self.n, self.m)):
             key = "".join(str(i + 1) for i in alpha)
-            comp[key] = [{"c": _json_real(c), "pow": list(e)}
-                         for e, c in sorted(self.comps[p].items())]
+            comp[key] = [{"c": _json_real(c), "pow": e}
+                         for e, c in zip(self.exps.tolist(), self.coef[:, p]) if c != 0]
         return json.dumps({"n": self.n, "m": self.m, "a": self.a, "components": comp})
 
     @classmethod
     def from_json(cls, text: str) -> "GaussPolyField":
+        """The field of a JSON text; a member of the wrong type is a ValueError naming it."""
+        what = "field JSON"
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed field JSON: {exc}") from exc
-        n, m, a, components = json_keys(d, ("n", "m", "a", "components"), "field JSON")
-        n, m, a = int(n), int(m), float(a)
+            raise ValueError(f"malformed {what}: {exc}") from exc
+        n, m, a, components = json_keys(
+            d, {"n": int, "m": int, "a": float, "components": dict}, what)
         comp_map = {}
         for key, terms in components.items():
-            alpha = json_index(key, n, m, "field JSON")
-            poly: Poly = {}
-            for t in terms:
-                e = tuple(int(v) for v in t.get("pow", ()))
-                if "c" not in t or len(e) != n or min(e) < 0:
-                    raise ValueError(f"malformed field JSON: bad term in component '{key}'")
-                poly[e] = poly.get(e, 0.0) + float(t["c"])
+            alpha = json_index(key, n, m, what)
+            term = f"{what}: bad term in component '{key}'"
+            poly: dict = {}
+            for t in json_value(terms, key, what, list):
+                c, e = json_keys(t, {"c": float, "pow": list}, term)
+                e = tuple(json_value(v, "pow", term, int) for v in e)
+                if len(e) != n or any(v < 0 for v in e):
+                    raise ValueError(f"malformed {term}: 'pow' must be {n} non-negative integers")
+                poly[e] = poly.get(e, 0.0) + c
             comp_map[alpha] = poly
         return cls.from_components(n, m, a, comp_map)
 
@@ -324,12 +293,9 @@ class GaussPolyField:
 def random_field(n: int, m: int, rng: np.random.Generator,
                  a: float = 1.0, degree: int = 2) -> GaussPolyField:
     """Random Gaussian-polynomial field with O(1) coefficients."""
-    comps = []
     exps = [e for e in np.ndindex((degree + 1,) * n) if sum(e) <= degree]
-    for _ in range(sym_dim(n, m)):
-        poly = {e: float(c) for e, c in zip(exps, rng.uniform(-1, 1, len(exps)))}
-        comps.append(poly)
-    return GaussPolyField(n, m, a, tuple(comps))
+    coef = np.stack([rng.uniform(-1, 1, len(exps)) for _ in range(sym_dim(n, m))], axis=1)
+    return GaussPolyField(n, m, a, np.array(exps, int).reshape(len(exps), n), coef)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +496,9 @@ class GridField:
     def load(cls, path_prefix: str) -> "GridField":
         with open(path_prefix + ".json") as fh:
             sc = json.load(fh)
+        what = "grid sidecar"
         n, m, count, extent, shape = json_keys(
-            sc, ("n", "m", "count", "extent", "shape"), "grid sidecar")
+            sc, {"n": int, "m": int, "count": int, "extent": float, "shape": list}, what)
+        shape = [json_value(v, "shape", what, int) for v in shape]
         data = np.fromfile(path_prefix + ".bin").reshape(shape)
         return cls(n, m, GridSpec(n, count, extent), data)

@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import poly_add, poly_mul
-from .ray import MomentData, apply_stencil, central_table, moment_oracle
+from .ray import MomentData, apply_stencil, central_table, moment_oracle, poly_add, poly_mul
 
 __all__ = [
     "RangeReport",

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GaussPolyField, poly_add, poly_mul
+from .fields import GaussPolyField
 from .symtensor import json_keys, xi_power_weights
 
 __all__ = [
@@ -190,9 +190,9 @@ def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
     t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
     pts = x[..., None, :] + t[..., None] * xi[..., None, :]   # (..., N, n)
     # `**`, not symtensor.monomials: on the 2-3 nodes of one phase point a table costs more
-    monos = (pts[..., None, :] ** f.packed.exps).prod(axis=-1)  # (..., N, T)
+    monos = (pts[..., None, :] ** f.exps).prod(axis=-1)         # (..., N, T)
     weights = xi_power_weights(f.n, f.m, xi)[..., None, :]     # (..., 1, S)
-    line = ((monos @ f.packed.coef) * weights).sum(axis=-1).real  # (..., N)
+    line = ((monos @ f.coef) * weights).sum(axis=-1).real       # (..., N)
     amp = np.exp(-f.a * ((x * x).sum(axis=-1) - dot * dot / nxi2)) * width
     return (amp * ((line * t ** q) @ w)).astype(float)
 
@@ -208,7 +208,7 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int):
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
-    out = _gauss_hermite(f, x, xi, q, (f.packed.degree + q) // 2 + 1)
+    out = _gauss_hermite(f, x, xi, q, (f.degree + q) // 2 + 1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,10 +266,10 @@ class MomentData:
 
     @classmethod
     def from_json(cls, text: str) -> "MomentData":
-        n, m, k, g, moments = json_keys(
-            json.loads(text), ("n", "m", "k", "geometry", "moments"), "moment JSON")
+        n, m, k, g, moments = json_keys(json.loads(text), {
+            "n": int, "m": int, "k": int, "geometry": dict, "moments": list}, "moment JSON")
         dirs, frames, offs = (np.asarray(a, dtype=float) for a in json_keys(
-            g, ("directions", "frames", "offsets"), "moment JSON geometry"))
+            g, dict.fromkeys(("directions", "frames", "offsets"), list), "moment JSON geometry"))
         vals = np.asarray(moments, dtype=float).reshape(
             k + 1, dirs.shape[0], offs.size ** (n - 1))
         return cls(n, m, k, dirs, frames, offs, vals)
@@ -313,6 +313,24 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
 # A stencil table is a Laurent polynomial {integer offset: integer weight}:
 # tables compose with poly_mul and poly_add, shared offsets merge and
 # cancellations are exact.  Callers apply the step scale.
+
+
+def poly_add(p: dict, q: dict, scale=1.0) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0.0) + scale * c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
 
 
 def central_table(axes, dim: int) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussPolyField, poly_add
+from .fields import GaussPolyField
 from .ray import _offset_grid, householder_frame, moment_oracle
 from .symtensor import multi_indices, mult_weights, symmetric_products, xi_power_weights
 
@@ -71,10 +71,8 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
     phase = np.exp(-1j * (s @ yp))
     left = (2.0 * np.pi) ** (-(n - 1) / 2.0) * (phase * vals).sum() * ds ** (n - 1)
 
-    scalar: dict = {}
-    for comp, w in zip(f.comps, xi_power_weights(n, f.m, xi)):
-        scalar = poly_add(scalar, comp, w)
-    dq = GaussPolyField(n, 0, f.a, (scalar,)).fourier_analytic().inner_derivative(q)
+    p = GaussPolyField(n, 0, f.a, f.exps, (f.coef @ xi_power_weights(n, f.m, xi))[:, None])
+    dq = p.fourier_analytic().inner_derivative(q)
     pairing = xi_power_weights(n, q, xi) @ dq.eval_packed(y)
     right = math.sqrt(2.0 * np.pi) * (1j ** q) * pairing
 

@@ -40,8 +40,10 @@ def multi_indices(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All non-decreasing multi-indices of length m over axes 0..n-1.
 
     Ordered colexicographically (last entry varies slowest); this fixes the
-    canonical packed coefficient layout.
+    canonical packed coefficient layout.  A negative rank is a ValueError.
     """
+    if m < 0:
+        raise ValueError(f"rank must be non-negative, got m={m}")
     combos = itertools.combinations_with_replacement(range(n), m)
     return tuple(sorted(combos, key=lambda t: t[::-1]))
 
@@ -77,12 +79,32 @@ def _json_real(c) -> float:
     return float(np.real(c))
 
 
-def json_keys(d: dict, keys: tuple[str, ...], what: str) -> list:
-    """``[d[key] for key in keys]``; a missing key is a ValueError naming it."""
-    for key in keys:
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               list: ((list,), "a list"), dict: ((dict,), "an object")}
+
+
+def json_value(value, member: str, what: str, kind: type):
+    """value as a ``kind``: int, float, list or dict.
+
+    A JSON value of another type, a boolean included, is a ValueError naming the member.
+    """
+    types, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"malformed {what}: '{member}' must be {name}, got {value!r}")
+    return kind(value)
+
+
+def json_keys(d, kinds: dict, what: str) -> list:
+    """``[json_value(d[key], key, what, kind) for key, kind in kinds.items()]``.
+
+    A d that is no object, or a missing key, is a ValueError naming it.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed {what}: expected an object, got {type(d).__name__}")
+    for key in kinds:
         if key not in d:
             raise ValueError(f"malformed {what}: missing key '{key}'")
-    return [d[key] for key in keys]
+    return [json_value(d[key], key, what, kind) for key, kind in kinds.items()]
 
 
 def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
@@ -114,6 +136,8 @@ def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):
 
 def symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
     """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
+    if m < 0:
+        raise ValueError(f"rank must be non-negative, got m={m}")
     table = {(): np.ones(1)}
     for r in range(m):
         mult = sym_mult_matrix(n, r, 1, U.T)           # mult[j]: i_{u_j} on rank r

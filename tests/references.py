@@ -4,9 +4,18 @@ import itertools
 
 import numpy as np
 
-from raymoments.fields import poly_dtype
 from raymoments.ray import apply_stencil, central_table, householder_frame
 from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_matrix
+
+
+def comps(f):
+    """The components of f as dict polynomials {exponent tuple: coefficient}, zeros left out."""
+    return [{e: c for e, c in zip(map(tuple, f.exps.tolist()), col) if c != 0}
+            for col in f.coef.T.tolist()]
+
+
+def poly_dtype(*polys):
+    return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
 
 
 def poly_eval(p, pts):

@@ -43,6 +43,21 @@ class TestTransform:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert capsys.readouterr().err.startswith("error: malformed field JSON: ")
 
+    @pytest.mark.parametrize("components, member", [
+        ([], "'components'"),
+        ({"12": [{"c": None, "pow": [1, 0]}]}, "'c'"),
+        ({"12": [{"c": 1.0, "pow": 5}]}, "'pow'"),
+        ({"12": [3]}, "component '12'"),
+        ({"12": {"c": 1.0, "pow": [1, 0]}}, "'12'"),
+    ], ids=["components-list", "c-null", "pow-int", "term-int", "component-object"])
+    def test_wrongly_typed_field_member(self, tmp_path, capsys, components, member):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "m": 2, "a": 1.0, "components": components}))
+        assert main(["transform", "--field", str(bad), "--k", "0",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed field JSON: ") and member in err
+
     def test_missing_field_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["transform", "--field", missing, "--k", "0",
@@ -80,6 +95,17 @@ class TestDecomposeVerify:
         capsys.readouterr()
         assert main(["verify", "--prefix", prefix, "--k", "1"]) == 2
         assert "missing key 'count'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member, value", [("count", "8"), ("n", 2.5)])
+    def test_verify_sidecar_wrong_type(self, tmp_path, field_path, capsys, member, value):
+        prefix = str(tmp_path / "dec")
+        assert main(["decompose", "--field", field_path, "--k", "1",
+                     "--grid", "16", "--out-prefix", prefix]) == 0
+        sidecar = tmp_path / "dec.f.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), member: value}))
+        capsys.readouterr()
+        assert main(["verify", "--prefix", prefix, "--k", "1"]) == 2
+        assert f"'{member}'" in capsys.readouterr().err
 
     def test_verify_fails_on_wrong_k_claim(self, tmp_path, field_path):
         prefix = str(tmp_path / "dec")

@@ -10,12 +10,11 @@ from raymoments.fields import (
     GaussPolyField,
     GridField,
     GridSpec,
-    poly_dtype,
     random_field,
 )
 from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
-from references import poly_eval, symmetrize
+from references import comps, poly_dtype, poly_eval, symmetrize
 
 
 def scalar_gaussian(n, a=1.0):
@@ -23,9 +22,9 @@ def scalar_gaussian(n, a=1.0):
 
 
 def comps_scan_radius(f, cutoff):
-    """effective_radius with its bound and degree scanned from comps."""
-    bound = max(sum(abs(c) for c in p.values()) for p in f.comps) or 1.0
-    deg = max(max((sum(e) for e in p), default=0) for p in f.comps)
+    """effective_radius with its bound and degree scanned from the dict components."""
+    bound = max(sum(abs(c) for c in p.values()) for p in comps(f)) or 1.0
+    deg = max(max((sum(e) for e in p), default=0) for p in comps(f))
     r = 1.0
     while bound * max(r, 1.0) ** deg * math.exp(-f.a * r * r) >= cutoff:
         r *= 1.25
@@ -34,9 +33,10 @@ def comps_scan_radius(f, cutoff):
 
 def term_by_term_sample(f, spec):
     """GaussPolyField.sample's grid data, its coefficient tensor filled per dict term."""
-    deg = max((max(e) for p in f.comps for e in p), default=0)
-    data = np.zeros((len(f.comps),) + (deg + 1,) * f.n, poly_dtype(*f.comps))
-    for col, p in enumerate(f.comps):
+    cs = comps(f)
+    deg = max((max(e) for p in cs for e in p), default=0)
+    data = np.zeros((len(cs),) + (deg + 1,) * f.n, poly_dtype(*cs))
+    for col, p in enumerate(cs):
         for e, c in p.items():
             data[(col,) + e] = c
     x = spec.axes()[0]
@@ -91,7 +91,7 @@ class TestEval:
             f = f.fourier_analytic()
         pts = rng.normal(size=(7, 6, 3))
         env = f.envelope(pts)
-        want = np.stack([poly_eval(p, pts) * env for p in f.comps], axis=-1)
+        want = np.stack([poly_eval(p, pts) * env for p in comps(f)], axis=-1)
         got = f.eval_packed(pts)
         assert got.dtype == want.dtype == (complex if kind == "fourier" else float)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -111,7 +111,7 @@ class TestInnerDerivative:
 
     def test_second_derivative_is_symmetrized_hessian(self):
         # u = x1 x2 e^{-|x|^2}; compare d^2 u against a finite-difference Hessian
-        u = GaussPolyField(2, 0, 1.0, ({(1, 1): 1.0},))
+        u = GaussPolyField.scalar(2, 1.0, {(1, 1): 1.0})
         d2 = u.inner_derivative(2)
         x = np.array([0.3, -0.2])
         h = 1e-4
@@ -190,11 +190,11 @@ def full_gradient_table(f, k, x):
     """T[i_1..i_m, j_1..j_k] = d_{j_1}..d_{j_k} f_{i_1..i_m} at x, unsymmetrized."""
     n, m = f.n, f.m
     packed = {alpha: p for p, alpha in enumerate(multi_indices(n, m))}
+    cs = comps(f)
     table = np.empty((n,) * (m + k))
     for index in itertools.product(range(n), repeat=m + k):
         e = tuple(index[m:].count(j) for j in range(n))
-        table[index] = gauss_poly_partial(f.comps[packed[tuple(sorted(index[:m]))]],
-                                          f.a, x, e)
+        table[index] = gauss_poly_partial(cs[packed[tuple(sorted(index[:m]))]], f.a, x, e)
     return table
 
 
@@ -239,7 +239,7 @@ class TestFourier:
     def test_coordinate_factor_rule(self):
         # F[x1 e^{-a|x|^2}] = -i y1/(2a) (2a)^{-n/2} e^{-|y|^2/4a}
         a = 1.3
-        f = GaussPolyField(2, 0, a, ({(1, 0): 1.0},))
+        f = GaussPolyField.scalar(2, a, {(1, 0): 1.0})
         fhat = f.fourier_analytic()
         y = np.array([0.5, -0.7])
         base = (2 * a) ** -1.0 * math.exp(-(y @ y) / (4 * a))
@@ -352,16 +352,45 @@ class TestSampling:
 class TestPackedForm:
     def test_layout(self):
         for f in packing_cases(np.random.default_rng(40)):
-            exps, coef, degree, bound = f.packed
-            rows = [tuple(e) for e in exps.tolist()]
-            assert rows == sorted({e for p in f.comps for e in p})
-            assert exps.shape == (len(rows), f.n) and exps.dtype.kind == "i"
-            assert coef.shape == (len(rows), sym_dim(f.n, f.m))
-            assert coef.dtype == poly_dtype(*f.comps)
+            cs = comps(f)
+            rows = [tuple(e) for e in f.exps.tolist()]
+            assert rows == sorted({e for p in cs for e in p})
+            assert f.exps.shape == (len(rows), f.n) and f.exps.dtype.kind == "i"
+            assert f.coef.shape == (len(rows), sym_dim(f.n, f.m))
+            assert f.coef.dtype == poly_dtype(*cs)
             for t, e in enumerate(rows):
-                assert coef[t].tolist() == [p.get(e, 0.0) for p in f.comps]
-            assert degree == max(map(sum, rows), default=0)
-            assert not exps.flags.writeable and not coef.flags.writeable
+                assert f.coef[t].tolist() == [p.get(e, 0.0) for p in cs]
+            assert f.degree == max(map(sum, rows), default=0)
+            assert not f.exps.flags.writeable and not f.coef.flags.writeable
+
+    def test_construction_sums_drops_and_sorts(self):
+        exps = np.array([(1, 0), (0, 2), (1, 0), (0, 0), (2, 1)])
+        coef = np.array([(1, 2), (4, 0), (3, -2), (0, 0), (0, 5)])
+        f = GaussPolyField(2, 1, 1.0, exps, coef)
+        assert f.exps.tolist() == [[0, 2], [1, 0], [2, 1]]
+        assert f.coef.tolist() == [[4.0, 0.0], [4.0, 0.0], [0.0, 5.0]]
+        assert f.coef.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            f.coef[0, 0] = 1.0
+        g = GaussPolyField.from_components(2, 1, 1.0, {(0,): {(1, 0): 1.0}, (1,): {(1, 0): 2.0}})
+        assert g.exps.tolist() == [[1, 0]] and g.coef.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("exps, coef, match", [
+        ([(1, -1)], [(1.0, 0.0)], "exps must be non-negative integers"),
+        ([(1, 0, 0)], [(1.0, 0.0)], "exps must be non-negative integers"),
+        ([(0.5, 0.0)], [(1.0, 0.0)], "exps must be non-negative integers"),
+        ([(1, 0)], [(1.0, 0.0, 2.0)], "coef shape"),
+        ([(1, 0)], [1.0, 0.0], "coef shape"),
+    ], ids=["negative", "exps-width", "exps-float", "coef-width", "coef-flat"])
+    def test_bad_arrays_rejected(self, exps, coef, match):
+        with pytest.raises(ValueError, match=match):
+            GaussPolyField(2, 1, 1.0, np.array(exps), np.array(coef))
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_width_rejected(self, a):
+        # a NaN width would pass a plain a <= 0 test and sample NaN everywhere
+        with pytest.raises(ValueError, match="positive and finite"):
+            GaussPolyField.scalar(2, a)
 
     def test_effective_radius_matches_comps_scan(self):
         for f in packing_cases(np.random.default_rng(41)):
@@ -372,7 +401,7 @@ class TestPackedForm:
     def test_sample_matches_term_by_term_fill(self, n, count):
         spec = GridSpec(n, count, 8.0)
         for f in packing_cases(np.random.default_rng(42 + n + count)):
-            if f.n == n and f.packed.coef.dtype == float:
+            if f.n == n and f.coef.dtype == float:
                 assert np.array_equal(f.sample(spec).data, term_by_term_sample(f, spec))
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.fields import poly_add, poly_diff, random_field
+from raymoments.fields import random_field
 from raymoments.john import (
     chi_build,
     homogeneity_residual,
@@ -18,10 +18,21 @@ from raymoments.ray import (
     batch_transform,
     moment_oracle,
     oracle_moment_callables,
+    poly_add,
     restricted_transform,
 )
 
 from references import mixed_central, poly_eval
+
+
+def poly_diff(p, axis):
+    """The partial derivative of the dict polynomial p along ``axis``."""
+    out = {}
+    for e, c in p.items():
+        if e[axis] > 0:
+            e2 = e[:axis] + (e[axis] - 1,) + e[axis + 1:]
+            out[e2] = out.get(e2, 0.0) + c * e[axis]
+    return out
 
 
 def john_pair(psi, i, j, h):

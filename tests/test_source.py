@@ -73,14 +73,22 @@ def test_no_not_implemented():
     assert not found, f"raise NotImplementedError in src/raymoments: {found}"
 
 
-def test_oracle_reads_packed_field():
-    # the per-point oracle and psi read GaussPolyField.packed, built once
-    # per field, never the dict polynomials in comps
-    found = [f"{name}:{node.lineno}"
-             for name in ("ray.py", "john.py")
-             for node in ast.walk(ast.parse((SRC / name).read_text()))
-             if isinstance(node, ast.Attribute) and node.attr == "comps"]
-    assert not found, f"comps read in the oracle path: {found}"
+def test_one_polynomial_form():
+    # a GaussPolyField is its two arrays: no dict or cached second form of
+    # its polynomials, and the dict algebra that is left builds only the
+    # phase-space stencil tables of ray
+    deleted = {"PackedPoly", "poly_scale", "poly_diff", "poly_shift_axis",
+               "gauss_partial", "poly_dtype"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("comps", "packed")
+             or isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in deleted]
+    assert not found, f"second polynomial form in src/raymoments: {found}"
+    defined = sorted(f"{name}:{node.name}" for name, tree in trees.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name in ("poly_add", "poly_mul"))
+    assert defined == ["ray.py:poly_add", "ray.py:poly_mul"], f"dict algebra defined in {defined}"
 
 
 def test_one_line_quadrature():

@@ -17,6 +17,7 @@ from raymoments.symtensor import (
     sym_dim,
     sym_mult_matrix,
     sym_mult_operators,
+    symmetric_products,
     xi_power_weights,
 )
 
@@ -223,6 +224,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             TABLE_OPS[op](x, k)
 
+    @pytest.mark.parametrize("call", [
+        lambda: mult_weights(2, -1),
+        lambda: xi_power_weights(2, -1, np.array([0.6, 0.8])),
+        lambda: sym_mult_matrix(2, -1, 1, np.array([0.6, 0.8])),
+        lambda: symmetric_products(2, -1, np.eye(2)),
+    ], ids=["mult_weights", "xi_power_weights", "sym_mult_matrix", "symmetric_products"])
+    def test_negative_rank_named(self, call):
+        with pytest.raises(ValueError, match="rank must be non-negative, got m=-1"):
+            call()
+
     @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 2))])
     def test_wrong_shape_rejected(self, x):
         with pytest.raises(ValueError, match="x must have shape"):
@@ -284,7 +295,8 @@ class TestPackedStorage:
                                                        (1, 0): {(1, 0): 0.5}})
         text = f.to_json()
         assert '"11"' in text and '"12"' in text
-        assert GaussPolyField.from_json(text).comps == f.comps
+        back = GaussPolyField.from_json(text)
+        assert np.array_equal(back.exps, f.exps) and np.array_equal(back.coef, f.coef)
 
     def test_json_rejects_complex_coefficients(self):
         assert _json_real(1.0 + 0j) == 1.0
@@ -292,7 +304,8 @@ class TestPackedStorage:
             _json_real(2.0 - 0.5j)
 
     @pytest.mark.parametrize("read, key", [
-        (lambda: json_keys(json.loads('{"n": 2, "coeffs": {}}'), ("n", "m", "coeffs"), "JSON"),
+        (lambda: json_keys(json.loads('{"n": 2, "coeffs": {}}'),
+                           {"n": int, "m": int, "coeffs": dict}, "JSON"),
          "'m'"),
         (lambda: json_index("13", 2, 2, "JSON"), "'13'"),
         (lambda: json_index("1", 2, 2, "JSON"), "'1'"),
