@@ -110,7 +110,7 @@ def transport_identity_residual(psi_k, psi_lower, k: int,
     iterated central differences of step h along xi.
     """
     along = np.concatenate([xi, np.zeros_like(xi)])[None, :]
-    lhs = (apply_stencil(psi_k, central_table((0,) * ell, 1), x, xi, h, along)
+    lhs = (apply_stencil(psi_k, [central_table((0,) * ell, 1)], x, xi, h, along)[0]
            / (2.0 * h) ** ell)
     if ell > k:
         rhs = 0.0
@@ -262,12 +262,16 @@ def range_test(data: MomentData | None, m: int, k: int,
 
     # residuals aggregated over the phase points per tuple: a single point can
     # sit at an accidental zero of the leading truncation term, which would
-    # make its individual order estimate meaningless
+    # make its individual order estimate meaningless.  The tables of all
+    # tuples go to one apply_stencil call per (point, step), which evaluates
+    # psi^k once per offset they share
+    tuples = _john_tuples(n, m, rng, ntuples)
+    tables = [_john_table(tup, n) for tup in tuples]
+    sums = [[apply_stencil(psis[k], tables, x, xi, h) for x, xi in points] for h in steps]
     john_rows = []
-    for tup in _john_tuples(n, m, rng, ntuples):
-        table = _john_table(tup, n)
-        residuals = [sum(abs(apply_stencil(psis[k], table, x, xi, h)) for x, xi in points)
-                     / (2 * h) ** (2 * m + 2) for h in steps]
+    for t, tup in enumerate(tuples):
+        residuals = [sum(abs(at_point[t]) for at_point in at_step) / (2 * h) ** (2 * m + 2)
+                     for h, at_step in zip(steps, sums)]
         john_rows.append({"tuple": tup, "residuals": residuals,
                           "order": _order(residuals, steps)})
 

@@ -171,13 +171,15 @@ def moment_numeric(f: GaussPolyField, line: Line, q: int, rule: QuadratureRule) 
 # closed-form oracle
 
 
-def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
-    """J^q f at the broadcast phase points (x, xi) with ``count`` Hermite nodes.
+def _gauss_hermite(f: GaussPolyField, x, xi, k: int, count: int) -> np.ndarray:
+    """J^0 f .. J^k f at the broadcast phase points (x, xi), shape (..., k+1).
 
     |x + t xi|^2 = |xi|^2 (t - t0)^2 + |x|^2 - <x,xi>^2/|xi|^2 with
     t0 = -<x,xi>/|xi|^2, so t = t0 + s / sqrt(a |xi|^2) turns the Gaussian
-    along the line into exp(-s^2); the rest is a polynomial in s.
+    along the line into exp(-s^2); the rest is a polynomial in s.  ``count``
+    Hermite nodes serve every order at once: only the factor t^q differs.
     """
+    weights = xi_power_weights(f.n, f.m, xi)[..., None, :]     # (..., 1, S)
     # extended precision where the platform has it: rounding the node points
     # to float64 costs about 1.5x in the median error on unit-direction lines
     x, xi = np.asarray(x, np.longdouble), np.asarray(xi, np.longdouble)
@@ -185,16 +187,27 @@ def _gauss_hermite(f: GaussPolyField, x, xi, q: int, count: int) -> np.ndarray:
     nxi2 = (xi * xi).sum(axis=-1)
     if not (nxi2 > 0.0).all():
         raise ValueError("direction must be nonzero")
-    s, w = _gauss_rule(np.polynomial.hermite.hermgauss, count)
+    s, w, orders = _hermite_rule(count, k)
     width = 1.0 / np.sqrt(f.a * nxi2)
     t = (-dot / nxi2)[..., None] + width[..., None] * s       # (..., N)
     pts = x[..., None, :] + t[..., None] * xi[..., None, :]   # (..., N, n)
     # `**`, not symtensor.monomials: on the 2-3 nodes of one phase point a table costs more
     monos = (pts[..., None, :] ** f.exps).prod(axis=-1)         # (..., N, T)
-    weights = xi_power_weights(f.n, f.m, xi)[..., None, :]     # (..., 1, S)
     line = ((monos @ f.coef) * weights).sum(axis=-1).real       # (..., N)
     amp = np.exp(-f.a * ((x * x).sum(axis=-1) - dot * dot / nxi2)) * width
-    return (amp * ((line * t ** q) @ w)).astype(float)
+    moments = (line[..., None, :] * t[..., None, :] ** orders) @ w   # (..., k+1)
+    return (amp[..., None] * moments).astype(float)
+
+
+@lru_cache(maxsize=32)
+def _hermite_rule(count: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` Hermite nodes and weights in extended precision, and orders 0..k as a column.
+
+    The casts are exact, so the pass rounds as it would with the float64
+    rule; caching them saves a scalar call two conversions.
+    """
+    s, w = _gauss_rule(np.polynomial.hermite.hermgauss, count)
+    return s.astype(np.longdouble), w.astype(np.longdouble), np.arange(k + 1)[:, None]
 
 
 def moment_oracle(f: GaussPolyField, x, xi, q: int):
@@ -208,13 +221,39 @@ def moment_oracle(f: GaussPolyField, x, xi, q: int):
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
-    out = _gauss_hermite(f, x, xi, q, (f.degree + q) // 2 + 1)
+    out = _gauss_hermite(f, x, xi, q, (f.degree + q) // 2 + 1)[..., q]
     return float(out) if out.ndim == 0 else out
 
 
 def oracle_moment_callables(f: GaussPolyField, k: int):
-    """[J^0 f, ..., J^k f] as plain (x, xi) callables (exact path)."""
-    return [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(k + 1)]
+    """[J^0 f, ..., J^k f] as plain (x, xi) callables (exact path).
+
+    The k+1 callables share one Gauss-Hermite pass with the
+    floor((deg + k)/2) + 1 nodes that are exact for every order, so asking
+    each of them at one phase point, as psi^l does, integrates the line
+    once.  The pass remembers its last phase point only, by the contents of
+    ``x`` and ``xi``, not by identity: callers may change an array in place
+    between calls.  A single phase point gives a Python float; (B, n) input
+    broadcasts as in :func:`moment_oracle`.  Orders below k use more nodes
+    than :func:`moment_oracle` and may differ from it by rounding.
+    """
+    count = (f.degree + k) // 2 + 1
+    last: list = [None, None]              # [key, moments (..., k+1)]
+
+    def all_orders(x, xi) -> np.ndarray:
+        x, xi = np.asarray(x), np.asarray(xi)
+        key = (x.dtype.str, x.shape, x.tobytes(), xi.dtype.str, xi.shape, xi.tobytes())
+        if key != last[0]:
+            last[:] = key, _gauss_hermite(f, x, xi, k, count)
+        return last[1]
+
+    def order(q: int):
+        def J(x, xi):
+            out = all_orders(x, xi)[..., q]
+            return float(out) if out.ndim == 0 else out.copy()    # the pass stays intact
+        return J
+
+    return [order(q) for q in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +337,11 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
     offsets = np.linspace(-extent, extent, noffsets)
     s = _offset_grid(offsets, f.n - 1)                     # (P, n-1)
     values = np.empty((k + 1, dirs.shape[0], s.shape[0]))
-    # one oracle call per direction: a call over the whole grid holds every
-    # node point at once and peaks at about 5x the memory
+    count = (f.degree + k) // 2 + 1
+    # one pass per direction for every order: a pass over the whole grid holds
+    # every node point at once and peaks at about 5x the memory
     for d in range(dirs.shape[0]):
-        x = s @ frames[d].T
-        for ell in range(k + 1):
-            values[ell, d] = moment_oracle(f, x, dirs[d], ell)
+        values[:, d] = _gauss_hermite(f, s @ frames[d].T, dirs[d], k, count).T
     return MomentData(f.n, f.m, k, dirs, frames, offsets, values)
 
 
@@ -342,12 +380,15 @@ def central_table(axes, dim: int) -> dict:
     return table
 
 
-def apply_stencil(fun, table: dict, x, xi, h: float, basis=None) -> float:
-    """sum_o table[o] fun((x, xi) + h o @ basis), one call per distinct offset o.
+def apply_stencil(fun, tables, x, xi, h: float, basis=None) -> list[float]:
+    """[sum_o table[o] fun((x, xi) + h o @ basis) for table in tables].
 
-    The rows of ``basis`` are the phase-space directions (in R^n x R^n) of
-    the offset coordinates, by default the 2n phase axes.  The products are
-    summed exactly (math.fsum).
+    ``fun`` is called once per distinct offset o in the union of the tables,
+    so tables that share offsets, such as the John tables of one phase
+    point, share their evaluations.  The rows of ``basis`` are the
+    phase-space directions (in R^n x R^n) of the offset coordinates, by
+    default the 2n phase axes.  Each table's products are summed exactly
+    (math.fsum), so a sum does not depend on which tables came with it.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -355,9 +396,13 @@ def apply_stencil(fun, table: dict, x, xi, h: float, basis=None) -> float:
     xi = np.asarray(xi, dtype=float)
     n = x.size
     basis = h * (np.eye(2 * n) if basis is None else np.asarray(basis))
-    disp = np.array(list(table), dtype=float).reshape(len(table), len(basis)) @ basis
-    return math.fsum(w * float(fun(x + d[:n], xi + d[n:]))
-                     for w, d in zip(table.values(), disp))
+    offsets = list(dict.fromkeys(o for table in tables for o in table))
+    # each displacement from its own offset alone, not a matrix product over
+    # the union, so that no sum depends on the tables that came with it
+    disp = (np.array(offsets, dtype=float).reshape(len(offsets), len(basis), 1)
+            * basis).sum(axis=1)
+    values = {o: float(fun(x + d[:n], xi + d[n:])) for o, d in zip(offsets, disp)}
+    return [math.fsum(w * values[o] for o, w in table.items()) for table in tables]
 
 
 def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
@@ -385,6 +430,6 @@ def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
             axes = (*perm[:p], *(n + a for a in perm[p:]))
             table = poly_add(table, central_table(axes, 2 * n))
         acc += ((-1) ** p * math.comb(r, p)
-                * apply_stencil(J_callables[p], table, x, xi, h))
+                * apply_stencil(J_callables[p], [table], x, xi, h)[0])
     pref = math.factorial(m - r) / math.factorial(m)
     return pref * acc / (len(perms) * (2 * h) ** r)

@@ -110,12 +110,12 @@ def json_keys(d, kinds: dict, what: str) -> list:
 def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
     """The 0-based multi-index of a component key of 1-based axis labels.
 
-    A key that is not m labels in 1..n is a ValueError naming it.
+    A key that is not m labels in 1..n, each one ASCII digit, is a
+    ValueError naming it.
     """
-    alpha = tuple(int(c) - 1 for c in key)
-    if len(alpha) != m or any(not 0 <= i < n for i in alpha):
+    if len(key) != m or any(c not in "123456789"[:n] for c in key):
         raise ValueError(f"malformed {what}: bad component key '{key}'")
-    return alpha
+    return tuple(int(c) - 1 for c in key)
 
 
 def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):

@@ -34,7 +34,14 @@ def poly_eval(p, pts):
 def mixed_central(fun, x, xi, x_axes, xi_axes, h):
     """Nested central differences d^r fun / dx^{x_axes} dxi^{xi_axes} at (x, xi)."""
     axes = (*x_axes, *(len(x) + a for a in xi_axes))
-    return apply_stencil(fun, central_table(axes, 2 * len(x)), x, xi, h) / (2 * h) ** len(axes)
+    [diff] = apply_stencil(fun, [central_table(axes, 2 * len(x))], x, xi, h)
+    return diff / (2 * h) ** len(axes)
+
+
+def john_residuals_per_table(psi, tables, points, steps, m):
+    """range_test's John residuals, one apply_stencil call per table, point and step."""
+    return [[sum(abs(apply_stencil(psi, [table], x, xi, h)[0]) for x, xi in points)
+             / (2 * h) ** (2 * m + 2) for h in steps] for table in tables]
 
 
 def to_full(c, n, m):

@@ -12,7 +12,7 @@ from raymoments.john import (
     range_test,
     transport_identity_residual,
 )
-from raymoments.john import _PARITY_TOL, _john_table
+from raymoments.john import _PARITY_TOL, _john_table, _john_tuples, _phase_points
 from raymoments.ray import (
     apply_stencil,
     batch_transform,
@@ -22,7 +22,7 @@ from raymoments.ray import (
     restricted_transform,
 )
 
-from references import mixed_central, poly_eval
+from references import john_residuals_per_table, mixed_central, poly_eval
 
 
 def poly_diff(p, axis):
@@ -37,7 +37,7 @@ def poly_diff(p, axis):
 
 def john_pair(psi, i, j, h):
     """J_ij psi as an (x, xi) callable: the one-pair table that range_test composes."""
-    return lambda x, xi: (apply_stencil(psi, _john_table(((i, j),), np.size(x)), x, xi, h)
+    return lambda x, xi: (apply_stencil(psi, [_john_table(((i, j),), np.size(x))], x, xi, h)[0]
                           / (2 * h) ** 2)
 
 
@@ -129,18 +129,30 @@ class TestJohnTable:
             nested = (lambda x, xi, f=nested, i=i, j=j: mixed_central(f, x, xi, (i,), (j,), h)
                       - mixed_central(f, x, xi, (j,), (i,), h))
         want = poly_eval(self.analytic(poly, pairs, n), np.concatenate([x, xi]))
-        got = apply_stencil(psi, _john_table(pairs, n), x, xi, h) / (2 * h) ** 6
+        [got] = apply_stencil(psi, [_john_table(pairs, n)], x, xi, h)
+        got /= (2 * h) ** 6
         assert abs(want) > 1.0
         assert got == pytest.approx(want, rel=1e-9)
         assert nested(x, xi) == pytest.approx(got, rel=1e-9)
 
     def test_one_call_per_distinct_point(self):
         seen = []
-        psi = lambda x, xi: seen.append((*x, *xi)) or 1.0
+        psi = lambda x, xi: seen.append((*x, *xi)) or math.exp(x @ xi) * (1.0 + xi[0])
         pairs = ((0, 1),) * 3                  # n, m = 2, 2
-        apply_stencil(psi, _john_table(pairs, 2), np.array([0.3, -0.2]),
+        apply_stencil(psi, [_john_table(pairs, 2)], np.array([0.3, -0.2]),
                       np.array([0.9, 0.4]), 0.025)
         assert len(seen) == len(set(seen)) == len(_john_table(pairs, 2)) == 96
+        # several tables: one call per offset in their union, and each
+        # table's sum the same as when it is applied alone.  The factors
+        # commute and J_ji = -J_ij, so reordered tuples share their offsets
+        tables = [_john_table(tup, 3) for tup in
+                  (((0, 1), (1, 2), (2, 0)), ((2, 0), (1, 0), (1, 2)), ((0, 1), (0, 1), (1, 2)))]
+        x, xi = np.array([0.3, -0.2, 0.5]), np.array([0.9, 0.4, -0.1])
+        seen.clear()
+        sums = apply_stencil(psi, tables, x, xi, 0.025)
+        union = set().union(*tables)
+        assert len(seen) == len(set(seen)) == len(union) < sum(map(len, tables))
+        assert sums == [apply_stencil(psi, [table], x, xi, 0.025)[0] for table in tables]
 
 
 class TestPsiFromPhi:
@@ -356,6 +368,22 @@ class TestRangeTest:
         assert good.passed
         assert not bad.john_pass
         assert bad.max_john_residual() > 10.0 * good.max_john_residual()
+
+    def test_union_matches_per_table_loop(self):
+        # one apply_stencil call per (point, step) over all 16 tables gives
+        # the residuals of one call per table, bit for bit
+        f = random_field(3, 2, np.random.default_rng(21))
+        moments = oracle_moment_callables(f, 1)
+        report = range_test(None, 2, 1, moment_callables=moments,
+                            npoints=2, ntuples=16, seed=5, n=3)
+        rng = np.random.default_rng(5)          # drawn as range_test draws them
+        points = _phase_points(3, rng, 2)
+        tuples = _john_tuples(3, 2, rng, 16)
+        assert [row["tuple"] for row in report.john] == tuples
+        tables = [_john_table(tup, 3) for tup in tuples]
+        want = john_residuals_per_table(psi_from_phi(moments, 2, 1), tables, points,
+                                        report.steps, 2)
+        assert [row["residuals"] for row in report.john] == want
 
     def test_parity_detects_sign_flip(self):
         rng = np.random.default_rng(15)

@@ -275,6 +275,51 @@ class TestMomentOracle:
         assert type(moment_oracle(f, x[0, 0], xi[0, 0], 0)) is float
 
 
+class TestSharedCallables:
+    """oracle_moment_callables: k+1 columns of one Gauss-Hermite pass."""
+
+    def test_columns_of_one_pass(self):
+        rng = np.random.default_rng(40)
+        for n in (2, 3):
+            for m in range(4):
+                f = random_field(n, m, rng)
+                count = (f.degree + m) // 2 + 1
+                moments = oracle_moment_callables(f, m)
+                for _ in range(5):
+                    x, xi = rng.uniform(-2.0, 2.0, size=n), rng.normal(size=n)
+                    got = [J(x, xi) for J in moments]
+                    assert all(type(v) is float for v in got)
+                    assert got == _gauss_hermite(f, x, xi, m, count).tolist()
+                    per_order = [moment_oracle(f, x, xi, q) for q in range(m + 1)]
+                    np.testing.assert_allclose(got, per_order, rtol=0,
+                                               atol=1e-15 * np.abs(per_order).max())
+
+    def test_fresh_after_in_place_change(self):
+        rng = np.random.default_rng(41)
+        f = random_field(3, 2, rng)
+        count = (f.degree + 1) // 2 + 1
+        J0, J1 = oracle_moment_callables(f, 1)
+        x, xi = rng.uniform(-1.0, 1.0, size=3), rng.normal(size=3)
+        before = J0(x, xi)
+        x[0] += 0.25
+        assert [J0(x, xi), J1(x, xi)] == _gauss_hermite(f, x, xi, 1, count).tolist()
+        assert J0(x, xi) != before
+        xi *= 1.5
+        assert [J1(x, xi), J0(x, xi)] == _gauss_hermite(f, x, xi, 1, count)[::-1].tolist()
+
+    def test_batched_input(self):
+        rng = np.random.default_rng(42)
+        f = random_field(3, 2, rng)
+        count = (f.degree + 2) // 2 + 1
+        x, xi = rng.uniform(-1.0, 1.0, size=(5, 3)), rng.normal(size=(5, 3))
+        for q, J in enumerate(oracle_moment_callables(f, 2)):
+            got = J(x, xi)
+            assert got.shape == (5,)
+            assert np.array_equal(got, _gauss_hermite(f, x, xi, 2, count)[:, q])
+            # one direction against many base points
+            assert np.array_equal(J(x, xi[0]), _gauss_hermite(f, x, xi[0], 2, count)[:, q])
+
+
 class TestExtendJ:
     # the I -> J conversion is psi_from_phi: psi^q = J^q f on oracle I-data
 
@@ -414,11 +459,17 @@ class TestBatchTransform:
         data = batch_transform(f, 3, ndirs=8, noffsets=5)
         grids = np.meshgrid(*([data.offsets] * (n - 1)), indexing="ij")
         s = np.stack([g.ravel() for g in grids], axis=-1)
+        count = (f.degree + 3) // 2 + 1
         for d in range(data.ndirs):
             x = s @ data.frames[d].T
+            # one all-orders pass per direction, exactly; the per-order oracle
+            # integrates with fewer nodes below k and may differ by rounding
+            assert np.array_equal(data.values[:, d],
+                                  _gauss_hermite(f, x, data.directions[d], 3, count).T)
             for ell in range(4):
-                assert np.array_equal(data.values[ell, d],
-                                      moment_oracle(f, x, data.directions[d], ell))
+                want = moment_oracle(f, x, data.directions[d], ell)
+                np.testing.assert_allclose(data.values[ell, d], want,
+                                           rtol=0, atol=1e-15 * np.abs(want).max())
 
     def test_line_accessor(self):
         f = GaussPolyField.scalar(2)

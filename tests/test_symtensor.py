@@ -309,7 +309,9 @@ class TestPackedStorage:
          "'m'"),
         (lambda: json_index("13", 2, 2, "JSON"), "'13'"),
         (lambda: json_index("1", 2, 2, "JSON"), "'1'"),
-    ], ids=["missing-m", "axis-beyond-n", "key-length"])
+        (lambda: json_index("1x", 2, 2, "JSON"), "'1x'"),
+        (lambda: json_index("\u06612", 2, 2, "JSON"), "'\u06612'"),
+    ], ids=["missing-m", "axis-beyond-n", "key-length", "not-a-digit", "non-ascii-digit"])
     def test_json_bad_key_named(self, read, key):
         with pytest.raises(ValueError, match=key):
             read()
