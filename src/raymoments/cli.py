@@ -57,9 +57,13 @@ def _samples(count: int, option: str) -> range:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header, then rows: a list of tuples, or a str of joined lines."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        if isinstance(rows, str):
+            fh.write(rows)
+            return
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
@@ -97,11 +101,10 @@ def cmd_transform(args):
                            extent=args.extent)
     with open(args.out, "w") as fh:
         fh.write(data.to_json())
-    rows = []
-    for ell in range(args.k + 1):
-        for d in range(data.ndirs):
-            for o in range(data.values.shape[2]):
-                rows.append((ell, d, o, float(data.values[ell, d, o])))
+    # one line per (moment, direction, offset), joined here: a csv.writer call
+    # per row took more than twice as long at 64 x 32^2 lines
+    index = np.indices(data.values.shape).reshape(3, -1).tolist()
+    rows = "".join(map("{},{},{},{!r}\n".format, *index, data.values.ravel().tolist()))
     return (["moment", "direction", "offset", "value"], rows,
             {"ndirs": data.ndirs, "noffsets": int(data.offsets.size),
              "max_abs_value": float(np.abs(data.values).max())}, True)

@@ -170,16 +170,21 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
     if (v.n, v.m, v.spec) != (f.n, f.m - k, f.spec):
         raise ValueError("v grid not congruent with f")
     n, m, spec = f.n, f.m, f.spec
-    f_hat, g_hat, v_hat = (spec.rfftn(u.data) for u in (f, g, v))
-    recon = f_hat - g_hat - spec.apply_symbol(v_hat, sym_dim(n, m),
-                                              d_symbol(n, m - k, k))
-    d_f = spec.apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k))
-    delta_g = spec.apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k))
+    # each operator result is reduced to its norm before the next is formed,
+    # so that no more than three spectra are held at once
+    f_hat = spec.rfftn(f.data)
+    dscale = spec.half_norm(spec.apply_symbol(f_hat, sym_dim(n, m + k),
+                                              d_symbol(n, m, k)), m + k)
+    g_hat = spec.rfftn(g.data)
+    solenoidal = spec.half_norm(spec.apply_symbol(g_hat, sym_dim(n, m - k),
+                                                  delta_symbol(n, m, k)), m - k)
+    f_hat -= g_hat  # f_hat becomes the reconstruction residual in place
+    del g_hat
+    f_hat -= spec.apply_symbol(spec.rfftn(v.data), sym_dim(n, m), d_symbol(n, m - k, k))
     fnorm = f.norm()
-    dscale = spec.half_norm(d_f, m + k)
     return {
-        "reconstruction_residual": spec.half_norm(recon, m) / max(fnorm, 1e-300),
-        "solenoidal_residual": spec.half_norm(delta_g, m - k) / max(dscale, 1e-300),
+        "reconstruction_residual": spec.half_norm(f_hat, m) / max(fnorm, 1e-300),
+        "solenoidal_residual": solenoidal / max(dscale, 1e-300),
         "boundary_decay_g": g.boundary_max() / max(fnorm, 1e-300),
         "boundary_decay_v": v.boundary_max() / max(fnorm, 1e-300),
     }

@@ -290,8 +290,12 @@ def range_test(data: MomentData | None, m: int, k: int,
 
 
 def _order(residuals, steps) -> float:
+    """log(r0 / r1) / log(h0 / h1); nan when a residual is exactly zero.
+
+    A zero residual has no convergence order.  nan lies outside the order
+    window, so such a row passes only in the noise floor.
+    """
     r0, r1 = residuals[0], residuals[-1]
-    if r1 <= 0:
-        return float("inf")
-    ratio = steps[0] / steps[-1]
-    return math.log(max(r0, 1e-300) / r1) / math.log(ratio)
+    if r0 <= 0 or r1 <= 0:
+        return float("nan")
+    return math.log(r0 / r1) / math.log(steps[0] / steps[-1])

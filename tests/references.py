@@ -1,6 +1,7 @@
 """Independent term-by-term references that the tests compare the package against."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -109,3 +110,20 @@ def slice_system_rows(n, m, k, y):
             rows.append(row(k + p, mono))
             tags.append(("divergence", p, mono))
     return np.array(rows), tuple(tags)
+
+
+def half_norm_full_array(spec, hats, m):
+    """GridSpec.half_norm as one weighted sum over the whole half spectrum."""
+    bins = np.full(spec.count // 2 + 1, 2.0)
+    bins[0] = 1.0
+    if spec.count % 2 == 0:
+        bins[-1] = 1.0
+    w = mult_weights(spec.n, m).reshape((-1,) + (1,) * spec.n)
+    power = float((w * bins * (hats.real ** 2 + hats.imag ** 2)).sum())
+    return math.sqrt(power * (spec.spacing / spec.count) ** spec.n)
+
+
+def grid_norm_full_array(u):
+    """GridField.norm as one weighted sum over the whole data array."""
+    w = mult_weights(u.n, u.m).reshape((-1,) + (1,) * u.n)
+    return float(np.sqrt((w * np.abs(u.data) ** 2).sum() * u.spec.spacing ** u.n))

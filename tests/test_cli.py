@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from raymoments.cli import main
 from raymoments.fields import random_field
+from raymoments.ray import MomentData
 
 
 @pytest.fixture
@@ -30,6 +32,16 @@ class TestTransform:
         assert report["passed"] is True
         header = (tmp_path / "data.json.csv").read_text().splitlines()[0]
         assert header == "moment,direction,offset,value"
+
+    def test_rows_hold_every_value_by_repr(self, tmp_path, field_path):
+        out = str(tmp_path / "data.json")
+        assert main(["transform", "--field", field_path, "--k", "2",
+                     "--dirs", "6", "--offsets", "3", "--out", out]) == 0
+        values = MomentData.from_json((tmp_path / "data.json").read_text()).values
+        with open(out + ".csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(e), str(d), str(o), repr(float(values[e, d, o]))]
+                        for e, d, o in np.ndindex(values.shape)]
 
     def test_k_exceeding_rank(self, tmp_path, field_path):
         out = str(tmp_path / "data.json")

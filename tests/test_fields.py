@@ -1,11 +1,18 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.polynomial.hermite import hermval
 
+import raymoments
 from raymoments.fields import (
     GaussPolyField,
     GridField,
@@ -14,7 +21,14 @@ from raymoments.fields import (
 )
 from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
-from references import comps, poly_dtype, poly_eval, symmetrize
+from references import (
+    comps,
+    grid_norm_full_array,
+    half_norm_full_array,
+    poly_dtype,
+    poly_eval,
+    symmetrize,
+)
 
 
 def scalar_gaussian(n, a=1.0):
@@ -455,6 +469,59 @@ class TestGridField:
         data[1, 0, 0] = 1.0          # off-diagonal slot, multiplicity 2
         g = GridField(2, 2, spec, data)
         assert g.norm() == pytest.approx(math.sqrt(2.0) * spec.spacing)
+
+
+class TestGridTransform:
+    """The rfftn/irfftn pair against numpy's, and the two grid norms against full-array sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [32, 33])
+    def test_pair_matches_numpy(self, n, count):
+        spec = GridSpec(n, count, 6.0)
+        data = np.random.default_rng(30 + n).normal(size=(2,) + (count,) * n)
+        axes = tuple(range(-n, 0))
+        want = np.fft.rfftn(data, axes=axes)
+        got = spec.rfftn(data)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        back = spec.irfftn(got)
+        want_back = np.fft.irfftn(want, s=(count,) * n, axes=axes)
+        assert back.flags.c_contiguous
+        assert np.abs(back - want_back).max() <= 1e-15 * np.abs(want_back).max()
+        # repeatable, and independent of the number of worker threads
+        assert np.array_equal(spec.rfftn(data), got)
+        assert np.array_equal(spec.irfftn(got), back)
+        assert np.array_equal(scipy.fft.rfftn(data, axes=axes, workers=1), got)
+        assert np.array_equal(scipy.fft.irfftn(got, s=(count,) * n, axes=axes, workers=1), back)
+
+    @pytest.mark.parametrize("n, m, count", [(1, 2, 16), (2, 2, 33), (3, 3, 16), (3, 1, 17)])
+    def test_norms_match_full_array(self, n, m, count):
+        spec = GridSpec(n, count, 6.0)
+        data = np.random.default_rng(40 + count).normal(size=(sym_dim(n, m),) + (count,) * n)
+        u = GridField(n, m, spec, data)
+        assert u.norm() == pytest.approx(grid_norm_full_array(u), rel=1e-14)
+        hats = spec.rfftn(data)
+        assert spec.half_norm(hats, m) == pytest.approx(
+            half_norm_full_array(spec, hats, m), rel=1e-14)
+        # Parseval: the two norms are the same quantity
+        assert spec.half_norm(hats, m) == pytest.approx(u.norm(), rel=1e-12)
+
+    def test_half_norm_streams_components(self):
+        spec = GridSpec(3, 32, 6.0)
+        hats = spec.rfftn(np.random.default_rng(50).normal(size=(10, 32, 32, 32)))
+        assert hats.shape == (10, 32, 32, 17)
+        tracemalloc.start()
+        try:
+            spec.half_norm(hats, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * hats[0].nbytes
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        code = "import sys, raymoments; sys.exit('scipy.fft' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(raymoments.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestFieldJson:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from raymoments import symtensor
 from raymoments.fields import GridField, GridSpec, random_field
@@ -348,8 +349,12 @@ class TestVerifyDecomposition:
         def inverse(*args, **kwargs):
             raise AssertionError("verify_decomposition ran an inverse FFT")
 
-        for name in ("ifft", "ifftn", "irfft", "irfftn"):
-            monkeypatch.setattr(np.fft, name, inverse)
+        for module in (np.fft, scipy.fft):
+            for name in ("ifft", "ifftn", "irfft", "irfftn"):
+                monkeypatch.setattr(module, name, inverse)
+        # positive control: the grid's own inverse transform is caught
+        with pytest.raises(AssertionError, match="inverse FFT"):
+            spec.irfftn(spec.rfftn(f.data))
         rep = verify_decomposition(f, g, v, 1)
         assert rep["reconstruction_residual"] < 1e-12
 

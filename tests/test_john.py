@@ -12,7 +12,14 @@ from raymoments.john import (
     range_test,
     transport_identity_residual,
 )
-from raymoments.john import _PARITY_TOL, _john_table, _john_tuples, _phase_points
+from raymoments.john import (
+    _PARITY_TOL,
+    _john_table,
+    _john_tuples,
+    _order,
+    _orders_pass,
+    _phase_points,
+)
 from raymoments.ray import (
     apply_stencil,
     batch_transform,
@@ -368,6 +375,31 @@ class TestRangeTest:
         assert good.passed
         assert not bad.john_pass
         assert bad.max_john_residual() > 10.0 * good.max_john_residual()
+
+    def test_zero_residual_has_no_order(self):
+        # check-range --n 3 --m 2 --k 2 --seed 3: one transport row is exactly
+        # 0.0 at the coarse step, which log(max(r0, 1e-300) / r1) read as -952.8
+        f = random_field(3, 2, np.random.default_rng(3))
+        data = batch_transform(f, 2, ndirs=16, noffsets=8)
+        rep = range_test(data, 2, 2, moment_callables=oracle_moment_callables(f, 2),
+                         ntuples=8, seed=3)
+        zero = [row for row in rep.transport if 0.0 in row["residuals"]]
+        assert zero and all(math.isnan(row["order"]) for row in zero)
+        assert all(math.isfinite(row["order"]) for row in rep.transport + rep.john
+                   if 0.0 not in row["residuals"])
+        assert rep.passed
+
+    @pytest.mark.parametrize("residuals, want", [
+        ([4e-3, 1e-3], 2.0), ([0.0, 6.7e-14], math.nan), ([1e-3, 0.0], math.nan),
+        ([0.0, 0.0], math.nan)])
+    def test_order_of_residual_pair(self, residuals, want):
+        got = _order(residuals, (0.025, 0.0125))
+        assert got == pytest.approx(want, nan_ok=True)
+
+    def test_zero_coarse_residual_above_floor_fails(self):
+        row = {"residuals": [0.0, 1e-3], "order": _order([0.0, 1e-3], (0.025, 0.0125))}
+        assert not _orders_pass([row])
+        assert _orders_pass([{"residuals": [1e-3, 0.0], "order": math.nan}])
 
     def test_union_matches_per_table_loop(self):
         # one apply_stencil call per (point, step) over all 16 tables gives
