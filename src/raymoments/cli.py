@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .fields import GaussPolyField, GridField, GridSpec, random_field
 from .helmholtz import decompose_k, verify_decomposition
-from .john import chi_build, homogeneity_residual, psi_from_phi, range_test
+from .john import _phase_point, chi_build, homogeneity_residual, psi_from_phi, range_test
 from .ray import (
     QuadratureRule,
     batch_transform,
@@ -219,10 +219,7 @@ def cmd_chi_verify(args):
     chi = chi_build(psi, gs[: args.ell], args.ell, args.m)
     rows, worst = [], 0.0
     for i in _samples(args.points, "--points"):
-        x = rng.uniform(-1.0, 1.0, size=args.n)
-        xi = rng.normal(size=args.n)
-        xi /= np.linalg.norm(xi)
-        xi *= rng.uniform(0.8, 1.2)
+        x, xi = _phase_point(args.n, rng)
         ref = moment_oracle(gs[args.ell], x, xi, 0)
         got = chi(x, xi)
         identity = abs(got - ref) / max(abs(ref), 1e-300)

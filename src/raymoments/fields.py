@@ -9,8 +9,10 @@ Two realizations of a symmetric-tensor field:
   coefficients per packed component.  Sampling, the derivatives and the
   Fourier transform scatter them into one dense box[s, e_1, ..., e_n] and
   act on it axis by axis.
-* :class:`GridField` -- real uniform-grid samples with spectral derivative
-  operators under periodic extension, on the real-FFT half spectrum.
+* :class:`GridField` -- real uniform-grid samples.  On the grid, d^k and
+  delta^k exist only as :meth:`GridSpec.apply_symbol` with :func:`d_symbol`
+  and :func:`delta_symbol`, on the real-FFT half spectrum under periodic
+  extension.
 
 Fourier convention throughout: F u(y) = (2 pi)^{-n/2} int e^{-i<x,y>} u(x) dx.
 """
@@ -115,6 +117,8 @@ class GaussPolyField:
                              f"got {exps!r}")
         if coef.shape != (len(exps), sym_dim(self.n, self.m)):
             raise ValueError(f"coef shape {coef.shape} != {(len(exps), sym_dim(self.n, self.m))}")
+        if not np.isfinite(coef).all():
+            raise ValueError("field coefficients must be finite")
         exps, coef = _terms(_box(exps, coef.astype(np.result_type(coef, float))))
         exps.flags.writeable = coef.flags.writeable = False
         object.__setattr__(self, "exps", exps)
@@ -149,13 +153,10 @@ class GaussPolyField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def envelope(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return np.exp(-self.a * (pts ** 2).sum(axis=-1))
-
     def eval_packed(self, pts: np.ndarray) -> np.ndarray:
         """Packed coefficients at points (..., n) -> (..., sym_dim)."""
-        return (monomials(pts, self.exps) @ self.coef) * self.envelope(pts)[..., None]
+        envelope = np.exp(-self.a * (np.asarray(pts, dtype=float) ** 2).sum(axis=-1))
+        return (monomials(pts, self.exps) @ self.coef) * envelope[..., None]
 
     # -- algebra ------------------------------------------------------------
 
@@ -234,26 +235,16 @@ class GaussPolyField:
         """
         data = _box(self.exps, self.coef)
         x = spec.axes()[0]
-        table = np.exp(-self.a * x * x) * x ** np.arange(data.shape[1])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            table = np.exp(-self.a * x * x) * x ** np.arange(data.shape[1])[:, None]
         for _ in range(self.n):      # contracts the leading exponent axis each time
             data = np.tensordot(data, table, axes=([1], [0]))
-        if np.isnan(data).any():
-            raise FloatingPointError("NaN encountered while sampling field")
-        gf = GridField(self.n, self.m, spec, np.ascontiguousarray(data))
-        gf_max = np.abs(data).max() if data.size else 0.0
-        warn = bool(gf.boundary_max() > 1e-9 * max(gf_max, 1e-300))
-        return replace(gf, truncation_warning=warn)
-
-    # -- restriction ----------------------------------------------------------
-
-    def component_field(self, fixed: tuple[int, ...]) -> "GaussPolyField":
-        """Rank m-l field obtained by fixing the first l indices to ``fixed``."""
-        ell = len(fixed)
-        if ell > self.m:
-            raise ValueError("cannot fix more indices than the rank")
-        idx = _index_map(self.n, self.m)
-        cols = [idx[tuple(sorted(fixed + beta))] for beta in multi_indices(self.n, self.m - ell)]
-        return GaussPolyField(self.n, self.m - ell, self.a, self.exps, self.coef[:, cols])
+        if not np.isfinite(data).all():
+            # with finite coefficients only an overflowing x^2 or x^p gets
+            # here: e^{-a x^2} underflows to 0, and 0 * inf is nan
+            raise ValueError(f"sampling on [-{spec.extent}, {spec.extent})^{self.n} "
+                             "gave non-finite values; the grid extent is too large")
+        return GridField(self.n, self.m, spec, np.ascontiguousarray(data))
 
     # -- JSON form -------------------------------------------------------------
 
@@ -313,8 +304,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 4:
             raise ValueError("need at least 4 nodes per axis")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"grid extent must be positive and finite, got {self.extent}")
 
     @property
     def spacing(self) -> float:
@@ -425,15 +416,14 @@ class GridField:
 
     ``data`` is real, of shape (sym_dim(n, m),) + (count,)*n; complex data
     raises ValueError.  Periodic extension is assumed by the spectral
-    operators; fields are expected to decay below the boundary cutoff of
-    their generating :class:`GaussPolyField`.
+    symbols of :class:`GridSpec`; fields are expected to decay below the
+    boundary cutoff of their generating :class:`GaussPolyField`.
     """
 
     n: int
     m: int
     spec: GridSpec
     data: np.ndarray = field(repr=False)
-    truncation_warning: bool = False
 
     def __post_init__(self):
         want = (sym_dim(self.n, self.m),) + (self.spec.count,) * self.n
@@ -457,42 +447,6 @@ class GridField:
             sl[ax + 1] = 0
             out = max(out, float(np.abs(self.data[tuple(sl)]).max()))
         return out
-
-    def __add__(self, other: "GridField") -> "GridField":
-        self._check_like(other)
-        return replace(self, data=self.data + other.data)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        self._check_like(other)
-        return replace(self, data=self.data - other.data)
-
-    def __mul__(self, s) -> "GridField":
-        return replace(self, data=self.data * s)
-
-    __rmul__ = __mul__
-
-    def _check_like(self, other: "GridField") -> None:
-        if (self.n, self.m, self.spec) != (other.n, other.m, other.spec):
-            raise ValueError("grid fields not congruent")
-
-    # -- spectral derivatives -------------------------------------------------
-    # Both operators multiply the half spectrum by a polynomial symbol built
-    # from the monomial table A(y) = i_{y^(r)} of symtensor: d^r has the
-    # symbol i^r A(y) (d_symbol), delta^r i^r times its weighted adjoint
-    # (delta_symbol); GaussPolyField applies the same two tables in space.
-
-    def inner_derivative(self, order: int = 1) -> "GridField":
-        """Symmetrized derivative d^order (rank goes up), one real-FFT pair."""
-        return self._apply_symbol(self.m + order, d_symbol(self.n, self.m, order))
-
-    def divergence(self, order: int = 1) -> "GridField":
-        """Contracted derivative delta^order (rank goes down), one real-FFT pair."""
-        return self._apply_symbol(self.m - order, delta_symbol(self.n, self.m, order))
-
-    def _apply_symbol(self, m_out: int, terms) -> "GridField":
-        spec = self.spec
-        hats = spec.apply_symbol(spec.rfftn(self.data), sym_dim(self.n, m_out), terms)
-        return GridField(self.n, m_out, spec, spec.irfftn(hats))
 
     # -- I/O: flat binary of doubles + JSON sidecar ---------------------------
 

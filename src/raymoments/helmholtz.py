@@ -164,9 +164,10 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
     One real FFT each of f, g and v and no inverse transform: the
     reconstruction residual f_hat - g_hat - i^k A(y) v_hat, delta^k g and
     the scale d^k f are measured on the half spectrum by discrete Parseval
-    (:meth:`GridSpec.half_norm`), with the symbols the grid operators apply.
+    (:meth:`GridSpec.half_norm`), with the symbols that :func:`decompose_k` applies.
     """
-    f._check_like(g)
+    if (g.n, g.m, g.spec) != (f.n, f.m, f.spec):
+        raise ValueError("g grid not congruent with f")
     if (v.n, v.m, v.spec) != (f.n, f.m - k, f.spec):
         raise ValueError("v grid not congruent with f")
     n, m, spec = f.n, f.m, f.spec

@@ -214,15 +214,13 @@ def _john_tuples(n: int, m: int, rng: np.random.Generator, count: int = 64):
     return out
 
 
-def _phase_points(n: int, rng: np.random.Generator, count: int):
-    pts = []
-    for _ in range(count):
-        x = rng.uniform(-1.0, 1.0, size=n)
-        xi = rng.normal(size=n)
-        xi /= np.linalg.norm(xi)
-        xi *= rng.uniform(0.8, 1.2)
-        pts.append((x, xi))
-    return pts
+def _phase_point(n: int, rng: np.random.Generator):
+    """A random (x, xi): x uniform in [-1, 1]^n, xi a random direction of length 0.8..1.2."""
+    x = rng.uniform(-1.0, 1.0, size=n)
+    xi = rng.normal(size=n)
+    xi /= np.linalg.norm(xi)
+    xi *= rng.uniform(0.8, 1.2)
+    return x, xi
 
 
 def range_test(data: MomentData | None, m: int, k: int,
@@ -233,7 +231,8 @@ def range_test(data: MomentData | None, m: int, k: int,
     """Evaluate the range conditions on moment data.
 
     Parity residuals come from the sampled values of ``data`` over its
-    antipodal direction pairs; without data, ``parity`` is empty.  The
+    antipodal direction pairs; without data, ``parity`` is empty.  Data of
+    another rank, order or (when n is given) dimension is a ValueError.  The
     iterated John equations and the transport identities are tested on
     psi^l built from ``moment_callables``, which are required, at every step
     in ``steps``, and judged by the measured convergence order between
@@ -252,13 +251,17 @@ def range_test(data: MomentData | None, m: int, k: int,
     if not 0 <= k <= m:
         raise ValueError(f"moment order {k} outside 0..{m}")
     if data is not None:
+        if (data.m, data.k) != (m, k):
+            raise ValueError(f"data of (m, k) = {(data.m, data.k)} tested as (m, k) = {(m, k)}")
+        if n is not None and n != data.n:
+            raise ValueError(f"data of dimension n = {data.n} tested as n = {n}")
         n = data.n
     elif n is None:
         raise ValueError("spatial dimension cannot be inferred; pass n")
     rng = np.random.default_rng(seed)
     parity = _parity_residuals(data) if data is not None else {}
     psis = [psi_from_phi(moment_callables, m, ell) for ell in range(k + 1)]
-    points = _phase_points(n, rng, npoints)
+    points = [_phase_point(n, rng) for _ in range(npoints)]
 
     # residuals aggregated over the phase points per tuple: a single point can
     # sit at an accidental zero of the leading truncation term, which would

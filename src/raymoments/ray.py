@@ -287,11 +287,6 @@ class MomentData:
     def ndirs(self) -> int:
         return self.directions.shape[0]
 
-    def line(self, d: int, o: int) -> Line:
-        s = np.unravel_index(o, (self.offsets.size,) * (self.n - 1))
-        x = self.frames[d] @ self.offsets[list(s)]
-        return Line(x, self.directions[d])
-
     def to_json(self) -> str:
         return json.dumps({
             "n": self.n, "m": self.m, "k": self.k,
@@ -331,8 +326,8 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
         raise ValueError(f"need at least two offsets per axis, got {noffsets}")
     if extent is None:
         extent = f.effective_radius()
-    elif not extent > 0:
-        raise ValueError(f"offset extent must be positive, got {extent}")
+    elif not 0 < extent < math.inf:
+        raise ValueError(f"offset extent must be positive and finite, got {extent}")
     dirs, frames = direction_grid(f.n, ndirs)
     offsets = np.linspace(-extent, extent, noffsets)
     s = _offset_grid(offsets, f.n - 1)                     # (P, n-1)

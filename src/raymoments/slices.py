@@ -61,6 +61,8 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
         raise ValueError(f"need at least two offsets per axis, got {noffsets}")
     if extent is None:
         extent = f.effective_radius()
+    elif not 0 < extent < math.inf:
+        raise ValueError(f"offset extent must be positive and finite, got {extent}")
     n = f.n
     frame = householder_frame(xi)                      # (n, n-1)
     ax = np.linspace(-extent, extent, noffsets, endpoint=False)

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 
+from raymoments.fields import GaussPolyField, GridField
 from raymoments.ray import apply_stencil, central_table, householder_frame
-from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_matrix
+from raymoments.symtensor import _index_map, multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
 
 def comps(f):
@@ -30,6 +31,28 @@ def poly_eval(p, pts):
                 term = term * pts[..., ax] ** k
         out = out + c * term
     return out
+
+
+def component_field(f, fixed):
+    """Rank m-l field obtained by fixing the first l indices of f to ``fixed``."""
+    ell = len(fixed)
+    if ell > f.m:
+        raise ValueError("cannot fix more indices than the rank")
+    idx = _index_map(f.n, f.m)
+    cols = [idx[tuple(sorted(fixed + beta))] for beta in multi_indices(f.n, f.m - ell)]
+    return GaussPolyField(f.n, f.m - ell, f.a, f.exps, f.coef[:, cols])
+
+
+def grid_operator(u, m_out, terms):
+    """The rank-m_out grid field of the symbol ``terms`` applied to u, in real space.
+
+    The symbol path of decompose_k (rfftn, GridSpec.apply_symbol) followed
+    by the inverse transform, so that a real-space residual built from it
+    is independent of verify_decomposition's Parseval sums.
+    """
+    spec = u.spec
+    hats = spec.apply_symbol(spec.rfftn(u.data), sym_dim(u.n, m_out), terms)
+    return GridField(u.n, m_out, spec, spec.irfftn(hats))
 
 
 def mixed_central(fun, x, xi, x_axes, xi_axes, h):

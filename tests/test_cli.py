@@ -167,6 +167,8 @@ class TestDecomposeVerify:
       "--out", "{out}"], {2}),
     (["check-kernel", "--n", "3", "--m", "2", "--k", "1", "--lines", "0",
       "--out", "{out}"], {2}),
+    (["decompose", "--field", "{field}", "--k", "1", "--grid", "16", "--extent", "1e200",
+      "--out-prefix", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
         "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
@@ -174,7 +176,8 @@ class TestDecomposeVerify:
         "chi-verify-ell-1", "transform-unwritable-out", "transform-extent-1",
         "transform-k-1", "transform-offsets0", "transform-dirs0", "transform-dirs-2",
         "slice-check-n1", "oracle-diff-lines0", "rank-probe-trials0",
-        "slice-check-trials0", "chi-verify-points0", "check-kernel-lines0"])
+        "slice-check-trials0", "chi-verify-points0", "check-kernel-lines0",
+        "decompose-extent-1e200"])
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     if args[0] == "verify":
@@ -186,6 +189,21 @@ def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     assert code in codes
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["slice-check", "--field", "{field}", "--trials", "1", "--offsets", "8", "--out", "{out}"],
+    ["decompose", "--field", "{field}", "--k", "1", "--grid", "16", "--out-prefix", "{out}"],
+], ids=["slice-check", "decompose"])
+def test_non_finite_field_exits_2(tmp_path, field_path, capsys, args):
+    # json reads NaN, which would pass a slice check vacuously (max(0.0, nan)
+    # is 0.0) and end decompose in a traceback
+    doc = json.loads(open(field_path).read())
+    next(iter(doc["components"].values()))[0]["c"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert main([a.format(field=bad, out=tmp_path / "out") for a in args]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 class TestSeededCommands:

@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 
 from raymoments import symtensor
-from raymoments.fields import GridField, GridSpec, random_field
+from raymoments.fields import GridField, GridSpec, d_symbol, delta_symbol, random_field
 from raymoments.helmholtz import (
     decompose_k,
     freq_project,
@@ -12,7 +12,7 @@ from raymoments.helmholtz import (
 )
 from raymoments.symtensor import mult_weights, sym_dim, sym_mult_matrix, sym_mult_operators
 
-from references import projector_rotation
+from references import grid_operator, projector_rotation
 
 
 def random_tensor(n, m, rng, complex_=True):
@@ -204,7 +204,7 @@ class TestDecomposeK:
     def test_potential_input_recovered(self):
         rng = np.random.default_rng(8)
         w = random_field(2, 1, rng, degree=1)
-        f = w.sample(GridSpec(2, 64, 8.0)).inner_derivative()
+        f = grid_operator(w.sample(GridSpec(2, 64, 8.0)), 2, d_symbol(2, 1, 1))
         g, v = decompose_k(f, 1)
         assert g.norm() / f.norm() < 1e-10
 
@@ -218,7 +218,7 @@ class TestDecomposeK:
             warnings.simplefilter("ignore", RuntimeWarning)
             g2, v2 = decompose_k(g, 1)
         assert v2.norm() / max(g.norm(), 1e-300) < 1e-10
-        assert (g2 - g).norm() / g.norm() < 1e-10
+        assert GridField(2, 2, g.spec, g2.data - g.data).norm() / g.norm() < 1e-10
 
     def test_linearity(self):
         rng = np.random.default_rng(10)
@@ -227,7 +227,7 @@ class TestDecomposeK:
         f2 = random_field(2, 2, rng).sample(spec)
         g1, v1 = decompose_k(f1, 1)
         g2, v2 = decompose_k(f2, 1)
-        g3, v3 = decompose_k(2.0 * f1 + f2, 1)
+        g3, v3 = decompose_k(GridField(2, 2, spec, 2.0 * f1.data + f2.data), 1)
         np.testing.assert_allclose(g3.data, 2.0 * g1.data + g2.data,
                                    atol=1e-10 * np.abs(g3.data).max())
         np.testing.assert_allclose(v3.data, 2.0 * v1.data + v2.data,
@@ -311,11 +311,11 @@ class TestVerifyDecomposition:
         rng = np.random.default_rng(13)
         spec = GridSpec(2, 32, 8.0)
         f = random_field(2, 2, rng).sample(spec)
-        zero_v = random_field(2, 1, rng).sample(spec) * 0.0
+        zero_v = GridField(2, 1, spec, random_field(2, 1, rng).sample(spec).data * 0.0)
         rep = verify_decomposition(f, f, zero_v, 1)
         assert rep["solenoidal_residual"] > 1e-3
         w = random_field(2, 1, rng).sample(spec)
-        rep = verify_decomposition(f, f * 0.0, w, 1)
+        rep = verify_decomposition(f, GridField(2, 2, spec, f.data * 0.0), w, 1)
         assert rep["reconstruction_residual"] > 1e-3
 
     @pytest.mark.parametrize("n, m, k, count",
@@ -333,10 +333,14 @@ class TestVerifyDecomposition:
         with pytest.warns(RuntimeWarning):
             g, v = decompose_k(f, k)
         # the decomposition, then a perturbed one with O(1) residuals
-        for gg, vv in [(g, v), (g + 0.1 * noise(m), v + 0.1 * noise(m - k))]:
+        perturbed = (GridField(n, m, spec, g.data + 0.1 * noise(m).data),
+                     GridField(n, m - k, spec, v.data + 0.1 * noise(m - k).data))
+        for gg, vv in [(g, v), perturbed]:
             rep = verify_decomposition(f, gg, vv, k)
-            recon = (f - gg - vv.inner_derivative(k)).norm() / f.norm()
-            sol = gg.divergence(k).norm() / f.inner_derivative(k).norm()
+            dv = grid_operator(vv, m, d_symbol(n, m - k, k))
+            recon = GridField(n, m, spec, f.data - gg.data - dv.data).norm() / f.norm()
+            sol = (grid_operator(gg, m - k, delta_symbol(n, m, k)).norm()
+                   / grid_operator(f, m + k, d_symbol(n, m, k)).norm())
             assert rep["reconstruction_residual"] == pytest.approx(recon, rel=1e-10, abs=1e-10)
             assert rep["solenoidal_residual"] == pytest.approx(sol, rel=1e-10, abs=1e-10)
 
@@ -365,3 +369,8 @@ class TestVerifyDecomposition:
         bad_v = random_field(2, 2, rng).sample(spec)
         with pytest.raises(ValueError):
             verify_decomposition(f, f, bad_v, 1)
+        # same shape on another grid: only the congruence check can tell
+        other_g = random_field(2, 2, rng).sample(GridSpec(2, 16, 5.0))
+        v = random_field(2, 1, rng).sample(spec)
+        with pytest.raises(ValueError, match="g grid"):
+            verify_decomposition(f, other_g, v, 1)

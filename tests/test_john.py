@@ -18,7 +18,7 @@ from raymoments.john import (
     _john_tuples,
     _order,
     _orders_pass,
-    _phase_points,
+    _phase_point,
 )
 from raymoments.ray import (
     apply_stencil,
@@ -29,7 +29,7 @@ from raymoments.ray import (
     restricted_transform,
 )
 
-from references import john_residuals_per_table, mixed_central, poly_eval
+from references import component_field, john_residuals_per_table, mixed_central, poly_eval
 
 
 def poly_diff(p, axis):
@@ -301,7 +301,7 @@ class TestCapitalPsi:
         moments = oracle_moment_callables(f, m)
         psis = [psi_from_phi(moments, m, ell) for ell in range(m + 1)]
         for idx in [(0,), (1,), (0, 1), (1, 1)]:
-            comp = f.component_field(tuple(sorted(idx)))
+            comp = component_field(f, tuple(sorted(idx)))
             for x, xi in phase_points(n, rng, 2):
                 got = restricted_transform(psis[:len(idx) + 1], idx, x, xi, h=1e-3, m=m)
                 want = moment_oracle(comp, x, xi, 0)
@@ -333,8 +333,7 @@ class TestCapitalPsi:
                         perms = list(itertools.permutations(idx))
                         for pi in perms:
                             for s in range(ell):
-                                comp = gs[s].component_field(
-                                    tuple(sorted(pi[:ell - s])))
+                                comp = component_field(gs[s], tuple(sorted(pi[:ell - s])))
                                 term = mixed_central(
                                     lambda a, b, c=comp: moment_oracle(c, a, b, 0),
                                     x, xi, pi[ell - s:], (), h)
@@ -409,7 +408,7 @@ class TestRangeTest:
         report = range_test(None, 2, 1, moment_callables=moments,
                             npoints=2, ntuples=16, seed=5, n=3)
         rng = np.random.default_rng(5)          # drawn as range_test draws them
-        points = _phase_points(3, rng, 2)
+        points = [_phase_point(3, rng) for _ in range(2)]
         tuples = _john_tuples(3, 2, rng, 16)
         assert [row["tuple"] for row in report.john] == tuples
         tables = [_john_table(tup, 3) for tup in tuples]
@@ -453,6 +452,21 @@ class TestRangeTest:
         data = batch_transform(f, 1, ndirs=8, noffsets=4)
         with pytest.raises(ValueError, match="callables"):
             range_test(data, 2, 1, npoints=0, ntuples=1)
+
+    @pytest.mark.parametrize("m, k, n, match", [
+        (3, 2, None, r"as \(m, k\)"), (2, 2, None, r"as \(m, k\)"),
+        (3, 1, None, r"as \(m, k\)"), (2, 1, 3, "as n")])
+    def test_data_disagreeing_with_arguments_rejected(self, m, k, n, match):
+        # parity reads the data's own rank and orders, so data of another
+        # (m, k) or n would be judged against the wrong range conditions
+        f = random_field(2, 2, np.random.default_rng(22))
+        data = batch_transform(f, 1, ndirs=8, noffsets=4)
+        with pytest.raises(ValueError, match=match):
+            range_test(data, m, k, moment_callables=oracle_moment_callables(f, 2),
+                       npoints=0, ntuples=1, n=n)
+        report = range_test(data, 2, 1, moment_callables=oracle_moment_callables(f, 1),
+                            npoints=0, ntuples=1, n=2)
+        assert report.parity_pass
 
     def test_no_data_no_parity(self):
         f = random_field(3, 1, np.random.default_rng(19), degree=1)

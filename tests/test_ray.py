@@ -22,7 +22,7 @@ from raymoments.ray import _gauss_hermite
 from raymoments.john import psi_from_phi
 from raymoments.symtensor import multi_indices, mult_weights
 
-from references import comps
+from references import comps, component_field
 
 
 def unit(v):
@@ -387,7 +387,8 @@ class TestBatchTransform:
         f = GaussPolyField.scalar(2)
         for kw, msg in [(dict(k=-1), "non-negative"), (dict(noffsets=1), "two offsets"),
                         (dict(noffsets=0), "two offsets"), (dict(extent=0.0), "extent"),
-                        (dict(extent=-1.0), "extent"), (dict(extent=math.nan), "extent")]:
+                        (dict(extent=-1.0), "extent"), (dict(extent=math.nan), "extent"),
+                        (dict(extent=math.inf), "extent")]:
             with pytest.raises(ValueError, match=msg):
                 batch_transform(f, **{"k": 0, "ndirs": 4, "noffsets": 4, **kw})
 
@@ -448,7 +449,9 @@ class TestBatchTransform:
             for k in range(m + 1):
                 data = batch_transform(f, k, ndirs=8, noffsets=4)
                 for d, o in np.ndindex(data.values.shape[1:]):
-                    ln = data.line(d, o)
+                    # offsets run in row-major order over the (n-1)-fold grid
+                    s = np.unravel_index(o, (data.offsets.size,) * (n - 1))
+                    ln = Line(data.frames[d] @ data.offsets[list(s)], data.directions[d])
                     for ell in range(k + 1):
                         assert data.values[ell, d, o] == pytest.approx(
                             moment_numeric(f, ln, ell, rule), rel=1e-8, abs=1e-12)
@@ -471,12 +474,6 @@ class TestBatchTransform:
                 np.testing.assert_allclose(data.values[ell, d], want,
                                            rtol=0, atol=1e-15 * np.abs(want).max())
 
-    def test_line_accessor(self):
-        f = GaussPolyField.scalar(2)
-        data = batch_transform(f, 0, ndirs=4, noffsets=4)
-        ln = data.line(1, 2)
-        assert abs(ln.x @ ln.xi) < 1e-12
-
 
 class TestRestrictedTransform:
     def test_r_zero_is_J0(self):
@@ -497,7 +494,7 @@ class TestRestrictedTransform:
         ln = random_line(2, rng)
         for i in range(2):
             got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=1)
-            comp = f.component_field((i,))
+            comp = component_field(f, (i,))
             want = moment_oracle(comp, ln.x, ln.xi, 0)
             assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
 
@@ -510,7 +507,7 @@ class TestRestrictedTransform:
         ln = random_line(2, rng)
         for i in range(2):
             got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=2)
-            comp = f.component_field((i,))
+            comp = component_field(f, (i,))
             want = moment_oracle(comp, ln.x, ln.xi, 0)
             assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
 
@@ -519,7 +516,7 @@ class TestRestrictedTransform:
         f = random_field(2, 2, rng, degree=1)
         Js = [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(3)]
         ln = random_line(2, rng)
-        comp = f.component_field((0, 1))
+        comp = component_field(f, (0, 1))
         want = moment_oracle(comp, ln.x, ln.xi, 0)
         errs = []
         for h in (2e-3, 1e-3):

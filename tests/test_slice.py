@@ -14,7 +14,7 @@ from raymoments.slices import (
 )
 from raymoments.symtensor import sym_dim, sym_mult_matrix
 
-from references import slice_system_rows
+from references import component_field, slice_system_rows
 
 
 class TestSliceCheck:
@@ -64,6 +64,14 @@ class TestSliceCheck:
             slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0, noffsets=1)
         with pytest.raises(ValueError, match="n >= 2"):
             slice_check(GaussPolyField.scalar(1), np.array([1.0]), np.zeros(1), 0)
+
+    @pytest.mark.parametrize("extent", [-8.0, 0.0, math.nan, math.inf])
+    def test_bad_extent_rejected(self, extent):
+        # a non-positive extent folds or collapses the offset grid and would
+        # still return a deviation
+        f = random_field(2, 2, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="extent"):
+            slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, extent=extent)
 
     def test_refinement_improves(self):
         rng = np.random.default_rng(3)
@@ -190,7 +198,7 @@ class TestSliceReconstruction:
 
         def harvested_pairing(fixed):
             # (2 pi)^{-1/2} F[I^0 f_fixed(. , zeta)](y) = <fhat_fixed(y), zeta^r>
-            comp = f.component_field(fixed)
+            comp = component_field(f, fixed)
             vals = np.array([moment_oracle(comp, si * u, zeta, 0) for si in s])
             return (phase * vals).sum() * ds / (2.0 * np.pi)
 

@@ -91,6 +91,36 @@ def test_one_polynomial_form():
     assert defined == ["ray.py:poly_add", "ray.py:poly_mul"], f"dict algebra defined in {defined}"
 
 
+def test_no_second_operator_layer():
+    # grid d^k and delta^k are GridSpec.apply_symbol with d_symbol and
+    # delta_symbol, and the references that only tests read live in tests/
+    deleted = {
+        "GridField": {"inner_derivative", "divergence", "_apply_symbol", "_check_like",
+                      "__add__", "__sub__", "__mul__", "__rmul__", "truncation_warning"},
+        "MomentData": {"line"},
+        "GaussPolyField": {"envelope", "component_field"},
+    }
+    classes = {node.name: node for path in sorted(SRC.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    def members(cls):
+        for node in classes[cls].body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name
+            elif isinstance(node, ast.AnnAssign):
+                yield node.target.id
+            elif isinstance(node, ast.Assign):
+                yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+    found = [f"{cls}.{name}" for cls, names in deleted.items()
+             for name in members(cls) if name in names]
+    assert not found, f"deleted API back in src/raymoments: {found}"
+    text = "\n".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    stale = [name for name in ("truncation_warning", "component_field", "_check_like")
+             if name in text]
+    assert not stale, f"deleted names still used in src/raymoments: {stale}"
+
+
 def test_one_line_quadrature():
     # batch_transform samples the exact oracle; Gauss-Legendre quadrature
     # lives only in QuadratureRule and its one user, moment_numeric
