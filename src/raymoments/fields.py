@@ -10,9 +10,10 @@ Two realizations of a symmetric-tensor field:
   Fourier transform scatter them into one dense box[s, e_1, ..., e_n] and
   act on it axis by axis.
 * :class:`GridField` -- real uniform-grid samples.  On the grid, d^k and
-  delta^k exist only as :meth:`GridSpec.apply_symbol` with :func:`d_symbol`
-  and :func:`delta_symbol`, on the real-FFT half spectrum under periodic
-  extension.
+  delta^k exist only as :func:`apply_symbol` with :func:`d_symbol` and
+  :func:`delta_symbol`, on the real-FFT half spectrum under periodic
+  extension; the same applier with the real y gives i_{y^(k)} and
+  j_{y^(k)} at one frequency.
 
 Fourier convention throughout: F u(y) = (2 pi)^{-n/2} int e^{-i<x,y>} u(x) dx.
 """
@@ -244,7 +245,7 @@ class GaussPolyField:
             # here: e^{-a x^2} underflows to 0, and 0 * inf is nan
             raise ValueError(f"sampling on [-{spec.extent}, {spec.extent})^{self.n} "
                              "gave non-finite values; the grid extent is too large")
-        return GridField(self.n, self.m, spec, np.ascontiguousarray(data))
+        return GridField(self.m, spec, np.ascontiguousarray(data))
 
     # -- JSON form -------------------------------------------------------------
 
@@ -351,25 +352,6 @@ class GridSpec:
         return np.ascontiguousarray(scipy.fft.irfftn(
             hats, s=(self.count,) * self.n, axes=tuple(range(-self.n, 0)), workers=-1))
 
-    def apply_symbol(self, hats: np.ndarray, dim_out: int, terms) -> np.ndarray:
-        """Apply a packed differential operator to a packed half spectrum.
-
-        Each term (dst, src, coeff, exponents) adds coeff * d^exponents of
-        component src to component dst of the (dim_out,) result, with the
-        partial derivative d^e realized as the Fourier symbol (i y)^e.  The
-        monomials stay broadcast along the axes they depend on, so the
-        symbol matrix is never formed on the grid.
-        """
-        ks = self.half_wavenumbers()
-        out = np.zeros((dim_out,) + hats.shape[1:], dtype=complex)
-        for dst, src, coeff, e in terms:
-            symbol = coeff * 1j ** sum(e)
-            for k, p in zip(ks, e):
-                if p:
-                    symbol = symbol * k ** p
-            out[dst] += symbol * hats[src]
-        return out
-
     def half_norm(self, hats: np.ndarray, m: int) -> float:
         """:meth:`GridField.norm` of the rank-m field with half spectrum hats.
 
@@ -390,6 +372,25 @@ class GridSpec:
             per_bin += w * np.einsum("ij,ij->j", parts, parts)
         power = float((per_bin[0::2] + per_bin[1::2]) @ bins)
         return math.sqrt(power * (self.spacing / self.count) ** self.n)
+
+
+def apply_symbol(hats: np.ndarray, dim_out: int, terms, ys) -> np.ndarray:
+    """Apply a packed differential operator, a list of terms, to packed hats.
+
+    Each term (dst, src, coeff, exponents) adds coeff * d^exponents of
+    component src to component dst of the (dim_out,) result, with d_a
+    realized as the symbol ys[a]: i k_a broadcast over the half spectrum on
+    the grid, or the real y_a at one frequency, where d_symbol and
+    delta_symbol give i_{y^(r)} and j_{y^(r)}.  The symbol matrix is never formed.
+    """
+    out = np.zeros((dim_out,) + hats.shape[1:], np.result_type(hats, *ys))
+    for dst, src, coeff, e in terms:
+        symbol = coeff
+        for y, p in zip(ys, e):
+            if p:
+                symbol = symbol * y ** p
+        out[dst] += symbol * hats[src]
+    return out
 
 
 def d_symbol(n: int, m: int, order: int):
@@ -414,16 +415,17 @@ def delta_symbol(n: int, m: int, order: int) -> list:
 class GridField:
     """Per-node packed symmetric tensor samples on a uniform grid.
 
-    ``data`` is real, of shape (sym_dim(n, m),) + (count,)*n; complex data
-    raises ValueError.  Periodic extension is assumed by the spectral
-    symbols of :class:`GridSpec`; fields are expected to decay below the
-    boundary cutoff of their generating :class:`GaussPolyField`.
+    ``data`` is real, of shape (sym_dim(n, m),) + (count,)*n with n the
+    dimension of ``spec``; complex data raises ValueError.  Periodic
+    extension is assumed by the spectral symbols of :func:`apply_symbol`;
+    fields are expected to decay below the boundary cutoff of their
+    generating :class:`GaussPolyField`.
     """
 
-    n: int
     m: int
     spec: GridSpec
     data: np.ndarray = field(repr=False)
+    n = property(lambda self: self.spec.n)
 
     def __post_init__(self):
         want = (sym_dim(self.n, self.m),) + (self.spec.count,) * self.n
@@ -469,4 +471,4 @@ class GridField:
             sc, {"n": int, "m": int, "count": int, "extent": float, "shape": list}, what)
         shape = [json_value(v, "shape", what, int) for v in shape]
         data = np.fromfile(path_prefix + ".bin").reshape(shape)
-        return cls(n, m, GridSpec(n, count, extent), data)
+        return cls(m, GridSpec(n, count, extent), data)

@@ -10,10 +10,11 @@ the real-FFT half spectrum of a grid field into the k-solenoidal part g and
 the k-potential generator v with f = g + d^k v.  Both peel f from the top
 down (:func:`_peel`), with no solve: f = sum_j i_y^j h_j uniquely, with h_j
 of rank m-j and j_y h_j = 0, and j_y^j i_y^j h_j = |y|^{2j} h_j / C(m, j)
-(Sharafutdinov, *Integral Geometry of Tensor Fields*, 1994, ch. 2).  On the
-grid each step is a symbol of :meth:`GridSpec.apply_symbol`, so the grid
-decomposition is exact for the grid operators: at every bin f_hat = g_hat
-+ i^k A(y) v_hat and i^k W^{-1} A(y)^T W g_hat = 0, A(y) = i_{y^(k)}.
+(Sharafutdinov, *Integral Geometry of Tensor Fields*, 1994, ch. 2).  Each
+step applies the d_symbol and delta_symbol tables through :func:`apply_symbol`,
+with d_a realized as y_a at one frequency and as i k_a on the grid, so the
+grid decomposition is exact for the grid operators: at every bin f_hat =
+g_hat + i^k A(k) v_hat and i^k W^{-1} A(k)^T W g_hat = 0, A(k) = i_{k^(k)}.
 :func:`verify_decomposition` measures exactly these two residuals on the
 half spectra of f, g and v, by discrete Parseval, without an inverse
 transform.
@@ -21,19 +22,17 @@ transform.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .fields import GridField, d_symbol, delta_symbol
+from .fields import GridField, GridSpec, apply_symbol, d_symbol, delta_symbol
 from .ray import householder_frame
 from .symtensor import (
     multi_indices,
     multiplicity,
     mult_weights,
     sym_dim,
-    sym_mult_operators,
     symmetric_products,
 )
 
@@ -48,55 +47,60 @@ _SINGULAR_FREQ = 1e-14
 
 
 def _split_input(f_hat, y, m: int, k: int):
-    """f_hat and y as arrays, and |y|, for a splitting of rank m at order k.
+    """f_hat and the real y as arrays, for a splitting of rank m at order k.
 
     Packed input carries no shape of its own, so a wrong length, a y that is
-    not a vector, an order outside 0..m or y near zero is a ValueError.
+    not a vector, a complex or non-finite y, an order outside 0..m or y near
+    zero is a ValueError.
     """
-    f_hat, y = np.asarray(f_hat), np.asarray(y, dtype=float)
+    f_hat, y = np.asarray(f_hat), np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"frequency y must be 1-D, got shape {y.shape}")
+    if np.iscomplexobj(y) or not np.isfinite(y).all():
+        raise ValueError(f"frequency y must be real and finite, got {y}")
+    y = y.astype(float)
     if f_hat.shape != (sym_dim(y.size, m),):
         raise ValueError(f"f_hat shape {f_hat.shape} does not match "
                          f"sym_dim({y.size}, {m}) = {sym_dim(y.size, m)}")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m = {m}, got k={k}")
-    ynorm = float(np.linalg.norm(y))
-    if ynorm < _SINGULAR_FREQ:
+    if np.linalg.norm(y) < _SINGULAR_FREQ:
         raise ValueError("frequency too close to zero for the splitting")
-    return f_hat, y, ynorm
+    return f_hat, y
 
 
 def freq_project(f_hat: np.ndarray, y: np.ndarray, m: int,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Split packed rank-m f_hat at y into (g_hat, v_hat), f_hat = g_hat + i_{y^(k)} v_hat.
 
-    j_{y^(k)} g_hat = 0.  The top-down peel of :func:`_peel` with j_y and
-    i_y at this one y, for any 0 <= k <= m; each step's contraction and
-    multiplication share one :func:`sym_mult_operators` pair.
+    j_{y^(k)} g_hat = 0.  The top-down peel of :func:`decompose_k`
+    (:func:`_peel`) at this one y, for any 0 <= k <= m: the symbols of d^j
+    and delta^j at the real y are i_{y^(j)} and j_{y^(j)}.
     """
-    f_hat, y, ynorm = _split_input(f_hat, y, m, k)
-    ops = functools.cache(lambda lo, p: sym_mult_operators(y.size, lo, p, y))  # one A(y) each
-    return _peel(f_hat * 1.0, m, k, ynorm ** -2,       # a float copy to peel
-                 lambda r, j: ops(m - j, j)[1](r), lambda h, lo, p: ops(lo, p)[0](h))
+    f_hat, y = _split_input(f_hat, y, m, k)
+    return _peel(f_hat * 1.0, m, k, y.tolist())       # a float copy to peel
 
 
-def _peel(r: np.ndarray, m: int, k: int, inv_lap, delta, d):
+def _peel(r: np.ndarray, m: int, k: int, ys) -> tuple[np.ndarray, np.ndarray]:
     """Peel rank-m packed r into r = g + d^k v with delta^k g = 0, in place.
 
-    For j = m down to k, h_j = C(m, j) lap^{-j} delta^j r, then r -= d^j h_j;
-    r ends as g, and v = sum_j d^{j-k} h_j is summed by Horner's rule.
-    delta(r, j) applies delta^j to rank m and d(h, lo, p) d^p to rank lo.
-    inv_lap is the inverse symbol of the scalar Laplacian delta d: |y|^-2
-    for j_y and i_y, -|y|^-2 on the grid, and zero where the symbol
-    vanishes, so that those frequencies stay in g.
+    ys[a] is the symbol of d_a that :func:`apply_symbol` applies.  For
+    j = m down to k, h_j = C(m, j) lap^-j delta^j r, then r -= d^j h_j; r
+    ends as g, and v = sum_j d^{j-k} h_j is summed by Horner's rule.  lap =
+    sum_a ys_a^2 is the symbol of the scalar Laplacian delta d, |y|^2 at one
+    frequency and -|k|^2 on the grid, formed in real arithmetic; where it
+    vanishes lap^-1 is zero, so that those frequencies stay in g.
     """
+    n = len(ys)
+    lap = sum((y * y).real for y in ys)
+    inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
     v = None
     for j in range(m, k - 1, -1):
-        h = delta(r, j) * (math.comb(m, j) * inv_lap ** j)
-        r -= d(h, m - j, j)
+        h = (apply_symbol(r, sym_dim(n, m - j), delta_symbol(n, m, j), ys)
+             * (math.comb(m, j) * inv_lap ** j))
+        r -= apply_symbol(h, sym_dim(n, m), d_symbol(n, m - j, j), ys)
         if v is not None:
-            h += d(v, m - j - 1, 1)
+            h += apply_symbol(v, sym_dim(n, m - j), d_symbol(n, m - j - 1, 1), ys)
         v = h
     return r, v
 
@@ -116,9 +120,9 @@ def projector_formula(f_hat: np.ndarray, y: np.ndarray, m: int, k: int) -> np.nd
     as in :func:`freq_project` by uniqueness of the splitting; k = 0 gives
     g = 0 up to rounding.
     """
-    f_hat, y, ynorm = _split_input(f_hat, y, m, k)
+    f_hat, y = _split_input(f_hat, y, m, k)
     n = y.size
-    u = y / ynorm
+    u = y / np.linalg.norm(y)
     products = symmetric_products(n, m, np.column_stack([householder_frame(u), u]))
     along = [g for g in multi_indices(n, m) if g.count(n - 1) >= k]
     S = np.array([products[g] for g in along])
@@ -148,14 +152,13 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
         warnings.warn("field does not decay at the grid boundary",
                       RuntimeWarning, stacklevel=2)
     spec = f.spec
-    lap = sum(y * y for y in spec.half_wavenumbers())
-    inv_lap = np.divide(-1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
-    g_hat, v_hat = _peel(
-        spec.rfftn(f.data), m, k, inv_lap,
-        lambda r, j: spec.apply_symbol(r, sym_dim(n, m - j), delta_symbol(n, m, j)),
-        lambda h, lo, p: spec.apply_symbol(h, sym_dim(n, lo + p), d_symbol(n, lo, p)))
-    return (GridField(n, m, spec, spec.irfftn(g_hat)),
-            GridField(n, m - k, spec, spec.irfftn(v_hat)))
+    g_hat, v_hat = _peel(spec.rfftn(f.data), m, k, _grid_symbols(spec))
+    return GridField(m, spec, spec.irfftn(g_hat)), GridField(m - k, spec, spec.irfftn(v_hat))
+
+
+def _grid_symbols(spec: GridSpec) -> list[np.ndarray]:
+    """The symbol i k_a of d_a on the half spectrum, one broadcast array per axis."""
+    return [1j * k for k in spec.half_wavenumbers()]
 
 
 def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> dict:
@@ -166,22 +169,23 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
     the scale d^k f are measured on the half spectrum by discrete Parseval
     (:meth:`GridSpec.half_norm`), with the symbols that :func:`decompose_k` applies.
     """
-    if (g.n, g.m, g.spec) != (f.n, f.m, f.spec):
+    if (g.m, g.spec) != (f.m, f.spec):
         raise ValueError("g grid not congruent with f")
-    if (v.n, v.m, v.spec) != (f.n, f.m - k, f.spec):
+    if (v.m, v.spec) != (f.m - k, f.spec):
         raise ValueError("v grid not congruent with f")
     n, m, spec = f.n, f.m, f.spec
+    ys = _grid_symbols(spec)
     # each operator result is reduced to its norm before the next is formed,
     # so that no more than three spectra are held at once
     f_hat = spec.rfftn(f.data)
-    dscale = spec.half_norm(spec.apply_symbol(f_hat, sym_dim(n, m + k),
-                                              d_symbol(n, m, k)), m + k)
+    dscale = spec.half_norm(apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k), ys),
+                            m + k)
     g_hat = spec.rfftn(g.data)
-    solenoidal = spec.half_norm(spec.apply_symbol(g_hat, sym_dim(n, m - k),
-                                                  delta_symbol(n, m, k)), m - k)
+    solenoidal = spec.half_norm(apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k),
+                                             ys), m - k)
     f_hat -= g_hat  # f_hat becomes the reconstruction residual in place
     del g_hat
-    f_hat -= spec.apply_symbol(spec.rfftn(v.data), sym_dim(n, m), d_symbol(n, m - k, k))
+    f_hat -= apply_symbol(spec.rfftn(v.data), sym_dim(n, m), d_symbol(n, m - k, k), ys)
     fnorm = f.norm()
     return {
         "reconstruction_residual": spec.half_norm(f_hat, m) / max(fnorm, 1e-300),

@@ -242,8 +242,8 @@ def range_test(data: MomentData | None, m: int, k: int,
         raise ValueError("range_test needs moment callables; data supplies parity only")
     if len(steps) < 2:
         raise ValueError("need at least two step sizes for order estimates")
-    if min(steps) <= 0 or len(set(steps)) != len(steps):
-        raise ValueError(f"step sizes must be positive and distinct, got {tuple(steps)}")
+    if not all(0 < h < math.inf for h in steps) or len(set(steps)) != len(steps):
+        raise ValueError(f"step sizes must be positive, finite and distinct, got {tuple(steps)}")
     if ntuples < 1:
         raise ValueError(f"need at least one John tuple, got ntuples={ntuples}")
     if npoints < 0:

@@ -135,8 +135,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.count < 8:
             raise ValueError("need at least 8 quadrature nodes")
-        if self.radius <= 0:
-            raise ValueError("truncation radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"truncation radius must be positive and finite, got {self.radius}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         t, w = _gauss_rule(np.polynomial.legendre.leggauss, self.count)
@@ -267,7 +267,8 @@ class MomentData:
     Lines are (x, xi) with xi from an antipodally closed direction grid and
     x = sum_j s_j e_j(xi) over the recorded orthonormal frame of xi-perp.
     ``values`` has shape (k+1, ndirs, noffsets) with offsets enumerated in
-    row-major order over the (n-1)-fold tensor grid of ``offsets``.
+    row-major order over the (n-1)-fold tensor grid of ``offsets``.  n >= 2,
+    directions (D, n), frames (D, n, n-1) and 1-D offsets, or a ValueError.
     """
 
     n: int
@@ -279,7 +280,16 @@ class MomentData:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        want = (self.k + 1, self.directions.shape[0], self.offsets.size ** (self.n - 1))
+        n, dirs = self.n, self.directions
+        if n < 2:
+            raise ValueError(f"moment data needs dimension n >= 2, got n={n}")
+        if dirs.ndim != 2 or dirs.shape[1] != n:
+            raise ValueError(f"directions shape {dirs.shape} is not (D, {n})")
+        if self.frames.shape != (len(dirs), n, n - 1):
+            raise ValueError(f"frames shape {self.frames.shape} != {(len(dirs), n, n - 1)}")
+        if self.offsets.ndim != 1:
+            raise ValueError(f"offsets must be 1-D, got shape {self.offsets.shape}")
+        want = (self.k + 1, len(dirs), self.offsets.size ** (n - 1))
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape} != {want}")
 
@@ -304,8 +314,7 @@ class MomentData:
             "n": int, "m": int, "k": int, "geometry": dict, "moments": list}, "moment JSON")
         dirs, frames, offs = (np.asarray(a, dtype=float) for a in json_keys(
             g, dict.fromkeys(("directions", "frames", "offsets"), list), "moment JSON geometry"))
-        vals = np.asarray(moments, dtype=float).reshape(
-            k + 1, dirs.shape[0], offs.size ** (n - 1))
+        vals = np.asarray(moments, dtype=float).reshape(k + 1, len(dirs), -1)
         return cls(n, m, k, dirs, frames, offs, vals)
 
 
@@ -385,8 +394,8 @@ def apply_stencil(fun, tables, x, xi, h: float, basis=None) -> list[float]:
     default the 2n phase axes.  Each table's products are summed exactly
     (math.fsum), so a sum does not depend on which tables came with it.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     n = x.size

@@ -21,7 +21,6 @@ __all__ = [
     "mult_weights",
     "monomials",
     "sym_mult_matrix",
-    "sym_mult_operators",
     "sym_mult_monomials",
     "symmetric_products",
     "xi_power_weights",
@@ -118,37 +117,15 @@ def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
     return tuple(int(c) - 1 for c in key)
 
 
-def sym_mult_operators(n: int, lo: int, k: int, x: np.ndarray):
-    """i_{x^(k)} on rank lo and its adjoint j_{x^(k)}, as maps of packed coefficients.
-
-    Both read one :func:`sym_mult_matrix` A(x): i is A, and j, the adjoint under
-    the multiplicity-weighted inner product <a, b> = sum W a b, is
-    W_lo^-1 A^T W_hi (W the multiplicity weights); k = 0 is I.
-    """
-    if lo < 0:
-        raise ValueError(f"contraction order {k} exceeds rank {lo + k}")
-    A = sym_mult_matrix(n, lo, k, _vector(x, n))
-    if k == 0:      # exactly I: W_lo^-1 (W_hi w) can round
-        return (lambda u: u), (lambda w: w)
-    w_hi, w_lo = mult_weights(n, lo + k), mult_weights(n, lo)
-    return (lambda u: A @ u), (lambda w: A.T @ (w_hi * w) / w_lo)
-
-
 def symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
     """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
     if m < 0:
         raise ValueError(f"rank must be non-negative, got m={m}")
     table = {(): np.ones(1)}
     for r in range(m):
-        mult = sym_mult_matrix(n, r, 1, U.T)           # mult[j]: i_{u_j} on rank r
+        mult = sym_mult_matrix(n, r, U.T)              # mult[j]: i_{u_j} on rank r
         table = {g: mult[g[-1]] @ table[g[:-1]] for g in multi_indices(n, r + 1)}
     return table
-
-
-def _vector(x, n: int) -> np.ndarray:
-    if np.shape(x) != (n,):
-        raise ValueError(f"x must have shape ({n},), got {np.shape(x)}")
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +152,9 @@ def sym_mult_monomials(n: int, m: int, k: int):
 
     Returns tuples (row, col, coeff, exponents) with
     A(x)[row, col] = sum coeff * prod_j x_j^exponents[j].  This is the one
-    encoding of the symmetrization: :func:`sym_mult_operators`,
-    :func:`symmetric_products`, the grid symbols of d^k and delta^k and the
-    analytic derivatives of GaussPolyField all read it (with x_j standing
-    for the partial derivative d_j in space).
+    encoding of the symmetrization: :func:`sym_mult_matrix`, and the symbols
+    of d^k and delta^k that the grid, the one-frequency splitting and the
+    derivatives of GaussPolyField apply (x_j standing for d_j in space).
     """
     if k < 0:
         raise ValueError(f"order k must be non-negative, got k={k}")
@@ -197,37 +173,31 @@ def sym_mult_monomials(n: int, m: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _sym_mult_terms(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sym_mult_monomials` grouped by exponent: A(x) = sum_e x^e C_e.
-
-    Returns the distinct exponents as rows of an (E, n) array and the
-    constant matrices C_e flattened to (E, sym_dim(n, m+k) * sym_dim(n, m)).
-    """
-    terms = sym_mult_monomials(n, m, k)
-    exps = sorted({e for *_, e in terms})
-    C = np.zeros((len(exps), sym_dim(n, m + k), sym_dim(n, m)))
+def _first_order_table(n: int, m: int) -> np.ndarray:
+    """The matrices C_a of A(x) = sum_a x_a C_a on rank m, stacked and flattened to (n, -1)."""
+    terms = sym_mult_monomials(n, m, 1)        # first: it names a negative rank
+    C = np.zeros((n, sym_dim(n, m + 1), sym_dim(n, m)))
     for r, c, v, e in terms:
-        C[exps.index(e), r, c] += v
-    E, C = np.array(exps).reshape(len(exps), n), C.reshape(len(exps), -1)
-    E.flags.writeable = C.flags.writeable = False
-    return E, C
+        C[e.index(1), r, c] = v
+    C = C.reshape(n, -1)
+    C.flags.writeable = False
+    return C
 
 
-def sym_mult_matrix(n: int, m: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
+def sym_mult_matrix(n: int, m: int, x: np.ndarray) -> np.ndarray:
+    """Packed matrix of i_x: S^m -> S^{m+1}, batched over x[..., n].
 
-    Shape x.shape[:-1] + (sym_dim(n, m+k), sym_dim(n, m)).  Each distinct
-    monomial x^e is evaluated once (:func:`monomials`) and weighs its
-    constant matrix C_e.
+    Shape x.shape[:-1] + (sym_dim(n, m+1), sym_dim(n, m)).  Every entry is
+    one product x_a C_a[row, col]: a row's multi-index loses one label to
+    become the column's.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError(f"x must be real, got dtype {x.dtype}")
     if x.shape[-1:] != (n,):
         raise ValueError(f"x must have a trailing axis of length {n}, got shape {x.shape}")
-    E, C = _sym_mult_terms(n, m, k)
-    A = np.einsum("...e,ed->...d", monomials(x, E), C)
-    return A.reshape(x.shape[:-1] + (sym_dim(n, m + k), sym_dim(n, m)))
+    A = x @ _first_order_table(n, m)
+    return A.reshape(x.shape[:-1] + (sym_dim(n, m + 1), sym_dim(n, m)))
 
 
 def monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from raymoments.fields import GaussPolyField, GridField
+from raymoments.fields import GaussPolyField, GridField, apply_symbol
 from raymoments.ray import apply_stencil, central_table, householder_frame
 from raymoments.symtensor import _index_map, multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
@@ -46,13 +46,37 @@ def component_field(f, fixed):
 def grid_operator(u, m_out, terms):
     """The rank-m_out grid field of the symbol ``terms`` applied to u, in real space.
 
-    The symbol path of decompose_k (rfftn, GridSpec.apply_symbol) followed
-    by the inverse transform, so that a real-space residual built from it
-    is independent of verify_decomposition's Parseval sums.
+    The symbol path of decompose_k (rfftn, apply_symbol with d_a as i k_a)
+    followed by the inverse transform, so that a real-space residual built
+    from it is independent of verify_decomposition's Parseval sums.
     """
     spec = u.spec
-    hats = spec.apply_symbol(spec.rfftn(u.data), sym_dim(u.n, m_out), terms)
-    return GridField(u.n, m_out, spec, spec.irfftn(hats))
+    ys = [1j * k for k in spec.half_wavenumbers()]
+    hats = apply_symbol(spec.rfftn(u.data), sym_dim(u.n, m_out), terms, ys)
+    return GridField(m_out, spec, spec.irfftn(hats))
+
+
+def sym_mult_power(n, m, k, x):
+    """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
+
+    The product of k first-order sym_mult_matrix factors, since
+    sigma(x (x) sigma(x^(k-1) (x) u)) = sigma(x^(k) (x) u): i_{x^(k)} = (i_x)^k.
+    """
+    if k < 0:
+        raise ValueError(f"order k must be non-negative, got k={k}")
+    x = np.asarray(x)
+    A = np.broadcast_to(np.eye(sym_dim(n, m)), x.shape[:-1] + (sym_dim(n, m),) * 2)
+    for r in range(m, m + k):
+        A = sym_mult_matrix(n, r, x) @ A
+    return A
+
+
+def contract_power(n, m, k, x):
+    """Packed matrix of j_{x^(k)}: S^m -> S^{m-k}, W_lo^-1 A^T W_hi with A = sym_mult_power."""
+    if k > m:
+        raise ValueError(f"contraction order {k} exceeds rank {m}")
+    A = np.swapaxes(sym_mult_power(n, m - k, k, x), -1, -2)
+    return A * mult_weights(n, m) / mult_weights(n, m - k)[:, None]
 
 
 def mixed_central(fun, x, xi, x_axes, xi_axes, h):
@@ -120,8 +144,8 @@ def slice_system_rows(n, m, k, y):
     def row(ypow, mono):
         t = np.ones(1)
         for r, j in enumerate(mono):
-            t = sym_mult_matrix(n, r, 1, zeta[:, j]) @ t
-        return mult_weights(n, m) * (sym_mult_matrix(n, len(mono), ypow, y) @ t)
+            t = sym_mult_matrix(n, r, zeta[:, j]) @ t
+        return mult_weights(n, m) * (sym_mult_power(n, len(mono), ypow, y) @ t)
 
     rows, tags = [], []
     for ell in range(k + 1):

@@ -138,6 +138,7 @@ class TestDecomposeVerify:
       "--out-prefix", "{out}"], {0, 1}),
     (["slice-check", "--offsets", "1", "--out", "{out}"], {2}),
     (["check-range", "--k", "1", "--steps", "0.025,0.025", "--out", "{out}"], {2}),
+    (["check-range", "--k", "1", "--steps", "nan,0.0125", "--out", "{out}"], {2}),
     (["check-range", "--n", "3", "--m", "1", "--k", "1", "--ntuples", "0",
       "--out", "{out}"], {2}),
     (["check-range", "--m", "1", "--k", "2", "--out", "{out}"], {2}),
@@ -171,7 +172,8 @@ class TestDecomposeVerify:
       "--out-prefix", "{out}"], {2}),
 ], ids=["decompose-k0", "decompose-grid3", "transform-dirs7",
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
-        "slice-check-offsets1", "check-range-equal-steps", "check-range-ntuples0",
+        "slice-check-offsets1", "check-range-equal-steps", "check-range-nan-step",
+        "check-range-ntuples0",
         "check-range-k2", "verify-wrong-k", "check-kernel-k-1", "oracle-diff-k-1",
         "chi-verify-ell-1", "transform-unwritable-out", "transform-extent-1",
         "transform-k-1", "transform-offsets0", "transform-dirs0", "transform-dirs-2",

@@ -17,6 +17,7 @@ from raymoments.fields import (
     GaussPolyField,
     GridField,
     GridSpec,
+    apply_symbol,
     d_symbol,
     delta_symbol,
     random_field,
@@ -25,11 +26,13 @@ from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_
 
 from references import (
     comps,
+    contract_power,
     grid_norm_full_array,
     grid_operator,
     half_norm_full_array,
     poly_dtype,
     poly_eval,
+    sym_mult_power,
     symmetrize,
 )
 
@@ -289,7 +292,7 @@ class TestFourier:
         vhat = v.fourier_analytic()
         for _ in range(5):
             y = rng.normal(size=3)
-            want = 1j * sym_mult_matrix(3, 1, 1, y) @ vhat.eval_packed(y)
+            want = 1j * sym_mult_matrix(3, 1, y) @ vhat.eval_packed(y)
             np.testing.assert_allclose(lhs.eval_packed(y), want, atol=1e-10)
 
     def test_family_closure(self):
@@ -423,7 +426,42 @@ class TestPackedForm:
                 assert np.array_equal(f.sample(spec).data, term_by_term_sample(f, spec))
 
 
+class TestApplySymbol:
+    """apply_symbol with d_symbol/delta_symbol against the dense references at one frequency."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_dense_reference(self, n, m):
+        # at the real y the symbols are i_{y^(k)} = (i_y)^k and its weighted
+        # adjoint; at i y, the grid's form, d^k gains the factor i^k
+        rng = np.random.default_rng(60 + 10 * n + m)
+        for k in range(4):
+            y = rng.normal(size=n)
+            u = rng.normal(size=sym_dim(n, m)) + 1j * rng.normal(size=sym_dim(n, m))
+            A = sym_mult_power(n, m, k, y)
+            got = apply_symbol(u, sym_dim(n, m + k), d_symbol(n, m, k), y.tolist())
+            assert np.abs(got - A @ u).max() <= 1e-14 * np.abs(A @ u).max()
+            got = apply_symbol(u, sym_dim(n, m + k), d_symbol(n, m, k), list(1j * y))
+            assert np.abs(got - 1j ** k * (A @ u)).max() <= 1e-14 * np.abs(A @ u).max()
+            if k <= m:
+                J = contract_power(n, m, k, y)
+                got = apply_symbol(u, sym_dim(n, m - k), delta_symbol(n, m, k), y.tolist())
+                assert np.abs(got - J @ u).max() <= 1e-14 * np.abs(J @ u).max()
+
+
 class TestGridField:
+    def test_dimension_read_from_spec(self, tmp_path):
+        # 2-D data on a 3-D grid would take the 3-D cell volume in norm() and
+        # come back from dump/load on a 2-D grid
+        spec = GridSpec(3, 8, 1.0)
+        with pytest.raises(ValueError, match="data shape"):
+            GridField(1, spec, np.zeros((2, 8, 8)))
+        u = GridField(1, spec, np.arange(3 * 8 ** 3, dtype=float).reshape(3, 8, 8, 8))
+        assert u.n == 3
+        u.dump(str(tmp_path / "grid"))
+        back = GridField.load(str(tmp_path / "grid"))
+        assert back.spec == spec and back.n == 3 and np.array_equal(back.data, u.data)
+
     def test_spectral_derivative_matches_analytic(self):
         rng = np.random.default_rng(8)
         f = random_field(2, 1, rng, degree=1)
@@ -453,7 +491,7 @@ class TestGridField:
     def test_complex_data_rejected(self):
         spec = GridSpec(2, 8, 4.0)
         with pytest.raises(ValueError, match="real"):
-            GridField(2, 1, spec, np.zeros((2, 8, 8), dtype=complex))
+            GridField(1, spec, np.zeros((2, 8, 8), dtype=complex))
         f = random_field(2, 1, np.random.default_rng(13)).fourier_analytic()
         with pytest.raises(ValueError, match="real"):
             f.sample(spec)
@@ -470,7 +508,7 @@ class TestGridField:
         spec = GridSpec(2, 8, 1.0)
         data = np.zeros((3,) + (8, 8))
         data[1, 0, 0] = 1.0          # off-diagonal slot, multiplicity 2
-        g = GridField(2, 2, spec, data)
+        g = GridField(2, spec, data)
         assert g.norm() == pytest.approx(math.sqrt(2.0) * spec.spacing)
 
 
@@ -501,7 +539,7 @@ class TestGridTransform:
     def test_norms_match_full_array(self, n, m, count):
         spec = GridSpec(n, count, 6.0)
         data = np.random.default_rng(40 + count).normal(size=(sym_dim(n, m),) + (count,) * n)
-        u = GridField(n, m, spec, data)
+        u = GridField(m, spec, data)
         assert u.norm() == pytest.approx(grid_norm_full_array(u), rel=1e-14)
         hats = spec.rfftn(data)
         assert spec.half_norm(hats, m) == pytest.approx(

@@ -101,8 +101,8 @@ class TestJohnApply:
         assert 3.5 < e1 / e2 < 4.5
 
     def test_step_validation(self):
-        for h in (0.0, -0.1):
-            with pytest.raises(ValueError, match="step size"):
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step size must be positive and finite"):
                 john_pair(lambda x, xi: 0.0, 0, 1, h)(np.ones(2), np.ones(2))
 
 
@@ -467,6 +467,15 @@ class TestRangeTest:
         report = range_test(data, 2, 1, moment_callables=oracle_moment_callables(f, 1),
                             npoints=0, ntuples=1, n=2)
         assert report.parity_pass
+
+    @pytest.mark.parametrize("steps", [(math.nan, 0.0125), (0.025, math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_step_rejected(self, steps):
+        # a nan step passed min(steps) > 0 and failed later as a zero direction
+        f = random_field(2, 1, np.random.default_rng(23), degree=1)
+        with pytest.raises(ValueError, match="step sizes must be positive, finite"):
+            range_test(None, 1, 1, steps=steps,
+                       moment_callables=oracle_moment_callables(f, 1), n=2)
 
     def test_no_data_no_parity(self):
         f = random_field(3, 1, np.random.default_rng(19), degree=1)

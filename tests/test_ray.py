@@ -105,8 +105,9 @@ class TestGeometry:
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
             QuadratureRule(count=4)
-        with pytest.raises(ValueError):
-            QuadratureRule(radius=-1.0)
+        for radius in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                QuadratureRule(radius=radius)
 
 
 class TestMomentNumeric:
@@ -429,6 +430,26 @@ class TestBatchTransform:
             MomentData.from_json(json.dumps(d))
         with pytest.raises(ValueError, match="missing key 'moments'"):
             MomentData.from_json(json.dumps({"n": 2, "m": 0, "k": 0, "geometry": {}}))
+
+    @pytest.mark.parametrize("n, edit, match", [
+        (3, lambda d: d["geometry"].update(
+            directions=[u[:2] for u in d["geometry"]["directions"]]),
+         r"directions shape \(4, 2\) is not \(D, 3\)"),
+        (3, lambda d: d["geometry"].update(
+            frames=[[row[:1] for row in f] for f in d["geometry"]["frames"]]),
+         r"frames shape \(4, 3, 1\) != \(4, 3, 2\)"),
+        (2, lambda d: d["geometry"].update(offsets=[d["geometry"]["offsets"]]),
+         "offsets must be 1-D"),
+        (2, lambda d: d.update(n=0), "n >= 2, got n=0"),
+        (2, lambda d: d.update(n=1), "n >= 2, got n=1"),
+    ], ids=["directions-2-columns", "frames-1-column", "offsets-2-d", "n-0", "n-1"])
+    def test_json_bad_geometry_named(self, n, edit, match):
+        # geometry that disagrees with n would give lines in the wrong space
+        d = json.loads(batch_transform(GaussPolyField.scalar(n), 0, ndirs=4,
+                                       noffsets=4).to_json())
+        edit(d)
+        with pytest.raises(ValueError, match=match):
+            MomentData.from_json(json.dumps(d))
 
     def test_json_with_quadrature_entry_loads(self):
         # files written when the values came from Gauss-Legendre quadrature

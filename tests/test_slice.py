@@ -12,9 +12,9 @@ from raymoments.slices import (
     slice_check,
     slice_row_count,
 )
-from raymoments.symtensor import sym_dim, sym_mult_matrix
+from raymoments.symtensor import sym_dim
 
-from references import component_field, slice_system_rows
+from references import component_field, slice_system_rows, sym_mult_power
 
 
 class TestSliceCheck:
@@ -103,7 +103,7 @@ class TestSliceSystem:
         y = rng.normal(size=n)
         sysm = assemble_slice_system(n, m, k, y)
         u = rng.normal(size=sym_dim(n, m - k - 1))
-        pot = sym_mult_matrix(n, m - k - 1, k + 1, y) @ u
+        pot = sym_mult_power(n, m - k - 1, k + 1, y) @ u
         for row, tag in zip(sysm.rows, sysm.tags):
             if tag[0] == "moment":
                 assert abs(row @ pot) < 1e-12

@@ -92,7 +92,7 @@ def test_one_polynomial_form():
 
 
 def test_no_second_operator_layer():
-    # grid d^k and delta^k are GridSpec.apply_symbol with d_symbol and
+    # grid d^k and delta^k are fields.apply_symbol with d_symbol and
     # delta_symbol, and the references that only tests read live in tests/
     deleted = {
         "GridField": {"inner_derivative", "divergence", "_apply_symbol", "_check_like",
@@ -136,8 +136,9 @@ def test_one_line_quadrature():
 
 
 def test_one_monomial_table():
-    # symtensor.monomials is the one power table behind the symbol matrices
-    # and field evaluation; no term-by-term evaluator remains beside it
+    # symtensor.monomials is the one power table of field evaluation; no
+    # term-by-term evaluator remains beside it.  sym_mult_matrix is first
+    # order, so it needs no powers
     def calls_monomials(node):
         return any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "monomials"
                    for c in ast.walk(node))
@@ -147,13 +148,42 @@ def test_one_monomial_table():
              for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.name == "poly_eval"]
     assert not found, f"poly_eval defined in src/raymoments: {found}"
-    matrix = next(node for node in trees["symtensor.py"].body
-                  if getattr(node, "name", None) == "sym_mult_matrix")
     field = next(node for node in trees["fields.py"].body
                  if getattr(node, "name", None) == "GaussPolyField")
     evaluate = next(node for node in field.body if getattr(node, "name", None) == "eval_packed")
-    assert calls_monomials(matrix), "sym_mult_matrix does not call monomials"
     assert calls_monomials(evaluate), "GaussPolyField.eval_packed does not call monomials"
+
+
+def test_one_symbol_applier():
+    # i/j at one frequency and d^k/delta^k on the grid are the d_symbol and
+    # delta_symbol tables through one applier, fields.apply_symbol; no dense
+    # order-k operator pair and no second applier remain beside it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    defined = sorted(f"{name}:{node.name}" for name, tree in trees.items()
+                     for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and node.name in ("apply_symbol", "sym_mult_operators", "_sym_mult_terms"))
+    assert defined == ["fields.py:apply_symbol"], f"symbol appliers in src/raymoments: {defined}"
+    matrix = next(node for node in trees["symtensor.py"].body
+                  if getattr(node, "name", None) == "sym_mult_matrix")
+    assert [a.arg for a in matrix.args.args] == ["n", "m", "x"], "sym_mult_matrix takes an order"
+
+    helm = trees["helmholtz.py"]
+    parent = {child: node for node in ast.walk(helm) for child in ast.iter_child_nodes(node)}
+
+    def name(call):
+        return ast.unparse(call.func)
+
+    stray = [f"helmholtz.py:{node.lineno}: {name(node)}" for node in ast.walk(helm)
+             if isinstance(node, ast.Call)
+             and (name(node) in ("d_symbol", "delta_symbol")
+                  and not (isinstance(parent[node], ast.Call)
+                           and name(parent[node]) == "apply_symbol")
+                  or name(node).endswith(".apply_symbol")
+                  or name(node) in ("sym_mult_matrix", "sym_mult_monomials", "monomials"))]
+    assert not stray, f"symbols applied outside apply_symbol: {stray}"
+    peel = next(node for node in helm.body if getattr(node, "name", None) == "_peel")
+    assert [a.arg for a in peel.args.args] == ["r", "m", "k", "ys"], "_peel takes callables"
+    assert not any(isinstance(node, ast.Lambda) for node in ast.walk(helm)), "lambda in helmholtz"
 
 
 def test_one_symmetric_product_table():

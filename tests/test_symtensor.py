@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raymoments.fields import GaussPolyField
+from raymoments.fields import GaussPolyField, apply_symbol, d_symbol, delta_symbol
 from raymoments.symtensor import (
     _json_real,
     json_index,
@@ -16,22 +16,27 @@ from raymoments.symtensor import (
     mult_weights,
     sym_dim,
     sym_mult_matrix,
-    sym_mult_operators,
     symmetric_products,
     xi_power_weights,
 )
 
-from references import symmetrize, to_full
+from references import contract_power, sym_mult_power, symmetrize, to_full
+
+
+def one_vector(x, n):
+    if np.shape(x) != (n,):
+        raise ValueError(f"x must have shape ({n},), got {np.shape(x)}")
+    return x
 
 
 def sym_mult(u, n, m, x, k):
-    """i_{x^(k)} u for packed rank-m u, through sym_mult_operators."""
-    return sym_mult_operators(n, m, k, x)[0](u)
+    """i_{x^(k)} u for packed rank-m u at one vector x, through the reference product."""
+    return sym_mult_power(n, m, k, one_vector(x, n)) @ u
 
 
 def contract(w, n, m, x, k):
-    """j_{x^(k)} w for packed rank-m w, through sym_mult_operators."""
-    return sym_mult_operators(n, m - k, k, x)[1](w)
+    """j_{x^(k)} w for packed rank-m w at one vector x, through the reference adjoint."""
+    return contract_power(n, m, k, one_vector(x, n)) @ w
 
 
 def sym_inner(a, b, n, m):
@@ -115,8 +120,10 @@ class TestSymMult:
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_k_zero_identity(self):
+        # the order-0 symbol is exactly the identity, so a k = 0 peel leaves g = 0
         u = np.array([2.0, -1.0])
-        assert sym_mult(u, 2, 1, np.array([5.0, 5.0]), 0) is u
+        assert np.array_equal(apply_symbol(u, 2, d_symbol(2, 1, 0), [5.0, 5.0]), u)
+        assert np.array_equal(sym_mult(u, 2, 1, np.array([5.0, 5.0]), 0), u)
 
     def test_rank_one_example(self):
         # sigma(x (x) u) for x = e_1, u = (a, b)
@@ -138,19 +145,20 @@ class TestSymMult:
         for n, m, k in [(2, 1, 1), (3, 1, 2), (3, 2, 1)]:
             u = rng.normal(size=sym_dim(n, m))
             x = rng.normal(size=n)
-            np.testing.assert_allclose(sym_mult_matrix(n, m, k, x) @ u,
-                                       sym_mult(u, n, m, x, k), atol=1e-14)
+            np.testing.assert_allclose(
+                apply_symbol(u, sym_dim(n, m + k), d_symbol(n, m, k), x.tolist()),
+                sym_mult(u, n, m, x, k), atol=1e-14)
             xs = rng.normal(size=(2, 3, n))          # batched over leading axes
-            batch = sym_mult_matrix(n, m, k, xs)
+            batch = sym_mult_matrix(n, m, xs)
             for i, j in np.ndindex(2, 3):
-                np.testing.assert_allclose(batch[i, j],
-                                           sym_mult_matrix(n, m, k, xs[i, j]))
+                np.testing.assert_allclose(batch[i, j], sym_mult_matrix(n, m, xs[i, j]))
 
 
 class TestContract:
     def test_k_zero_identity(self):
         w = np.array([1.0, 2.0, 3.0])
-        assert contract(w, 2, 2, np.ones(2), 0) is w
+        assert np.array_equal(apply_symbol(w, 3, delta_symbol(2, 2, 0), [1.0, 1.0]), w)
+        assert np.array_equal(contract(w, 2, 2, np.ones(2), 0), w)
 
     def test_rank_one_dot_product(self):
         w = np.array([1.0, -2.0, 0.5])
@@ -210,7 +218,7 @@ class TestFullTableReference:
 TABLE_OPS = {
     "sym_mult": lambda x, k: sym_mult(np.ones(3), 2, 2, x, k),
     "contract": lambda x, k: contract(np.ones(3), 2, 2, x, k),
-    "sym_mult_matrix": lambda x, k: sym_mult_matrix(2, 2, k, x),
+    "sym_mult_matrix": lambda x, k: sym_mult_power(2, 2, k, x),
 }
 
 
@@ -227,7 +235,7 @@ class TestValidation:
     @pytest.mark.parametrize("call", [
         lambda: mult_weights(2, -1),
         lambda: xi_power_weights(2, -1, np.array([0.6, 0.8])),
-        lambda: sym_mult_matrix(2, -1, 1, np.array([0.6, 0.8])),
+        lambda: sym_mult_matrix(2, -1, np.array([0.6, 0.8])),
         lambda: symmetric_products(2, -1, np.eye(2)),
     ], ids=["mult_weights", "xi_power_weights", "sym_mult_matrix", "symmetric_products"])
     def test_negative_rank_named(self, call):
