@@ -303,8 +303,9 @@ class GridSpec:
     extent: float
 
     def __post_init__(self):
-        if self.count < 4:
-            raise ValueError("need at least 4 nodes per axis")
+        for name, value, least in (("dimension n", self.n, 1), ("node count", self.count, 4)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"grid {name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.extent < math.inf:
             raise ValueError(f"grid extent must be positive and finite, got {self.extent}")
 
@@ -352,13 +353,22 @@ class GridSpec:
         return np.ascontiguousarray(scipy.fft.irfftn(
             hats, s=(self.count,) * self.n, axes=tuple(range(-self.n, 0)), workers=-1))
 
-    def half_norm(self, hats: np.ndarray, m: int) -> float:
-        """:meth:`GridField.norm` of the rank-m field with half spectrum hats.
+    def power_norm(self, power: float) -> float:
+        """:meth:`GridField.norm` of the field whose :meth:`half_power` is power.
 
         Discrete Parseval: sum_x |u|^2 = count^-n sum_y |u_hat|^2 over the
-        full spectrum.  On the half spectrum the last-axis bins 0 and (even
-        counts) count/2 are their own conjugates and weigh 1; every other
-        bin stands for itself and its conjugate and weighs 2.
+        full spectrum.
+        """
+        return math.sqrt(power * (self.spacing / self.count) ** self.n)
+
+    def half_power(self, hats: np.ndarray, m: int) -> float:
+        """Sum of |u_hat|^2 over the full-spectrum bins that the rank-m hats stand for.
+
+        hats is the half spectrum, or for n >= 2 any rows of its first grid
+        axis, so that the power of a field is the sum of its row slabs'.  On
+        the half spectrum the last-axis bins 0 and (even counts) count/2 are
+        their own conjugates and weigh 1; every other bin stands for itself
+        and its conjugate and weighs 2.
         """
         bins = np.full(self.count // 2 + 1, 2.0)
         bins[0] = 1.0
@@ -370,8 +380,7 @@ class GridSpec:
         for w, h in zip(mult_weights(self.n, m), hats):
             parts = np.ascontiguousarray(h, dtype=complex).view(float).reshape(-1, per_bin.size)
             per_bin += w * np.einsum("ij,ij->j", parts, parts)
-        power = float((per_bin[0::2] + per_bin[1::2]) @ bins)
-        return math.sqrt(power * (self.spacing / self.count) ** self.n)
+        return float((per_bin[0::2] + per_bin[1::2]) @ bins)
 
 
 def apply_symbol(hats: np.ndarray, dim_out: int, terms, ys) -> np.ndarray:
@@ -470,5 +479,9 @@ class GridField:
         n, m, count, extent, shape = json_keys(
             sc, {"n": int, "m": int, "count": int, "extent": float, "shape": list}, what)
         shape = [json_value(v, "shape", what, int) for v in shape]
-        data = np.fromfile(path_prefix + ".bin").reshape(shape)
+        data = np.fromfile(path_prefix + ".bin")
+        if data.size != math.prod(shape):
+            raise ValueError(f"grid file {path_prefix}.bin holds {data.size} values, but its "
+                             f"sidecar shape {shape} needs {math.prod(shape)}")
+        data = data.reshape(shape)
         return cls(m, GridSpec(n, count, extent), data)

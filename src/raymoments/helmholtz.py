@@ -18,11 +18,19 @@ g_hat + i^k A(k) v_hat and i^k W^{-1} A(k)^T W g_hat = 0, A(k) = i_{k^(k)}.
 :func:`verify_decomposition` measures exactly these two residuals on the
 half spectra of f, g and v, by discrete Parseval, without an inverse
 transform.
+
+Every bin is split on its own, so both grid functions run their per-bin
+work one row slab of the half spectrum at a time (:func:`_row_slabs`, a
+partition of its first grid axis that depends only on the grid and keeps a
+slab's operands in cache), several slabs on one thread each
+(:func:`_over_slabs`).  g and v do not depend on the partition or the core
+count; the residuals are sums of slab powers, in slab order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -134,26 +142,39 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     """Global decomposition f = g + d^k v with delta^k g = 0.
 
     Real-FFT half spectrum of f, :func:`_peel` with the grid symbols of
-    delta^j and d^j, inverse real FFT.  The other half of the spectrum is
-    the conjugate of this one, and so is its splitting, because the symbols
-    are real polynomials in i y.  The frequencies are those of
-    :meth:`GridSpec.half_wavenumbers`, whose Nyquist entry is zero on even
-    grids, so odd and even grid counts are both supported and every bin is
-    split with the symbol that d^k and delta^k apply; bins with y = 0 are
-    assigned wholly to g.  f, g and v are real grid fields
-    (:class:`GridField` rejects complex data).
+    delta^j and d^j on each row slab (:func:`_over_slabs`), inverse real
+    FFT.  The other half of the spectrum is the conjugate of this one, and
+    so is its splitting, because the symbols are real polynomials in i y.
+    The frequencies are those of :meth:`GridSpec.half_wavenumbers`, whose
+    Nyquist entry is zero on even grids, so odd and even grid counts are
+    both supported and every bin is split with the symbol that d^k and
+    delta^k apply; bins with y = 0 are assigned wholly to g.  f, g and v
+    are real grid fields (:class:`GridField` rejects complex data); f with
+    a non-finite value is a ValueError.
     """
     n, m = f.n, f.m
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"order k must be an integer, got {k!r}")
     if not 1 <= k <= min(n - 1, m):
         raise ValueError(f"need 1 <= k <= min(n-1, m) = {min(n - 1, m)}, got {k}")
     scale = float(np.abs(f.data).max())
+    if not math.isfinite(scale):
+        raise ValueError("grid field data must be finite")
     if f.boundary_max() > 1e-10 * max(scale, 1e-300):
         import warnings
         warnings.warn("field does not decay at the grid boundary",
                       RuntimeWarning, stacklevel=2)
     spec = f.spec
-    g_hat, v_hat = _peel(spec.rfftn(f.data), m, k, _grid_symbols(spec))
-    return GridField(m, spec, spec.irfftn(g_hat)), GridField(m - k, spec, spec.irfftn(v_hat))
+    ys = _grid_symbols(spec)
+    f_hat = spec.rfftn(f.data)
+
+    def peel(sl):
+        # the slab's rows of f_hat become those of g_hat in place
+        return _peel(f_hat[:, sl], m, k, [ys[0][sl], *ys[1:]])[1]
+
+    vs = _over_slabs(spec, peel)
+    v_hat = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=1)  # one slab: no copy
+    return GridField(m, spec, spec.irfftn(f_hat)), GridField(m - k, spec, spec.irfftn(v_hat))
 
 
 def _grid_symbols(spec: GridSpec) -> list[np.ndarray]:
@@ -161,13 +182,54 @@ def _grid_symbols(spec: GridSpec) -> list[np.ndarray]:
     return [1j * k for k in spec.half_wavenumbers()]
 
 
+# bytes per component that a row slab holds at least: the peel's term
+# passes over one slab stay in a core's cache
+_SLAB_BYTES = 512 * 1024
+
+
+def _row_slabs(spec: GridSpec) -> list[slice]:
+    """The half spectrum's row slabs: consecutive slices of its first grid axis.
+
+    As many slabs as hold _SLAB_BYTES per component each, at least one.
+    The partition depends only on spec, so every result does too.  With
+    n = 1 the first axis is the half axis, and it is one slab.
+    """
+    half = spec.count // 2 + 1
+    if spec.n == 1:
+        return [slice(0, half)]
+    row_bytes = 16 * spec.count ** (spec.n - 2) * half
+    slabs = max(1, spec.count // -(-_SLAB_BYTES // row_bytes))
+    bounds = [i * spec.count // slabs for i in range(slabs + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _over_slabs(spec: GridSpec, work) -> list:
+    """[work(sl) for sl in _row_slabs(spec)], in slab order.
+
+    Every bin's splitting is its own, so the slabs are independent: several
+    run on one thread each, up to one per core (the count of scipy.fft's
+    workers=-1); a single slab runs inline.
+    """
+    slabs = _row_slabs(spec)
+    if len(slabs) == 1:
+        return [work(slabs[0])]
+    # imported here: concurrent.futures adds about 6 ms to every import of
+    # the package, and only half spectra of 1 MiB or more per component
+    # have several slabs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(len(slabs), os.cpu_count() or 1)) as pool:
+        return list(pool.map(work, slabs))
+
+
 def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> dict:
     """Residual report for a claimed decomposition f = g + d^k v.
 
     One real FFT each of f, g and v and no inverse transform: the
     reconstruction residual f_hat - g_hat - i^k A(y) v_hat, delta^k g and
-    the scale d^k f are measured on the half spectrum by discrete Parseval
-    (:meth:`GridSpec.half_norm`), with the symbols that :func:`decompose_k` applies.
+    the scale d^k f are measured on the half spectrum by discrete Parseval,
+    with the symbols that :func:`decompose_k` applies.  Each row slab
+    reduces them to their powers (:meth:`GridSpec.half_power`), summed in
+    slab order.  Non-finite data is a ValueError.
     """
     if (g.m, g.spec) != (f.m, f.spec):
         raise ValueError("g grid not congruent with f")
@@ -175,21 +237,29 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
         raise ValueError("v grid not congruent with f")
     n, m, spec = f.n, f.m, f.spec
     ys = _grid_symbols(spec)
-    # each operator result is reduced to its norm before the next is formed,
-    # so that no more than three spectra are held at once
-    f_hat = spec.rfftn(f.data)
-    dscale = spec.half_norm(apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k), ys),
-                            m + k)
-    g_hat = spec.rfftn(g.data)
-    solenoidal = spec.half_norm(apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k),
-                                             ys), m - k)
-    f_hat -= g_hat  # f_hat becomes the reconstruction residual in place
-    del g_hat
-    f_hat -= apply_symbol(spec.rfftn(v.data), sym_dim(n, m), d_symbol(n, m - k, k), ys)
+    f_hat, g_hat, v_hat = (spec.rfftn(u.data) for u in (f, g, v))
+
+    def powers(sl):
+        # each operator result is reduced to its power before the next is
+        # formed, and the slab's rows of f_hat become the reconstruction
+        # residual in place
+        ys_sl = [ys[0][sl], *ys[1:]]
+        r = f_hat[:, sl]
+        dscale = spec.half_power(apply_symbol(r, sym_dim(n, m + k), d_symbol(n, m, k), ys_sl),
+                                 m + k)
+        solenoidal = spec.half_power(
+            apply_symbol(g_hat[:, sl], sym_dim(n, m - k), delta_symbol(n, m, k), ys_sl), m - k)
+        r -= g_hat[:, sl]
+        r -= apply_symbol(v_hat[:, sl], sym_dim(n, m), d_symbol(n, m - k, k), ys_sl)
+        return dscale, solenoidal, spec.half_power(r, m)
+
+    dscale, solenoidal, residual = (sum(p) for p in zip(*_over_slabs(spec, powers)))
     fnorm = f.norm()
+    if not all(map(math.isfinite, (fnorm, dscale, solenoidal, residual))):
+        raise ValueError("grid field data must be finite")
     return {
-        "reconstruction_residual": spec.half_norm(f_hat, m) / max(fnorm, 1e-300),
-        "solenoidal_residual": solenoidal / max(dscale, 1e-300),
+        "reconstruction_residual": spec.power_norm(residual) / max(fnorm, 1e-300),
+        "solenoidal_residual": spec.power_norm(solenoidal) / max(spec.power_norm(dscale), 1e-300),
         "boundary_decay_g": g.boundary_max() / max(fnorm, 1e-300),
         "boundary_decay_v": v.boundary_max() / max(fnorm, 1e-300),
     }

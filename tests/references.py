@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from raymoments.fields import GaussPolyField, GridField, apply_symbol
+from raymoments.fields import GaussPolyField, GridField, apply_symbol, d_symbol, delta_symbol
 from raymoments.ray import apply_stencil, central_table, householder_frame
 from raymoments.symtensor import _index_map, multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
@@ -54,6 +54,22 @@ def grid_operator(u, m_out, terms):
     ys = [1j * k for k in spec.half_wavenumbers()]
     hats = apply_symbol(spec.rfftn(u.data), sym_dim(u.n, m_out), terms, ys)
     return GridField(m_out, spec, spec.irfftn(hats))
+
+
+def verify_full_array(f, g, v, k):
+    """verify_decomposition's two residuals, every operator on the whole half spectrum.
+
+    No row slabs: each norm is one weighted sum over the full array
+    (half_norm_full_array).  Returns (reconstruction, solenoidal).
+    """
+    spec, n, m = f.spec, f.n, f.m
+    ys = [1j * y for y in spec.half_wavenumbers()]
+    f_hat, g_hat, v_hat = (spec.rfftn(u.data) for u in (f, g, v))
+    resid = f_hat - g_hat - apply_symbol(v_hat, sym_dim(n, m), d_symbol(n, m - k, k), ys)
+    sol = apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k), ys)
+    scale = apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k), ys)
+    return (half_norm_full_array(spec, resid, m) / f.norm(),
+            half_norm_full_array(spec, sol, m - k) / half_norm_full_array(spec, scale, m + k))
 
 
 def sym_mult_power(n, m, k, x):
@@ -160,7 +176,7 @@ def slice_system_rows(n, m, k, y):
 
 
 def half_norm_full_array(spec, hats, m):
-    """GridSpec.half_norm as one weighted sum over the whole half spectrum."""
+    """GridSpec.power_norm(half_power(hats, m)) as one weighted sum over the whole half spectrum."""
     bins = np.full(spec.count // 2 + 1, 2.0)
     bins[0] = 1.0
     if spec.count % 2 == 0:

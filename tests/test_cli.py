@@ -143,6 +143,7 @@ class TestDecomposeVerify:
       "--out", "{out}"], {2}),
     (["check-range", "--m", "1", "--k", "2", "--out", "{out}"], {2}),
     (["verify", "--prefix", "{out}", "--k", "2"], {2}),
+    (["verify", "--prefix", "{out}-nan", "--k", "1"], {2}),
     (["check-kernel", "--n", "3", "--m", "2", "--k", "-1", "--lines", "5",
       "--out", "{out}"], {2}),
     (["oracle-diff", "--n", "2", "--m", "2", "--k", "-1", "--lines", "5",
@@ -174,7 +175,7 @@ class TestDecomposeVerify:
         "check-range-dirs7", "rank-probe-k2", "decompose-grid33",
         "slice-check-offsets1", "check-range-equal-steps", "check-range-nan-step",
         "check-range-ntuples0",
-        "check-range-k2", "verify-wrong-k", "check-kernel-k-1", "oracle-diff-k-1",
+        "check-range-k2", "verify-wrong-k", "verify-nan-dump", "check-kernel-k-1", "oracle-diff-k-1",
         "chi-verify-ell-1", "transform-unwritable-out", "transform-extent-1",
         "transform-k-1", "transform-offsets0", "transform-dirs0", "transform-dirs-2",
         "slice-check-n1", "oracle-diff-lines0", "rank-probe-trials0",
@@ -183,9 +184,14 @@ class TestDecomposeVerify:
 def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
     out = str(tmp_path / "out")
     if args[0] == "verify":
-        # a k = 1 decomposition for verify to reject under another k
-        assert main(["decompose", "--field", field_path, "--k", "1",
-                     "--grid", "16", "--out-prefix", out]) == 0
+        # a k = 1 decomposition for verify to reject under another k, and a
+        # copy of it with one NaN in g, which no verdict may read
+        for prefix in (out, out + "-nan"):
+            assert main(["decompose", "--field", field_path, "--k", "1",
+                         "--grid", "16", "--out-prefix", prefix]) == 0
+        g = np.fromfile(out + "-nan.g.bin")
+        g[100] = np.nan
+        g.tofile(out + "-nan.g.bin")
         capsys.readouterr()
     code = main([a.format(field=field_path, out=out) for a in args])
     assert code in codes

@@ -1,9 +1,15 @@
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from raymoments.fields import GridField, GridSpec, d_symbol, delta_symbol, random_field
 from raymoments.helmholtz import (
+    _peel,
+    _row_slabs,
     decompose_k,
     freq_project,
     projector_formula,
@@ -11,7 +17,13 @@ from raymoments.helmholtz import (
 )
 from raymoments.symtensor import mult_weights, sym_dim
 
-from references import contract_power, grid_operator, projector_rotation, sym_mult_power
+from references import (
+    contract_power,
+    grid_operator,
+    projector_rotation,
+    sym_mult_power,
+    verify_full_array,
+)
 
 
 def random_tensor(n, m, rng, complex_=True):
@@ -288,6 +300,14 @@ class TestDecomposeK:
             decompose_k(f, 2)        # k must stay below n
         with pytest.raises(ValueError):
             decompose_k(f, 0)
+        with pytest.raises(ValueError, match="integer"):
+            decompose_k(f, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, value):
+        spec = GridSpec(2, 16, 6.0)
+        with pytest.raises(ValueError, match="finite"):
+            decompose_k(GridField(2, spec, np.full((3, 16, 16), value)), 1)
 
     def test_boundary_warning(self):
         rng = np.random.default_rng(12)
@@ -352,6 +372,16 @@ class TestVerifyDecomposition:
         rep = verify_decomposition(f, g, v, 1)
         assert rep["reconstruction_residual"] < 1e-12
 
+    @pytest.mark.parametrize("part", ["f", "g", "v"])
+    def test_non_finite_data_rejected(self, part):
+        # one NaN makes the norm of f or a slab power NaN, which no verdict may read
+        rng = np.random.default_rng(17)
+        f = random_field(2, 2, rng).sample(GridSpec(2, 16, 6.0))
+        fields = dict(zip("fgv", (f, *decompose_k(f, 1))))
+        fields[part].data[1, 5, 7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            verify_decomposition(*fields.values(), 1)
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
         spec = GridSpec(2, 16, 6.0)
@@ -364,3 +394,71 @@ class TestVerifyDecomposition:
         v = random_field(2, 1, rng).sample(spec)
         with pytest.raises(ValueError, match="g grid"):
             verify_decomposition(f, other_g, v, 1)
+
+
+class TestRowSlabs:
+    """decompose_k and verify_decomposition one row slab of the half spectrum at a time."""
+
+    @pytest.mark.parametrize("n, m, k, count", [(3, 2, 1, 64), (3, 3, 2, 64), (3, 2, 1, 65)])
+    def test_decomposition_matches_whole_spectrum_peel(self, n, m, k, count):
+        spec = GridSpec(n, count, 8.0)
+        f = random_field(n, m, np.random.default_rng(60 + m)).sample(spec)
+        assert len(_row_slabs(spec)) == 4
+        g, v = decompose_k(f, k)
+        g_hat, v_hat = _peel(spec.rfftn(f.data), m, k,
+                             [1j * y for y in spec.half_wavenumbers()])
+        assert np.array_equal(g.data, spec.irfftn(g_hat))
+        assert np.array_equal(v.data, spec.irfftn(v_hat))
+
+    def test_independent_of_core_count(self, monkeypatch):
+        # one worker, then more workers than slabs and cores switching as
+        # often as they can: the slabs write disjoint rows of one spectrum
+        spec = GridSpec(3, 64, 8.0)
+        f = random_field(3, 3, np.random.default_rng(61)).sample(spec)
+        g, v = decompose_k(f, 2)
+        rep = verify_decomposition(f, g, v, 2)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (1, 8):
+                monkeypatch.setattr(os, "cpu_count", lambda: cores)
+                g1, v1 = decompose_k(f, 2)
+                assert np.array_equal(g1.data, g.data) and np.array_equal(v1.data, v.data)
+                assert verify_decomposition(f, g1, v1, 2) == rep
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, m, k, count", [(3, 2, 1, 64), (3, 3, 2, 64), (3, 2, 1, 65),
+                                                (2, 2, 1, 128), (3, 2, 1, 32)])
+    def test_verify_matches_full_array_reference(self, n, m, k, count):
+        rng = np.random.default_rng(62)
+        spec = GridSpec(n, count, 8.0)
+        f = random_field(n, m, rng).sample(spec)
+        g, v = decompose_k(f, k)
+        # the decomposition, then a perturbed one with O(1) residuals
+        perturbed = (GridField(m, spec, g.data + 0.1 * rng.normal(size=g.data.shape)),
+                     GridField(m - k, spec, v.data + 0.1 * rng.normal(size=v.data.shape)))
+        for gg, vv in [(g, v), perturbed]:
+            rep = verify_decomposition(f, gg, vv, k)
+            recon, sol = verify_full_array(f, gg, vv, k)
+            assert rep["reconstruction_residual"] == pytest.approx(recon, rel=1e-15, abs=0)
+            assert rep["solenoidal_residual"] == pytest.approx(sol, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n, count", [(1, 8), (1, 4096), (2, 4), (2, 33), (2, 128),
+                                          (2, 256), (3, 32), (3, 33), (3, 64), (3, 65),
+                                          (3, 128), (4, 16)])
+    def test_partition(self, n, count):
+        spec = GridSpec(n, count, 8.0)
+        slabs = _row_slabs(spec)
+        rows = count // 2 + 1 if n == 1 else count
+        assert [r for sl in slabs for r in range(rows)[sl]] == list(range(rows))
+        assert all(sl.stop > sl.start for sl in slabs)
+        if n == 1 or n == 2 and count <= 256 or (n, count) == (3, 32):
+            assert len(slabs) == 1
+        # every slab of a split spectrum holds at least 512 KiB per component
+        per_row = 16 * count ** (n - 2) * (count // 2 + 1) if n > 1 else 0
+        assert len(slabs) == 1 or min(sl.stop - sl.start for sl in slabs) * per_row >= 2 ** 19
+        if (n, count) == (3, 64):
+            assert [(sl.start, sl.stop) for sl in slabs] == [(0, 16), (16, 32), (32, 48), (48, 64)]
+        if (n, count) == (3, 65):
+            assert [sl.stop for sl in slabs] == [16, 32, 48, 65]

@@ -249,3 +249,23 @@ def test_one_cli_exit_path():
     in_main = {node.lineno for fn in funcs if fn.name == "main"
                for node in ast.walk(fn) if writes(node)}
     assert in_main and writers == in_main, f"CSV/report writes outside main: {writers - in_main}"
+
+
+def test_no_environment_reads_and_one_thread_pool():
+    # the package reads no environment variable, and the row-slab helper of
+    # helmholtz is the only place that starts threads or processes
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    env = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+           if isinstance(node, (ast.Attribute, ast.Name))
+           and getattr(node, "attr", getattr(node, "id", None)) in ("environ", "getenv", "environb")]
+    assert not env, f"environment reads in src/raymoments: {env}"
+    spawners = re.compile(r"^(Thread|Process|Timer|ThreadPoolExecutor|ProcessPoolExecutor|Pool)$")
+    helper = next(node for node in trees["helmholtz.py"].body
+                  if getattr(node, "name", None) == "_over_slabs")
+    inside = {id(node) for node in ast.walk(helper)}
+    starts = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and spawners.match(ast.unparse(node.func).rsplit(".", 1)[-1])]
+    assert any(id(node) in inside for _, node in starts), "_over_slabs starts no pool"
+    found = [f"{name}:{node.lineno}" for name, node in starts if id(node) not in inside]
+    assert not found, f"threads or processes started outside helmholtz._over_slabs: {found}"
