@@ -87,7 +87,8 @@ def _support_radius(a: float, degree: int, bound: float, cutoff: float) -> float
     while bound * max(r, 1.0) ** degree * math.exp(-a * r * r) >= cutoff:
         r *= 1.25
         if r > 1e4:
-            raise RuntimeError("effective support radius did not converge")
+            raise ValueError(f"Gaussian width a = {a} is too small: the field's "
+                             "effective support radius exceeds 1e4")
     return r
 
 
@@ -125,28 +126,6 @@ class GaussPolyField:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "coef", coef)
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, m: int, a: float = 1.0) -> "GaussPolyField":
-        return cls(n, m, a, np.zeros((0, n), int), np.zeros((0, sym_dim(n, m))))
-
-    @classmethod
-    def from_components(cls, n, m, a, comp_map) -> "GaussPolyField":
-        """comp_map: {multi-index: {exponent: coefficient}}; missing components are zero."""
-        idx = _index_map(n, m)
-        terms = [(e, idx[tuple(sorted(alpha))], c)
-                 for alpha, poly in comp_map.items() for e, c in poly.items()]
-        exps, cols, vals = zip(*terms) if terms else ((), (), ())
-        vals = np.asarray(vals)
-        coef = np.zeros((len(terms), sym_dim(n, m)), np.result_type(vals, float))
-        coef[np.arange(len(terms)), np.array(cols, int)] = vals
-        return cls(n, m, a, np.array(exps, int).reshape(len(terms), n), coef)
-
-    @classmethod
-    def scalar(cls, n: int, a: float = 1.0, poly: dict | None = None) -> "GaussPolyField":
-        return cls.from_components(n, 0, a, {(): poly or {(0,) * n: 1.0}})
-
     @cached_property
     def degree(self) -> int:
         """Total degree, max |e| over the exponents; 0 for a zero field."""
@@ -166,11 +145,6 @@ class GaussPolyField:
             raise ValueError("fields not compatible (n, m, a must match)")
         return replace(self, exps=np.vstack([self.exps, other.exps]),
                        coef=np.vstack([self.coef, other.coef]))
-
-    def __mul__(self, s) -> "GaussPolyField":
-        return replace(self, coef=self.coef * s)
-
-    __rmul__ = __mul__
 
     # -- differential operators ---------------------------------------------
     # The symbol tables of the grid operators, read in space: each term
@@ -267,19 +241,20 @@ class GaussPolyField:
             raise ValueError(f"malformed {what}: {exc}") from exc
         n, m, a, components = json_keys(
             d, {"n": int, "m": int, "a": float, "components": dict}, what)
-        comp_map = {}
-        for key, terms in components.items():
-            alpha = json_index(key, n, m, what)
+        idx, terms = _index_map(n, m), []
+        for key, comp_terms in components.items():
+            col = idx[tuple(sorted(json_index(key, n, m, what)))]
             term = f"{what}: bad term in component '{key}'"
-            poly: dict = {}
-            for t in json_value(terms, key, what, list):
+            for t in json_value(comp_terms, key, what, list):
                 c, e = json_keys(t, {"c": float, "pow": list}, term)
-                e = tuple(json_value(v, "pow", term, int) for v in e)
+                e = [json_value(v, "pow", term, int) for v in e]
                 if len(e) != n or any(v < 0 for v in e):
                     raise ValueError(f"malformed {term}: 'pow' must be {n} non-negative integers")
-                poly[e] = poly.get(e, 0.0) + c
-            comp_map[alpha] = poly
-        return cls.from_components(n, m, a, comp_map)
+                terms.append((e, col, c))
+        # one row per term; the constructor sums repeated exponents
+        coef = np.zeros((len(terms), sym_dim(n, m)))
+        coef[np.arange(len(terms)), [col for _, col, _ in terms]] = [c for _, _, c in terms]
+        return cls(n, m, a, np.array([e for e, _, _ in terms], int).reshape(len(terms), n), coef)
 
 
 def random_field(n: int, m: int, rng: np.random.Generator,
@@ -354,7 +329,7 @@ class GridSpec:
             hats, s=(self.count,) * self.n, axes=tuple(range(-self.n, 0)), workers=-1))
 
     def power_norm(self, power: float) -> float:
-        """:meth:`GridField.norm` of the field whose :meth:`half_power` is power.
+        """The grid L2 norm, multiplicity weights and cell volume included, of half_power power.
 
         Discrete Parseval: sum_x |u|^2 = count^-n sum_y |u_hat|^2 over the
         full spectrum.
@@ -442,14 +417,6 @@ class GridField:
             raise ValueError(f"data shape {self.data.shape} != {want}")
         if np.iscomplexobj(self.data):
             raise ValueError("grid field data must be real")
-
-    def norm(self) -> float:
-        """Discrete L2 norm with multiplicity weights (cell volume included)."""
-        power = 0.0
-        for w, u in zip(mult_weights(self.n, self.m), self.data):
-            u = u.ravel()  # one component at a time: no full-size temporary
-            power += w * float(np.einsum("i,i->", u, u))
-        return math.sqrt(power * self.spec.spacing ** self.n)
 
     def boundary_max(self) -> float:
         out = 0.0

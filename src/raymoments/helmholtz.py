@@ -152,11 +152,8 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     are real grid fields (:class:`GridField` rejects complex data); f with
     a non-finite value is a ValueError.
     """
-    n, m = f.n, f.m
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"order k must be an integer, got {k!r}")
-    if not 1 <= k <= min(n - 1, m):
-        raise ValueError(f"need 1 <= k <= min(n-1, m) = {min(n - 1, m)}, got {k}")
+    m = f.m
+    _check_order(f, k)
     scale = float(np.abs(f.data).max())
     if not math.isfinite(scale):
         raise ValueError("grid field data must be finite")
@@ -175,6 +172,14 @@ def decompose_k(f: GridField, k: int) -> tuple[GridField, GridField]:
     vs = _over_slabs(spec, peel)
     v_hat = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=1)  # one slab: no copy
     return GridField(m, spec, spec.irfftn(f_hat)), GridField(m - k, spec, spec.irfftn(v_hat))
+
+
+def _check_order(f: GridField, k) -> None:
+    """A ValueError unless k is an integer order 1 <= k <= min(n-1, m) of the grid split of f."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"order k must be an integer, got {k!r}")
+    if not 1 <= k <= min(f.n - 1, f.m):
+        raise ValueError(f"need 1 <= k <= min(n-1, m) = {min(f.n - 1, f.m)}, got {k}")
 
 
 def _grid_symbols(spec: GridSpec) -> list[np.ndarray]:
@@ -226,11 +231,13 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
 
     One real FFT each of f, g and v and no inverse transform: the
     reconstruction residual f_hat - g_hat - i^k A(y) v_hat, delta^k g and
-    the scale d^k f are measured on the half spectrum by discrete Parseval,
-    with the symbols that :func:`decompose_k` applies.  Each row slab
-    reduces them to their powers (:meth:`GridSpec.half_power`), summed in
-    slab order.  Non-finite data is a ValueError.
+    the scales f and d^k f are measured on the half spectrum by discrete
+    Parseval, with the symbols that :func:`decompose_k` applies.  Each row
+    slab reduces them to their powers (:meth:`GridSpec.half_power`), summed
+    in slab order.  k is checked as in :func:`decompose_k`; non-finite data
+    is a ValueError.
     """
+    _check_order(f, k)
     if (g.m, g.spec) != (f.m, f.spec):
         raise ValueError("g grid not congruent with f")
     if (v.m, v.spec) != (f.m - k, f.spec):
@@ -245,18 +252,19 @@ def verify_decomposition(f: GridField, g: GridField, v: GridField, k: int) -> di
         # residual in place
         ys_sl = [ys[0][sl], *ys[1:]]
         r = f_hat[:, sl]
+        fpower = spec.half_power(r, m)
         dscale = spec.half_power(apply_symbol(r, sym_dim(n, m + k), d_symbol(n, m, k), ys_sl),
                                  m + k)
         solenoidal = spec.half_power(
             apply_symbol(g_hat[:, sl], sym_dim(n, m - k), delta_symbol(n, m, k), ys_sl), m - k)
         r -= g_hat[:, sl]
         r -= apply_symbol(v_hat[:, sl], sym_dim(n, m), d_symbol(n, m - k, k), ys_sl)
-        return dscale, solenoidal, spec.half_power(r, m)
+        return fpower, dscale, solenoidal, spec.half_power(r, m)
 
-    dscale, solenoidal, residual = (sum(p) for p in zip(*_over_slabs(spec, powers)))
-    fnorm = f.norm()
-    if not all(map(math.isfinite, (fnorm, dscale, solenoidal, residual))):
+    fpower, dscale, solenoidal, residual = (sum(p) for p in zip(*_over_slabs(spec, powers)))
+    if not all(map(math.isfinite, (fpower, dscale, solenoidal, residual))):
         raise ValueError("grid field data must be finite")
+    fnorm = spec.power_norm(fpower)
     return {
         "reconstruction_residual": spec.power_norm(residual) / max(fnorm, 1e-300),
         "solenoidal_residual": spec.power_norm(solenoidal) / max(spec.power_norm(dscale), 1e-300),

@@ -46,10 +46,10 @@ _NOISE_FLOOR = 1e-10
 _PARITY_TOL = 1e-12
 
 
-def homogeneity_residual(fun, degree: float, x, xi, c: float = 2.0) -> float:
-    """Relative defect of fun(x, c xi) = c^degree fun(x, xi) for c > 0."""
-    a = fun(x, np.asarray(xi, dtype=float) * c)
-    b = c ** degree * fun(x, xi)
+def homogeneity_residual(fun, degree: float, x, xi) -> float:
+    """Relative defect of fun(x, 2 xi) = 2^degree fun(x, xi)."""
+    a = fun(x, np.asarray(xi, dtype=float) * 2.0)
+    b = 2.0 ** degree * fun(x, xi)
     return float(abs(a - b) / max(abs(a), abs(b), 1e-300))
 
 

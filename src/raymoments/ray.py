@@ -110,10 +110,11 @@ class Line:
         object.__setattr__(self, "xi", xi)
 
 
-def random_line(n: int, rng: np.random.Generator, radius: float = 2.0) -> Line:
+def random_line(n: int, rng: np.random.Generator) -> Line:
+    """A random direction xi, and a point uniform in [-2, 2]^n projected onto xi-perp."""
     xi = rng.normal(size=n)
     xi /= np.linalg.norm(xi)
-    x = rng.uniform(-radius, radius, size=n)
+    x = rng.uniform(-2.0, 2.0, size=n)
     x -= (x @ xi) * xi
     return Line(x, xi)
 

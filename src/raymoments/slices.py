@@ -104,10 +104,7 @@ class SliceSystem:
     the monomial written as a non-decreasing tuple of zeta-basis labels.
     """
 
-    y: np.ndarray
     zeta: np.ndarray
-    m: int
-    k: int
     rows: np.ndarray = field(repr=False)
     tags: tuple = field(repr=False)
 
@@ -135,7 +132,7 @@ def assemble_slice_system(n: int, m: int, k: int, y: np.ndarray) -> SliceSystem:
             rows.append(mult_weights(n, m) * products[mono + (n - 1,) * ell])
             tags.append(("moment", ell, mono) if ell <= k
                         else ("divergence", ell - k, mono))
-    return SliceSystem(y, zeta, m, k, np.array(rows), tuple(tags))
+    return SliceSystem(zeta, np.array(rows), tuple(tags))
 
 
 @dataclass(frozen=True)

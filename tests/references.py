@@ -16,6 +16,29 @@ def comps(f):
             for col in f.coef.T.tolist()]
 
 
+def field_from_comps(n, m, a, comp_map):
+    """The field of dict polynomials {multi-index: {exponent tuple: coefficient}}.
+
+    Missing components are zero; the inverse of comps, indexed by multi-index.
+    """
+    idx = _index_map(n, m)
+    terms = [(e, idx[tuple(sorted(alpha))], c)
+             for alpha, poly in comp_map.items() for e, c in poly.items()]
+    coef = np.zeros((len(terms), sym_dim(n, m)), poly_dtype(*comp_map.values()))
+    for t, (_, col, c) in enumerate(terms):
+        coef[t, col] = c
+    return GaussPolyField(n, m, a, np.array([e for e, _, _ in terms], int).reshape(-1, n), coef)
+
+
+def scalar_field(n, a=1.0, poly=None):
+    """The scalar field poly(x) exp(-a|x|^2), by default exp(-a|x|^2)."""
+    return field_from_comps(n, 0, a, {(): poly or {(0,) * n: 1.0}})
+
+
+def zero_field(n, m, a=1.0):
+    return GaussPolyField(n, m, a, np.zeros((0, n), int), np.zeros((0, sym_dim(n, m))))
+
+
 def poly_dtype(*polys):
     return complex if any(isinstance(c, complex) for p in polys for c in p.values()) else float
 
@@ -68,7 +91,7 @@ def verify_full_array(f, g, v, k):
     resid = f_hat - g_hat - apply_symbol(v_hat, sym_dim(n, m), d_symbol(n, m - k, k), ys)
     sol = apply_symbol(g_hat, sym_dim(n, m - k), delta_symbol(n, m, k), ys)
     scale = apply_symbol(f_hat, sym_dim(n, m + k), d_symbol(n, m, k), ys)
-    return (half_norm_full_array(spec, resid, m) / f.norm(),
+    return (half_norm_full_array(spec, resid, m) / half_norm_full_array(spec, f_hat, m),
             half_norm_full_array(spec, sol, m - k) / half_norm_full_array(spec, scale, m + k))
 
 
@@ -187,6 +210,9 @@ def half_norm_full_array(spec, hats, m):
 
 
 def grid_norm_full_array(u):
-    """GridField.norm as one weighted sum over the whole data array."""
+    """The discrete L2 norm of u, multiplicity weights and cell volume included.
+
+    One weighted sum over the whole data array, in real space.
+    """
     w = mult_weights(u.n, u.m).reshape((-1,) + (1,) * u.n)
     return float(np.sqrt((w * np.abs(u.data) ** 2).sum() * u.spec.spacing ** u.n))

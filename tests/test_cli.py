@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,12 +207,30 @@ def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
 def test_non_finite_field_exits_2(tmp_path, field_path, capsys, args):
     # json reads NaN, which would pass a slice check vacuously (max(0.0, nan)
     # is 0.0) and end decompose in a traceback
-    doc = json.loads(open(field_path).read())
+    doc = json.loads(Path(field_path).read_text())
     next(iter(doc["components"].values()))[0]["c"] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     assert main([a.format(field=bad, out=tmp_path / "out") for a in args]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["transform", "--field", "{field}", "--k", "1", "--dirs", "4", "--offsets", "4",
+     "--out", "{out}"],
+    ["slice-check", "--field", "{field}", "--trials", "1", "--offsets", "8", "--out", "{out}"],
+    ["check-range", "--field", "{field}", "--k", "1", "--dirs", "4", "--offsets", "4",
+     "--ntuples", "1", "--out", "{out}"],
+], ids=["transform", "slice-check", "check-range"])
+def test_very_wide_field_exits_2(tmp_path, field_path, capsys, args):
+    # no support radius up to 1e4 holds a field this wide: a configuration
+    # error naming the width, not a verdict failure
+    doc = json.loads(Path(field_path).read_text())
+    doc["a"] = 1e-9
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    assert main([a.format(field=wide, out=tmp_path / "out") for a in args]) == 2
+    assert "width a = 1e-09" in capsys.readouterr().err
 
 
 class TestSeededCommands:
@@ -248,6 +267,19 @@ class TestSeededCommands:
                      "--out", out]) == 0
         res = read_report(out)["results"]
         assert res["parity_pass"] and res["john_pass"] and res["transport_pass"]
+
+    def test_check_range_field_matches_seeded_run(self, tmp_path):
+        # --field reads the field that --n/--m/--seed would draw
+        field = tmp_path / "field.json"
+        field.write_text(random_field(2, 2, np.random.default_rng(3)).to_json())
+        common = ["--k", "1", "--dirs", "8", "--offsets", "8", "--ntuples", "2", "--seed", "3"]
+        assert main(["check-range", "--n", "2", "--m", "2", *common,
+                     "--out", str(tmp_path / "seeded.json")]) == 0
+        assert main(["check-range", "--field", str(field), *common,
+                     "--out", str(tmp_path / "read.json")]) == 0
+        seeded = (tmp_path / "seeded.json.csv").read_bytes()
+        assert (tmp_path / "read.json.csv").read_bytes() == seeded
+        assert seeded.count(b"\n") > 3
 
     def test_chi_verify(self, tmp_path):
         out = str(tmp_path / "chi.json")

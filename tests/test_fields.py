@@ -27,18 +27,17 @@ from raymoments.symtensor import multi_indices, mult_weights, sym_dim, sym_mult_
 from references import (
     comps,
     contract_power,
+    field_from_comps,
     grid_norm_full_array,
     grid_operator,
     half_norm_full_array,
     poly_dtype,
     poly_eval,
+    scalar_field,
     sym_mult_power,
     symmetrize,
+    zero_field,
 )
-
-
-def scalar_gaussian(n, a=1.0):
-    return GaussPolyField.scalar(n, a)
 
 
 def comps_scan_radius(f, cutoff):
@@ -73,17 +72,17 @@ def packing_cases(rng):
             for degree in range(4):
                 yield random_field(n, m, rng, a=rng.uniform(0.1, 2.5), degree=degree)
         yield random_field(n, 1, rng).inner_derivative(1)
-        yield GaussPolyField.zero(n, 2)
+        yield zero_field(n, 2)
         yield random_field(n, 1, rng).fourier_analytic()
 
 
 class TestEval:
     def test_unit_at_origin(self):
-        f = scalar_gaussian(2)
+        f = scalar_field(2)
         assert f.eval_packed(np.zeros(2))[0] == pytest.approx(1.0)
 
     def test_unit_radius(self):
-        f = scalar_gaussian(3)
+        f = scalar_field(3)
         x = np.array([1.0, 0.0, 0.0])
         assert f.eval_packed(x)[0] == pytest.approx(math.exp(-1.0))
 
@@ -119,19 +118,19 @@ class TestEval:
 
 class TestInnerDerivative:
     def test_scalar_gradient(self):
-        f = scalar_gaussian(2)
+        f = scalar_field(2)
         g = f.inner_derivative()
         x = np.array([0.4, -1.1])
         expect = -2.0 * x * math.exp(-(x @ x))
         np.testing.assert_allclose(g.eval_packed(x), expect, atol=1e-14)
 
     def test_order_zero_identity(self):
-        f = scalar_gaussian(2)
+        f = scalar_field(2)
         assert f.inner_derivative(0) is f
 
     def test_second_derivative_is_symmetrized_hessian(self):
         # u = x1 x2 e^{-|x|^2}; compare d^2 u against a finite-difference Hessian
-        u = GaussPolyField.scalar(2, 1.0, {(1, 1): 1.0})
+        u = scalar_field(2, 1.0, {(1, 1): 1.0})
         d2 = u.inner_derivative(2)
         x = np.array([0.3, -0.2])
         h = 1e-4
@@ -149,21 +148,21 @@ class TestInnerDerivative:
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            scalar_gaussian(2).inner_derivative(-1)
+            scalar_field(2).inner_derivative(-1)
         with pytest.raises(ValueError):
             d_symbol(2, 1, -1)
 
 
 class TestDivergence:
     def test_gradient_divergence_is_laplacian(self):
-        w = scalar_gaussian(2)
+        w = scalar_field(2)
         lap = w.inner_derivative().divergence()
         x = np.array([0.7, -0.4])
         expect = (4.0 * (x @ x) - 4.0) * math.exp(-(x @ x))
         assert lap.eval_packed(x)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_order_zero_identity(self):
-        f = scalar_gaussian(2)
+        f = scalar_field(2)
         assert f.divergence(0) is f
 
     def test_delta_of_d_on_random_scalars(self):
@@ -182,7 +181,7 @@ class TestDivergence:
 
     def test_excess_order_rejected(self):
         with pytest.raises(ValueError):
-            scalar_gaussian(2).divergence(1)
+            scalar_field(2).divergence(1)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -254,7 +253,7 @@ class TestFullTableReference:
 
 class TestFourier:
     def test_self_dual_gaussian(self):
-        f = GaussPolyField.scalar(1, 0.5)
+        f = scalar_field(1, 0.5)
         fhat = f.fourier_analytic()
         assert fhat.a == pytest.approx(0.5)
         y = np.array([0.8])
@@ -263,7 +262,7 @@ class TestFourier:
     def test_coordinate_factor_rule(self):
         # F[x1 e^{-a|x|^2}] = -i y1/(2a) (2a)^{-n/2} e^{-|y|^2/4a}
         a = 1.3
-        f = GaussPolyField.scalar(2, a, {(1, 0): 1.0})
+        f = scalar_field(2, a, {(1, 0): 1.0})
         fhat = f.fourier_analytic()
         y = np.array([0.5, -0.7])
         base = (2 * a) ** -1.0 * math.exp(-(y @ y) / (4 * a))
@@ -322,12 +321,12 @@ class TestAdjointness:
 
 class TestSampling:
     def test_boundary_decay(self):
-        f = scalar_gaussian(2)
+        f = scalar_field(2)
         g = f.sample(GridSpec(2, 64, 6.0))
         assert g.boundary_max() < 1e-15
 
     def test_zero_field(self):
-        f = GaussPolyField.zero(2, 1)
+        f = zero_field(2, 1)
         g = f.sample(GridSpec(2, 16, 4.0))
         assert np.all(g.data == 0.0)
 
@@ -358,7 +357,7 @@ class TestSampling:
     def test_nan_coefficient_raises(self):
         # rejected when the field is built, before any sampling or transform
         with pytest.raises(ValueError, match="finite"):
-            GaussPolyField.scalar(2, poly={(0, 0): 1.0, (1, 2): float("nan")})
+            scalar_field(2, poly={(0, 0): 1.0, (1, 2): float("nan")})
         for bad in (math.inf, complex(1.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 GaussPolyField(2, 0, 1.0, np.array([[0, 0]]), np.array([[bad]]))
@@ -393,7 +392,7 @@ class TestPackedForm:
         assert f.coef.dtype == float
         with pytest.raises(ValueError, match="read-only"):
             f.coef[0, 0] = 1.0
-        g = GaussPolyField.from_components(2, 1, 1.0, {(0,): {(1, 0): 1.0}, (1,): {(1, 0): 2.0}})
+        g = field_from_comps(2, 1, 1.0, {(0,): {(1, 0): 1.0}, (1,): {(1, 0): 2.0}})
         assert g.exps.tolist() == [[1, 0]] and g.coef.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("exps, coef, match", [
@@ -411,7 +410,20 @@ class TestPackedForm:
     def test_bad_width_rejected(self, a):
         # a NaN width would pass a plain a <= 0 test and sample NaN everywhere
         with pytest.raises(ValueError, match="positive and finite"):
-            GaussPolyField.scalar(2, a)
+            scalar_field(2, a)
+
+    @pytest.mark.parametrize("other", [(3, 1, 1.0), (2, 2, 1.0), (2, 1, 0.5)],
+                             ids=["n", "m", "a"])
+    def test_incompatible_sum_rejected(self, other):
+        f = random_field(2, 1, np.random.default_rng(43))
+        with pytest.raises(ValueError, match="not compatible"):
+            f + random_field(*other[:2], np.random.default_rng(44), a=other[2])
+
+    def test_very_wide_field_rejected(self):
+        # the support radius search gives up at 1e4 and names the width
+        f = scalar_field(2, 1e-9)
+        with pytest.raises(ValueError, match="width a = 1e-09"):
+            f.effective_radius()
 
     def test_effective_radius_matches_comps_scan(self):
         for f in packing_cases(np.random.default_rng(41)):
@@ -451,7 +463,7 @@ class TestApplySymbol:
 
 class TestGridField:
     def test_dimension_read_from_spec(self, tmp_path):
-        # 2-D data on a 3-D grid would take the 3-D cell volume in norm() and
+        # 2-D data on a 3-D grid would take the 3-D cell volume in power_norm and
         # come back from dump/load on a 2-D grid
         spec = GridSpec(3, 8, 1.0)
         with pytest.raises(ValueError, match="data shape"):
@@ -521,15 +533,16 @@ class TestGridField:
         assert back.spec == f.spec
 
     def test_norm_includes_multiplicity(self):
+        # by Parseval, the half-spectrum norm of a single node value
         spec = GridSpec(2, 8, 1.0)
         data = np.zeros((3,) + (8, 8))
         data[1, 0, 0] = 1.0          # off-diagonal slot, multiplicity 2
-        g = GridField(2, spec, data)
-        assert g.norm() == pytest.approx(math.sqrt(2.0) * spec.spacing)
+        norm = spec.power_norm(spec.half_power(spec.rfftn(data), 2))
+        assert norm == pytest.approx(math.sqrt(2.0) * spec.spacing)
 
 
 class TestGridTransform:
-    """The rfftn/irfftn pair against numpy's, and the two grid norms against full-array sums."""
+    """The rfftn/irfftn pair against numpy's, and the half-spectrum norm against full-array sums."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("count", [32, 33])
@@ -555,13 +568,11 @@ class TestGridTransform:
     def test_norms_match_full_array(self, n, m, count):
         spec = GridSpec(n, count, 6.0)
         data = np.random.default_rng(40 + count).normal(size=(sym_dim(n, m),) + (count,) * n)
-        u = GridField(m, spec, data)
-        assert u.norm() == pytest.approx(grid_norm_full_array(u), rel=1e-14)
         hats = spec.rfftn(data)
         half_norm = spec.power_norm(spec.half_power(hats, m))
         assert half_norm == pytest.approx(half_norm_full_array(spec, hats, m), rel=1e-14)
-        # Parseval: the two norms are the same quantity
-        assert half_norm == pytest.approx(u.norm(), rel=1e-12)
+        # Parseval: the real-space norm is the same quantity
+        assert half_norm == pytest.approx(grid_norm_full_array(GridField(m, spec, data)), rel=1e-12)
 
     def test_half_norm_streams_components(self):
         spec = GridSpec(3, 32, 6.0)

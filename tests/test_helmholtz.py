@@ -19,6 +19,7 @@ from raymoments.symtensor import mult_weights, sym_dim
 
 from references import (
     contract_power,
+    grid_norm_full_array,
     grid_operator,
     projector_rotation,
     sym_mult_power,
@@ -208,7 +209,7 @@ class TestDecomposeK:
         w = random_field(2, 1, rng, degree=1)
         f = grid_operator(w.sample(GridSpec(2, 64, 8.0)), 2, d_symbol(2, 1, 1))
         g, v = decompose_k(f, 1)
-        assert g.norm() / f.norm() < 1e-10
+        assert grid_norm_full_array(g) / grid_norm_full_array(f) < 1e-10
 
     def test_solenoidal_input_fixed(self):
         import warnings
@@ -219,8 +220,8 @@ class TestDecomposeK:
             # g inherits faint boundary ringing from the FFT round trip
             warnings.simplefilter("ignore", RuntimeWarning)
             g2, v2 = decompose_k(g, 1)
-        assert v2.norm() / max(g.norm(), 1e-300) < 1e-10
-        assert GridField(2, g.spec, g2.data - g.data).norm() / g.norm() < 1e-10
+        assert grid_norm_full_array(v2) / max(grid_norm_full_array(g), 1e-300) < 1e-10
+        assert grid_norm_full_array(GridField(2, g.spec, g2.data - g.data)) / grid_norm_full_array(g) < 1e-10
 
     def test_linearity(self):
         rng = np.random.default_rng(10)
@@ -328,6 +329,17 @@ class TestVerifyDecomposition:
         rep = verify_decomposition(f, GridField(2, spec, f.data * 0.0), w, 1)
         assert rep["reconstruction_residual"] > 1e-3
 
+    @pytest.mark.parametrize("k, match", [
+        (1.0, "integer"), (True, "integer"), (0, "need 1 <= k"), (2, "need 1 <= k"),
+    ], ids=["float", "bool", "zero", "not-below-n"])
+    def test_k_checked_as_in_decompose_k(self, k, match):
+        # with k = 0, g = 0 and v = f reconstruct f exactly and would pass
+        f = random_field(2, 2, np.random.default_rng(19)).sample(GridSpec(2, 16, 6.0))
+        with pytest.raises(ValueError, match=match):
+            decompose_k(f, k)
+        with pytest.raises(ValueError, match=match):
+            verify_decomposition(f, GridField(2, f.spec, f.data * 0.0), f, k)
+
     @pytest.mark.parametrize("n, m, k, count",
                              [(2, 2, 1, 32), (2, 2, 1, 33), (3, 3, 2, 16), (3, 3, 2, 17)])
     def test_spectral_residuals_match_real_space(self, n, m, k, count):
@@ -348,9 +360,9 @@ class TestVerifyDecomposition:
         for gg, vv in [(g, v), perturbed]:
             rep = verify_decomposition(f, gg, vv, k)
             dv = grid_operator(vv, m, d_symbol(n, m - k, k))
-            recon = GridField(m, spec, f.data - gg.data - dv.data).norm() / f.norm()
-            sol = (grid_operator(gg, m - k, delta_symbol(n, m, k)).norm()
-                   / grid_operator(f, m + k, d_symbol(n, m, k)).norm())
+            recon = grid_norm_full_array(GridField(m, spec, f.data - gg.data - dv.data)) / grid_norm_full_array(f)
+            sol = (grid_norm_full_array(grid_operator(gg, m - k, delta_symbol(n, m, k)))
+                   / grid_norm_full_array(grid_operator(f, m + k, d_symbol(n, m, k))))
             assert rep["reconstruction_residual"] == pytest.approx(recon, rel=1e-10, abs=1e-10)
             assert rep["solenoidal_residual"] == pytest.approx(sol, rel=1e-10, abs=1e-10)
 
@@ -374,7 +386,7 @@ class TestVerifyDecomposition:
 
     @pytest.mark.parametrize("part", ["f", "g", "v"])
     def test_non_finite_data_rejected(self, part):
-        # one NaN makes the norm of f or a slab power NaN, which no verdict may read
+        # one NaN makes a slab power NaN, which no verdict may read
         rng = np.random.default_rng(17)
         f = random_field(2, 2, rng).sample(GridSpec(2, 16, 6.0))
         fields = dict(zip("fgv", (f, *decompose_k(f, 1))))

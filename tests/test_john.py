@@ -189,8 +189,8 @@ class TestPsiFromPhi:
         moments = oracle_moment_callables(f, 1)
         psi = psi_from_phi(moments, 2, 1)
         x, xi = np.array([0.3, -0.4]), np.array([0.8, 0.6])
-        assert homogeneity_residual(psi, 0, x, xi, 2.0) < 1e-12
-        assert homogeneity_residual(psi, 1, x, xi, 2.0) > 0.1
+        assert homogeneity_residual(psi, 0, x, xi) < 1e-12
+        assert homogeneity_residual(psi, 1, x, xi) > 0.1
 
     def test_returns_python_floats(self):
         # values reach CSVs through repr, which numpy 2 spells np.float64(...)
@@ -211,6 +211,9 @@ class TestPsiFromPhi:
             psi_from_phi(moments, m, len(moments))
         with pytest.raises(ValueError, match="not available"):
             psi_from_phi(moments, m, -1)
+        # the order is checked once; a zero direction, at every call
+        with pytest.raises(ValueError, match="nonzero"):
+            psi_from_phi(moments, m, 0)(np.ones(2), np.zeros(2))
 
 
 class TestTransportIdentity:
@@ -270,7 +273,7 @@ class TestChiBuild:
         moments = oracle_moment_callables(f, 1)
         chi = chi_build(psi_from_phi(moments, m, ell), gs[:1], ell, m)
         x, xi = np.array([0.3, 0.7]), np.array([0.6, -0.8])
-        assert homogeneity_residual(chi, m - ell - 1, x, xi, 2.0) < 1e-10
+        assert homogeneity_residual(chi, m - ell - 1, x, xi) < 1e-10
         # t < 0: chi(x, t xi) = t^{m-ell} / |t| chi(x, xi)
         want = (-1.0) ** (m - ell) * chi(x, xi)
         assert chi(x, -xi) == pytest.approx(want, abs=1e-10)

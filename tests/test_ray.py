@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.fields import GaussPolyField, random_field
+from raymoments.fields import random_field
 from raymoments.ray import (
     Line,
     MomentData,
@@ -22,7 +22,7 @@ from raymoments.ray import _gauss_hermite
 from raymoments.john import psi_from_phi
 from raymoments.symtensor import multi_indices, mult_weights
 
-from references import comps, component_field
+from references import comps, component_field, scalar_field
 
 
 def unit(v):
@@ -101,6 +101,8 @@ class TestGeometry:
         for count in (15, 0, -2):
             with pytest.raises(ValueError, match="positive even number"):
                 direction_grid(2, count)
+        with pytest.raises(ValueError, match="n in"):
+            direction_grid(4, 8)
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
@@ -112,37 +114,39 @@ class TestGeometry:
 
 class TestMomentNumeric:
     def test_gaussian_zeroth_moment(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         rule = QuadratureRule.for_field(f)
         ln = random_line(2, np.random.default_rng(1))
         want = math.sqrt(math.pi) * math.exp(-(ln.x @ ln.x))
         assert moment_numeric(f, ln, 0, rule) == pytest.approx(want, rel=1e-12)
 
     def test_odd_moment_vanishes(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         rule = QuadratureRule.for_field(f)
         ln = random_line(2, np.random.default_rng(2))
         assert abs(moment_numeric(f, ln, 1, rule)) < 1e-12
 
     def test_second_moment(self):
-        f = GaussPolyField.scalar(3)
+        f = scalar_field(3)
         rule = QuadratureRule.for_field(f)
         ln = random_line(3, np.random.default_rng(3))
         want = 0.5 * math.sqrt(math.pi) * math.exp(-(ln.x @ ln.x))
         assert moment_numeric(f, ln, 2, rule) == pytest.approx(want, rel=1e-12)
 
     def test_truncation_warning(self):
-        f = GaussPolyField.scalar(2, a=0.05)
+        f = scalar_field(2, a=0.05)
         ln = Line(np.zeros(2), np.array([1.0, 0.0]))
         with pytest.warns(RuntimeWarning):
             moment_numeric(f, ln, 0, QuadratureRule(radius=2.0))
 
     def test_grid_field_rejected(self):
         from raymoments.fields import GridSpec
-        g = GaussPolyField.scalar(2).sample(GridSpec(2, 16, 8.0))
+        g = scalar_field(2).sample(GridSpec(2, 16, 8.0))
         ln = Line(np.array([0.0, 0.3]), np.array([1.0, 0.0]))
         with pytest.raises(TypeError, match="unsupported field type"):
             moment_numeric(g, ln, 0, QuadratureRule(radius=6.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            moment_numeric(scalar_field(2), ln, -1, QuadratureRule(radius=6.0))
 
 
 class TestMomentOracle:
@@ -178,9 +182,11 @@ class TestMomentOracle:
             assert abs(moment_oracle(f, ln.x, ln.xi, 0)) < 1e-12
 
     def test_zero_direction_rejected(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         with pytest.raises(ValueError):
             moment_oracle(f, np.zeros(2), np.zeros(2), 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            moment_oracle(f, np.zeros(2), np.array([1.0, 0.0]), -1)
 
     def test_zero_direction_in_batch_rejected(self):
         f = random_field(3, 1, np.random.default_rng(20))
@@ -247,7 +253,7 @@ class TestMomentOracle:
         # c = <x,xi>/|xi|^2, A = exp(-a(|x|^2 - <x,xi>^2/|xi|^2)); the even
         # Gaussian moments are G0 = sqrt(pi/b) and G2 = G0/(2b)
         a = 0.7
-        f = GaussPolyField.scalar(3, a=a)
+        f = scalar_field(3, a=a)
         x, xi = np.array([0.4, -0.3, 0.9]), np.array([1.2, 0.5, -0.8])
         b = a * (xi @ xi)
         c = (x @ xi) / (xi @ xi)
@@ -334,7 +340,7 @@ class TestExtendJ:
             assert got == pytest.approx(moments[q](ln.x, ln.xi), rel=1e-12)
 
     def test_scalar_scaling(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         moments = oracle_moment_callables(f, 0)
         ln = random_line(2, np.random.default_rng(8))
         got = psi_from_phi(moments, 0, 0)(ln.x, 2.0 * ln.xi)
@@ -354,7 +360,7 @@ class TestExtendJ:
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_missing_moment_rejected(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         moments = oracle_moment_callables(f, 0)
         with pytest.raises(ValueError):
             psi_from_phi(moments, 0, 1)
@@ -378,14 +384,14 @@ class TestLadder:
 
 class TestBatchTransform:
     def test_scalar_sinogram(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         data = batch_transform(f, 0, ndirs=8, noffsets=16)
         want = math.sqrt(math.pi) * np.exp(-data.offsets ** 2)
         for d in range(8):
             np.testing.assert_allclose(data.values[0, d], want, rtol=1e-10)
 
     def test_rejects_degenerate_grids(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         for kw, msg in [(dict(k=-1), "non-negative"), (dict(noffsets=1), "two offsets"),
                         (dict(noffsets=0), "two offsets"), (dict(extent=0.0), "extent"),
                         (dict(extent=-1.0), "extent"), (dict(extent=math.nan), "extent"),
@@ -416,14 +422,14 @@ class TestBatchTransform:
         np.testing.assert_allclose(c.values, a.values + b.values, atol=1e-12)
 
     def test_json_round_trip(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         data = batch_transform(f, 0, ndirs=4, noffsets=4)
         back = MomentData.from_json(data.to_json())
         np.testing.assert_allclose(back.values, data.values)
         np.testing.assert_allclose(back.directions, data.directions)
 
     def test_json_missing_key_named(self):
-        d = json.loads(batch_transform(GaussPolyField.scalar(2), 0, ndirs=4,
+        d = json.loads(batch_transform(scalar_field(2), 0, ndirs=4,
                                        noffsets=4).to_json())
         del d["geometry"]["offsets"]
         with pytest.raises(ValueError, match="missing key 'offsets'"):
@@ -442,10 +448,13 @@ class TestBatchTransform:
          "offsets must be 1-D"),
         (2, lambda d: d.update(n=0), "n >= 2, got n=0"),
         (2, lambda d: d.update(n=1), "n >= 2, got n=1"),
-    ], ids=["directions-2-columns", "frames-1-column", "offsets-2-d", "n-0", "n-1"])
+        (2, lambda d: d.update(moments=[v[:12] for v in d["moments"]]),
+         r"values shape \(1, 4, 3\) != \(1, 4, 4\)"),
+    ], ids=["directions-2-columns", "frames-1-column", "offsets-2-d", "n-0", "n-1",
+            "values-short"])
     def test_json_bad_geometry_named(self, n, edit, match):
         # geometry that disagrees with n would give lines in the wrong space
-        d = json.loads(batch_transform(GaussPolyField.scalar(n), 0, ndirs=4,
+        d = json.loads(batch_transform(scalar_field(n), 0, ndirs=4,
                                        noffsets=4).to_json())
         edit(d)
         with pytest.raises(ValueError, match=match):
@@ -454,7 +463,7 @@ class TestBatchTransform:
     def test_json_with_quadrature_entry_loads(self):
         # files written when the values came from Gauss-Legendre quadrature
         # carry its rule; nothing reads it
-        data = batch_transform(GaussPolyField.scalar(2), 0, ndirs=4, noffsets=4)
+        data = batch_transform(scalar_field(2), 0, ndirs=4, noffsets=4)
         d = json.loads(data.to_json())
         d["geometry"]["quadrature"] = {"scheme": "gauss-legendre", "count": 200,
                                        "radius": 8.0}
@@ -547,7 +556,7 @@ class TestRestrictedTransform:
         assert 3.5 < ratio < 4.5
 
     def test_validation(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         Js = [lambda x, xi: moment_oracle(f, x, xi, 0)]
         with pytest.raises(ValueError):
             restricted_transform(Js, (0, 0), np.zeros(2), np.ones(2), m=1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.fields import GaussPolyField, random_field
+from raymoments.fields import random_field
 from raymoments.ray import householder_frame, moment_oracle, random_line
 from raymoments.slices import (
     assemble_slice_system,
@@ -14,12 +14,18 @@ from raymoments.slices import (
 )
 from raymoments.symtensor import sym_dim
 
-from references import component_field, slice_system_rows, sym_mult_power
+from references import (
+    component_field,
+    scalar_field,
+    slice_system_rows,
+    sym_mult_power,
+    zero_field,
+)
 
 
 class TestSliceCheck:
     def test_scalar_gaussian(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         xi = np.array([1.0, 0.0])
         y = np.array([0.0, 0.9])
         assert slice_check(f, xi, y, 0) < 1e-6
@@ -50,12 +56,12 @@ class TestSliceCheck:
         assert slice_check(f, xi, y, 0, scale_floor=1.0) < 1e-12
 
     def test_odd_moment_at_zero_frequency(self):
-        f = GaussPolyField.scalar(2)       # even in x
+        f = scalar_field(2)       # even in x
         xi = np.array([1.0, 0.0])
         assert slice_check(f, xi, np.zeros(2), 1, scale_floor=1.0) < 1e-12
 
     def test_input_validation(self):
-        f = GaussPolyField.scalar(2)
+        f = scalar_field(2)
         with pytest.raises(ValueError):
             slice_check(f, np.array([2.0, 0.0]), np.array([0.0, 1.0]), 0)
         with pytest.raises(ValueError):
@@ -63,7 +69,7 @@ class TestSliceCheck:
         with pytest.raises(ValueError):
             slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0, noffsets=1)
         with pytest.raises(ValueError, match="n >= 2"):
-            slice_check(GaussPolyField.scalar(1), np.array([1.0]), np.zeros(1), 0)
+            slice_check(scalar_field(1), np.array([1.0]), np.zeros(1), 0)
 
     @pytest.mark.parametrize("extent", [-8.0, 0.0, math.nan, math.inf])
     def test_bad_extent_rejected(self, extent):
@@ -152,7 +158,7 @@ class TestKernelCheck:
         assert kernel_check(v, 1, lines, orders=[2]) > 1e-3
 
     def test_zero_input(self):
-        v = GaussPolyField.zero(2, 0)
+        v = zero_field(2, 0)
         lines = [random_line(2, np.random.default_rng(9)) for _ in range(5)]
         assert kernel_check(v, 1, lines) == 0.0
 

@@ -93,12 +93,17 @@ def test_one_polynomial_form():
 
 def test_no_second_operator_layer():
     # grid d^k and delta^k are fields.apply_symbol with d_symbol and
-    # delta_symbol, and the references that only tests read live in tests/
+    # delta_symbol, and the references that only tests read live in tests/:
+    # a field is built from its two arrays or its JSON text, and a grid
+    # norm is the half-spectrum power_norm
     deleted = {
         "GridField": {"inner_derivative", "divergence", "_apply_symbol", "_check_like",
-                      "__add__", "__sub__", "__mul__", "__rmul__", "truncation_warning"},
+                      "__add__", "__sub__", "__mul__", "__rmul__", "truncation_warning",
+                      "norm"},
         "MomentData": {"line"},
-        "GaussPolyField": {"envelope", "component_field"},
+        "GaussPolyField": {"envelope", "component_field", "from_components", "scalar",
+                           "zero", "__mul__", "__rmul__"},
+        "SliceSystem": {"y", "m", "k"},
     }
     classes = {node.name: node for path in sorted(SRC.rglob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
@@ -119,6 +124,14 @@ def test_no_second_operator_layer():
     stale = [name for name in ("truncation_warning", "component_field", "_check_like")
              if name in text]
     assert not stale, f"deleted names still used in src/raymoments: {stale}"
+    # options that only ever took one value are constants
+    functions = {node.name: node for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+    params = {name: [a.arg for a in functions[name].args.args]
+              for name in ("homogeneity_residual", "random_line")}
+    assert params == {"homogeneity_residual": ["fun", "degree", "x", "xi"],
+                      "random_line": ["n", "rng"]}, f"one-value options back: {params}"
 
 
 def test_one_line_quadrature():

@@ -20,7 +20,7 @@ from raymoments.symtensor import (
     xi_power_weights,
 )
 
-from references import contract_power, sym_mult_power, symmetrize, to_full
+from references import contract_power, field_from_comps, sym_mult_power, symmetrize, to_full
 
 
 def one_vector(x, n):
@@ -299,7 +299,7 @@ class TestPackedStorage:
 
     def test_json_round_trip(self):
         # component keys are the multi-index in 1-based axis labels
-        f = GaussPolyField.from_components(2, 2, 1.0, {(0, 0): {(0, 0): 1.0},
+        f = field_from_comps(2, 2, 1.0, {(0, 0): {(0, 0): 1.0},
                                                        (1, 0): {(1, 0): 0.5}})
         text = f.to_json()
         assert '"11"' in text and '"12"' in text
