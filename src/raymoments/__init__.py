@@ -12,6 +12,7 @@ Submodules:
   structure of the moments
 * ``john`` -- the extensions psi^l and chi^l, John-operator machinery and
   the range characterization
+* ``claims`` -- one function per checkable claim, with its gate and control
 * ``cli`` -- command-line front end
 """
 

@@ -241,9 +241,12 @@ class GaussPolyField:
             raise ValueError(f"malformed {what}: {exc}") from exc
         n, m, a, components = json_keys(
             d, {"n": int, "m": int, "a": float, "components": dict}, what)
-        idx, terms = _index_map(n, m), []
+        idx, terms, keys = _index_map(n, m), [], {}
         for key, comp_terms in components.items():
             col = idx[tuple(sorted(json_index(key, n, m, what)))]
+            if keys.setdefault(col, key) != key:
+                raise ValueError(f"malformed {what}: components '{keys[col]}' and '{key}' "
+                                 "are one symmetric component")
             term = f"{what}: bad term in component '{key}'"
             for t in json_value(comp_terms, key, what, list):
                 c, e = json_keys(t, {"c": float, "pow": list}, term)

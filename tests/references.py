@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from raymoments.fields import GaussPolyField, GridField, apply_symbol, d_symbol, delta_symbol
-from raymoments.ray import apply_stencil, central_table, householder_frame
+from raymoments.ray import apply_stencil, central_table, householder_frame, moment_oracle, \
+    restricted_transform
 from raymoments.symtensor import _index_map, multi_indices, mult_weights, sym_dim, sym_mult_matrix
 
 
@@ -131,6 +132,30 @@ def john_residuals_per_table(psi, tables, points, steps, m):
              / (2 * h) ** (2 * m + 2) for h in steps] for table in tables]
 
 
+def psi_split_residuals(psis, chi, gs, ell, m, points, steps):
+    """|Psi_I - d_I chi^l / C(m, l) - lower terms| of ladder data, per index tuple I and step."""
+    n, binom = len(points[0][0]), math.comb(m, ell)
+    out = []
+    for idx in itertools.combinations_with_replacement(range(n), ell):
+        residuals = []
+        for h in steps:
+            acc = 0.0
+            for x, xi in points:
+                lhs = restricted_transform(psis[:ell + 1], idx, x, xi, h=h, m=m)
+                rhs = mixed_central(chi, x, xi, idx, (), h) / binom
+                perms = list(itertools.permutations(idx))
+                for pi in perms:
+                    for s in range(ell):
+                        comp = component_field(gs[s], tuple(sorted(pi[:ell - s])))
+                        term = mixed_central(lambda a, b, c=comp: moment_oracle(c, a, b, 0),
+                                             x, xi, pi[ell - s:], (), h)
+                        rhs += math.comb(m - s, ell - s) * term / (binom * len(perms))
+                acc += abs(lhs - rhs)
+            residuals.append(acc)
+        out.append(residuals)
+    return out
+
+
 def to_full(c, n, m):
     """Packed rank-m coefficients c on R^n unpacked to the full n^m table."""
     full = np.zeros((n,) * m, dtype=np.asarray(c).dtype)
@@ -216,3 +241,32 @@ def grid_norm_full_array(u):
     """
     w = mult_weights(u.n, u.m).reshape((-1,) + (1,) * u.n)
     return float(np.sqrt((w * np.abs(u.data) ** 2).sum() * u.spec.spacing ** u.n))
+
+
+def cli_runs(tmp_path, field):
+    """One small run of each subcommand, by name; decompose writes the grids verify reads."""
+    return {
+        "transform": ["transform", "--field", str(field), "--k", "1",
+                      "--dirs", "8", "--offsets", "8",
+                      "--out", str(tmp_path / "t.json")],
+        "decompose": ["decompose", "--field", str(field), "--k", "1",
+                      "--grid", "64", "--out-prefix", str(tmp_path / "dec")],
+        "verify": ["verify", "--prefix", str(tmp_path / "dec"), "--k", "1"],
+        "oracle-diff": ["oracle-diff", "--n", "2", "--m", "1", "--lines", "20",
+                        "--seed", "3", "--out", str(tmp_path / "od.json")],
+        "rank-probe": ["rank-probe", "--n", "3", "--m", "2", "--k", "1",
+                       "--trials", "5", "--seed", "3",
+                       "--out", str(tmp_path / "rp.csv")],
+        "check-kernel": ["check-kernel", "--n", "2", "--m", "2", "--k", "1",
+                         "--lines", "30", "--seed", "3",
+                         "--out", str(tmp_path / "ck.json")],
+        "check-range": ["check-range", "--n", "2", "--m", "1", "--k", "1",
+                        "--dirs", "8", "--offsets", "8", "--ntuples", "1",
+                        "--seed", "3", "--out", str(tmp_path / "cr.json")],
+        "chi-verify": ["chi-verify", "--n", "2", "--m", "2", "--ell", "1",
+                       "--points", "5", "--seed", "3",
+                       "--out", str(tmp_path / "cv.json")],
+        "slice-check": ["slice-check", "--n", "2", "--m", "1", "--trials", "1",
+                        "--offsets", "64", "--seed", "3",
+                        "--out", str(tmp_path / "sc.json")],
+    }

@@ -1,31 +1,20 @@
 """Acceptance suite: one test and one printed verdict line per criterion."""
 
-import itertools
 import math
 import time
 
 import numpy as np
-import pytest
 
+from raymoments.claims import decomposition, kernel, ladder_field, oracle_equivalence, \
+    range_conditions, slice_rank
 from raymoments.cli import main as cli_main
 from raymoments.fields import GridSpec, random_field
-from raymoments.helmholtz import decompose_k, freq_project, projector_formula, \
-    verify_decomposition
-from raymoments.john import chi_build, homogeneity_residual, psi_from_phi, range_test
-from raymoments.ray import (
-    QuadratureRule,
-    batch_transform,
-    moment_numeric,
-    moment_oracle,
-    oracle_moment_callables,
-    random_line,
-    restricted_transform,
-)
-from raymoments.slices import assemble_slice_system, kernel_check, rank_probe, \
-    slice_row_count
+from raymoments.helmholtz import decompose_k, freq_project, projector_formula
+from raymoments.john import chi_build, homogeneity_residual, psi_from_phi
+from raymoments.ray import moment_oracle, oracle_moment_callables, restricted_transform
 from raymoments.symtensor import sym_dim
 
-from references import component_field, grid_norm_full_array, mixed_central
+from references import cli_runs, component_field, grid_norm_full_array, psi_split_residuals
 
 
 def verdict(num, name, ok, detail):
@@ -35,20 +24,13 @@ def verdict(num, name, ok, detail):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
-    worst = 0.0
+    ok, worst = True, 0.0
     for n in (2, 3):
         for m in (1, 2, 3):
-            rng = np.random.default_rng(100 * n + m)
-            f = random_field(n, m, rng)
-            rule = QuadratureRule.for_field(f)
-            for _ in range(1000):
-                ln = random_line(n, rng)
-                for q in range(m + 1):
-                    num = moment_numeric(f, ln, q, rule)
-                    exact = moment_oracle(f, ln.x, ln.xi, q)
-                    worst = max(worst, abs(num - exact) / max(abs(exact), 1e-300))
+            *_, res, passed = oracle_equivalence(n, m, m, 1000, np.random.default_rng(100 * n + m))
+            ok, worst = ok and passed, max(worst, res["max_rel_error"])
     elapsed = time.time() - t0
-    verdict(1, "oracle equivalence", worst < 1e-8 and elapsed < 30.0,
+    verdict(1, "oracle equivalence", ok and elapsed < 30.0,
             f"max rel error {worst:.3e}, {elapsed:.1f}s")
 
 
@@ -56,14 +38,14 @@ CONFIGS_2 = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 2, 2), (3, 3, 2)]
 
 
 def test_criterion_2_decomposition():
-    worst_recon = worst_sol = worst_pot = 0.0
+    ok, worst_recon, worst_sol, worst_pot = True, 0.0, 0.0, 0.0
     for n, m, k in CONFIGS_2:
         spec = GridSpec(n, 128 if n == 2 else 64, 8.0)
         rng = np.random.default_rng(1000 + 100 * n + 10 * m + k)
         for _ in range(10):
             f = random_field(n, m, rng).sample(spec)
-            g, v = decompose_k(f, k)
-            rep = verify_decomposition(f, g, v, k)
+            *_, rep, passed = decomposition(f, *decompose_k(f, k), k)
+            ok = ok and passed
             worst_recon = max(worst_recon, rep["reconstruction_residual"])
             worst_sol = max(worst_sol, rep["solenoidal_residual"])
         for _ in range(2):
@@ -71,7 +53,7 @@ def test_criterion_2_decomposition():
             f = w.inner_derivative(k).sample(spec)
             g, _ = decompose_k(f, k)
             worst_pot = max(worst_pot, grid_norm_full_array(g) / grid_norm_full_array(f))
-    ok = worst_recon < 1e-6 and worst_sol < 1e-6 and worst_pot < 1e-6
+    ok = ok and worst_pot < 1e-6
     verdict(2, "decomposition", ok,
             f"recon {worst_recon:.3e}, solenoidal {worst_sol:.3e}, "
             f"potential recovery {worst_pot:.3e}")
@@ -94,36 +76,22 @@ def test_criterion_3_projector_equality():
 
 
 def test_criterion_4_kernel():
-    worst = 0.0
-    weakest_control = math.inf
+    ok, worst, weakest_control = True, 0.0, math.inf
     for n, m, k in [(2, 2, 1), (3, 2, 1), (3, 3, 2)]:
-        rng = np.random.default_rng(3000 + 100 * n + 10 * m + k)
-        v = random_field(n, m - k - 1, rng, degree=1)
-        lines = [random_line(n, rng) for _ in range(500)]
-        worst = max(worst, kernel_check(v, k, lines))
-        weakest_control = min(weakest_control,
-                              kernel_check(v, k, lines, orders=[k + 1]))
-    ok = worst < 1e-8 and weakest_control > 1e-3
+        *_, res, passed = kernel(n, m, k, 500, np.random.default_rng(3000 + 100 * n + 10 * m + k))
+        ok, worst = ok and passed, max(worst, res["kernel_residual"])
+        weakest_control = min(weakest_control, res["negative_control"])
     verdict(4, "kernel annihilation", ok,
             f"max residual {worst:.3e}, min control {weakest_control:.3e}")
 
 
 def test_criterion_5_injectivity_counting():
-    ok = True
-    worst_ratio = math.inf
+    ok, worst_ratio = True, math.inf
     for n, m, k in CONFIGS_2:
         k = min(k, m - 1)        # slice systems require k < m
         rng = np.random.default_rng(4000 + 100 * n + 10 * m + k)
-        full = sym_dim(n, m)
-        for _ in range(20):
-            sysm = assemble_slice_system(n, m, k, rng.normal(size=n))
-            if sysm.rows.shape[0] != slice_row_count(n, m, k):
-                ok = False
-            res = rank_probe(sysm)
-            ratio = res.sigma_min / res.sigma_max
-            worst_ratio = min(worst_ratio, ratio)
-            if res.rank != full or ratio <= 1e-6:
-                ok = False
+        *_, res, passed = slice_rank(n, m, k, 20, rng)
+        ok, worst_ratio = ok and passed, min(worst_ratio, res["min_sigma_ratio"])
     verdict(5, "injectivity counting", ok,
             f"all systems full rank, min sigma ratio {worst_ratio:.3e}")
 
@@ -156,33 +124,18 @@ def test_criterion_6_moment_reduction():
 
 
 def test_criterion_7_range_necessity():
-    n, m, k = 3, 2, 1
-    rng = np.random.default_rng(6000)
-    f = random_field(n, m, rng)
-    data = batch_transform(f, k, ndirs=16, noffsets=8)
-    clean = oracle_moment_callables(f, k)
-    good = range_test(data, m, k, moment_callables=clean, npoints=2,
-                      ntuples=8, seed=0)
-    corrupted = [lambda x, xi, g=clean[0]: g(x, xi) * (1.0 + 0.1 * x[0]),
-                 clean[1]]
-    bad = range_test(None, m, k, moment_callables=corrupted, npoints=2,
-                     ntuples=8, seed=0, n=n)
-    plateau = bad.max_john_residual() / max(good.max_john_residual(), 1e-300)
-    parity = max(good.parity.values())
-    ok = (good.parity_pass and good.john_pass and good.transport_pass
-          and not bad.john_pass and plateau >= 10.0)
-    verdict(7, "range necessity", ok,
+    f = random_field(3, 2, np.random.default_rng(6000))
+    _, rows, res, passed = range_conditions(f, 1, dirs=16, offsets=8, ntuples=8, seed=0)
+    parity = max(row[2] for row in rows if row[0] == "parity")
+    verdict(7, "range necessity", passed,
             f"parity {parity:.3e}, clean orders converge, corrupted plateau "
-            f"{plateau:.1f}x clean")
+            f"{res['control_plateau']:.1f}x clean")
 
 
 def test_criterion_8_chi_psi_suite():
     n, m = 2, 2
     rng = np.random.default_rng(7000)
-    gs = [random_field(n, m - s, rng, degree=1) for s in range(m + 1)]
-    f = gs[0]
-    for s in range(1, m + 1):
-        f = f + gs[s].inner_derivative(s)
+    f, gs = ladder_field(n, m, m, rng)
     moments = oracle_moment_callables(f, m)
     psis = [psi_from_phi(moments, m, ell) for ell in range(m + 1)]
 
@@ -207,28 +160,9 @@ def test_criterion_8_chi_psi_suite():
     # with second-order convergence of the finite-difference realization
     pts = [(rng.uniform(-1.0, 1.0, size=n),
             rng.normal(size=n) / 1.0) for _ in range(2)]
-    steps = (0.05, 0.025)
     worst_order = (math.inf, -math.inf)
     for ell in (1, 2):
-        binom = math.comb(m, ell)
-        for idx in itertools.combinations_with_replacement(range(n), ell):
-            residuals = []
-            for h in steps:
-                acc = 0.0
-                for x, xi in pts:
-                    lhs = restricted_transform(psis[:ell + 1], idx, x, xi, h=h, m=m)
-                    rhs = mixed_central(chis[ell], x, xi, idx, (), h) / binom
-                    perms = list(itertools.permutations(idx))
-                    for pi in perms:
-                        for s in range(ell):
-                            comp = component_field(gs[s], tuple(sorted(pi[:ell - s])))
-                            term = mixed_central(
-                                lambda a, b, c=comp: moment_oracle(c, a, b, 0),
-                                x, xi, pi[ell - s:], (), h)
-                            rhs += (math.comb(m - s, ell - s) * term
-                                    / (binom * len(perms)))
-                    acc += abs(lhs - rhs)
-                residuals.append(acc)
+        for residuals in psi_split_residuals(psis, chis[ell], gs, ell, m, pts, (0.05, 0.025)):
             order = math.log(residuals[0] / residuals[1]) / math.log(2.0)
             worst_order = (min(worst_order[0], order), max(worst_order[1], order))
     ok = (worst_chi < 1e-8 and 1.5 <= worst_order[0] and worst_order[1] <= 2.5)
@@ -238,38 +172,11 @@ def test_criterion_8_chi_psi_suite():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    f = random_field(2, 2, np.random.default_rng(0))
     field = tmp_path / "field.json"
-    field.write_text(f.to_json())
-    invocations = {
-        "transform": ["transform", "--field", str(field), "--k", "1",
-                      "--dirs", "8", "--offsets", "8",
-                      "--out", str(tmp_path / "t.json")],
-        "decompose": ["decompose", "--field", str(field), "--k", "1",
-                      "--grid", "64", "--out-prefix", str(tmp_path / "dec")],
-        "verify": ["verify", "--prefix", str(tmp_path / "dec"), "--k", "1"],
-        "oracle-diff": ["oracle-diff", "--n", "2", "--m", "1", "--lines", "20",
-                        "--seed", "3", "--out", str(tmp_path / "od.json")],
-        "rank-probe": ["rank-probe", "--n", "3", "--m", "2", "--k", "1",
-                       "--trials", "5", "--seed", "3",
-                       "--out", str(tmp_path / "rp.csv")],
-        "check-kernel": ["check-kernel", "--n", "2", "--m", "2", "--k", "1",
-                         "--lines", "30", "--seed", "3",
-                         "--out", str(tmp_path / "ck.json")],
-        "check-range": ["check-range", "--n", "2", "--m", "1", "--k", "1",
-                        "--dirs", "8", "--offsets", "8", "--ntuples", "1",
-                        "--seed", "3", "--out", str(tmp_path / "cr.json")],
-        "chi-verify": ["chi-verify", "--n", "2", "--m", "2", "--ell", "1",
-                       "--points", "5", "--seed", "3",
-                       "--out", str(tmp_path / "cv.json")],
-        "slice-check": ["slice-check", "--n", "2", "--m", "1", "--trials", "1",
-                        "--offsets", "64", "--seed", "3",
-                        "--out", str(tmp_path / "sc.json")],
-    }
-    # run decompose before verify so its grid dumps exist for both passes
-    ok = True
-    detail = "all subcommands byte-identical"
-    for name, args in invocations.items():
+    field.write_text(random_field(2, 2, np.random.default_rng(0)).to_json())
+    ok, detail = True, "all subcommands byte-identical"
+    # decompose runs before verify, so its grid dumps exist for both passes
+    for name, args in cli_runs(tmp_path, field).items():
         a = tmp_path / f"{name}.run1.csv"
         b = tmp_path / f"{name}.run2.csv"
         code1 = cli_main(args + ["--csv", str(a)])

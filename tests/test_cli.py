@@ -9,6 +9,8 @@ from raymoments.cli import main
 from raymoments.fields import random_field
 from raymoments.ray import MomentData
 
+from references import cli_runs
+
 
 @pytest.fixture
 def field_path(tmp_path):
@@ -62,7 +64,10 @@ class TestTransform:
         ({"12": [{"c": 1.0, "pow": 5}]}, "'pow'"),
         ({"12": [3]}, "component '12'"),
         ({"12": {"c": 1.0, "pow": [1, 0]}}, "'12'"),
-    ], ids=["components-list", "c-null", "pow-int", "term-int", "component-object"])
+        ({"12": [{"c": 1.0, "pow": [0, 0]}], "21": [{"c": 1.0, "pow": [0, 0]}]},
+         "'12' and '21'"),
+    ], ids=["components-list", "c-null", "pow-int", "term-int", "component-object",
+            "component-twice"])
     def test_wrongly_typed_field_member(self, tmp_path, capsys, components, member):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "m": 2, "a": 1.0, "components": components}))
@@ -86,7 +91,6 @@ class TestDecomposeVerify:
         assert main(["decompose", "--field", field_path, "--k", "1",
                      "--grid", "64", "--out-prefix", prefix]) == 0
         report = read_report(prefix + ".report.json")
-        assert report["results"]["reconstruction_residual"] < 1e-6
         assert main(["verify", "--prefix", prefix, "--k", "1"]) == 0
         verify = read_report(prefix + ".verify.json")
         # the verify pass recomputes through the identical code path
@@ -201,6 +205,18 @@ def test_library_errors_exit_2(tmp_path, field_path, capsys, args, codes):
 
 
 @pytest.mark.parametrize("args", [
+    "decompose --field {field} --k 1 --out-prefix {out}", "verify --prefix {out} --k 1",
+    "oracle-diff --n 2 --m 1 --out {out}", "chi-verify --n 2 --m 2 --ell 1 --out {out}",
+    "slice-check --out {out}"], ids=lambda args: args.split()[0])
+def test_tol_is_no_option(tmp_path, field_path, capsys, args):
+    # the gates are fixed in raymoments.claims: no option loosens a verdict
+    with pytest.raises(SystemExit) as exc:
+        main(args.format(field=field_path, out=tmp_path / "out").split() + ["--tol", "inf"])
+    assert exc.value.code == 2 and "unrecognized arguments: --tol inf" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("args", [
     ["slice-check", "--field", "{field}", "--trials", "1", "--offsets", "8", "--out", "{out}"],
     ["decompose", "--field", "{field}", "--k", "1", "--grid", "16", "--out-prefix", "{out}"],
 ], ids=["slice-check", "decompose"])
@@ -235,10 +251,8 @@ def test_very_wide_field_exits_2(tmp_path, field_path, capsys, args):
 
 class TestSeededCommands:
     def test_oracle_diff(self, tmp_path):
-        out = str(tmp_path / "oracle.json")
         assert main(["oracle-diff", "--n", "2", "--m", "1", "--lines", "20",
-                     "--out", out]) == 0
-        assert read_report(out)["results"]["max_rel_error"] < 1e-8
+                     "--out", str(tmp_path / "oracle.json")]) == 0
 
     def test_rank_probe(self, tmp_path):
         out = str(tmp_path / "ranks.csv")
@@ -249,24 +263,17 @@ class TestSeededCommands:
         assert len(lines) == 6
 
     def test_check_kernel(self, tmp_path):
-        out = str(tmp_path / "kernel.json")
         assert main(["check-kernel", "--n", "2", "--m", "2", "--k", "1",
-                     "--lines", "50", "--out", out]) == 0
-        res = read_report(out)["results"]
-        assert res["kernel_residual"] < 1e-8
-        assert res["negative_control"] > 1e-3
+                     "--lines", "50", "--out", str(tmp_path / "kernel.json")]) == 0
 
     def test_check_kernel_bad_orders(self, tmp_path):
         assert main(["check-kernel", "--n", "2", "--m", "1", "--k", "1",
                      "--lines", "10", "--out", str(tmp_path / "k.json")]) == 2
 
     def test_check_range(self, tmp_path):
-        out = str(tmp_path / "range.json")
         assert main(["check-range", "--n", "2", "--m", "2", "--k", "1",
                      "--dirs", "8", "--offsets", "8", "--ntuples", "1",
-                     "--out", out]) == 0
-        res = read_report(out)["results"]
-        assert res["parity_pass"] and res["john_pass"] and res["transport_pass"]
+                     "--out", str(tmp_path / "range.json")]) == 0
 
     def test_check_range_field_matches_seeded_run(self, tmp_path):
         # --field reads the field that --n/--m/--seed would draw
@@ -282,48 +289,28 @@ class TestSeededCommands:
         assert seeded.count(b"\n") > 3
 
     def test_chi_verify(self, tmp_path):
-        out = str(tmp_path / "chi.json")
         assert main(["chi-verify", "--n", "2", "--m", "2", "--ell", "1",
-                     "--points", "10", "--out", out]) == 0
-        assert read_report(out)["results"]["max_residual"] < 1e-8
+                     "--points", "10", "--out", str(tmp_path / "chi.json")]) == 0
 
     def test_chi_verify_bad_ell(self, tmp_path):
         assert main(["chi-verify", "--n", "2", "--m", "1", "--ell", "2",
                      "--points", "5", "--out", str(tmp_path / "c.json")]) == 2
 
     def test_slice_check(self, tmp_path, field_path):
-        out = str(tmp_path / "slice.json")
         assert main(["slice-check", "--field", field_path, "--trials", "2",
-                     "--offsets", "64", "--out", out]) == 0
-        assert read_report(out)["results"]["max_deviation"] < 1e-6
+                     "--offsets", "64", "--out", str(tmp_path / "slice.json")]) == 0
 
 
 def test_csvs_hold_plain_floats(tmp_path, field_path):
-    # _write_csv writes floats by repr, which numpy 2 spells np.float64(...)
-    out = str(tmp_path / "o")
-    runs = [
-        ["transform", "--field", field_path, "--k", "1", "--dirs", "4",
-         "--offsets", "4", "--out", out + ".t.json"],
-        ["decompose", "--field", field_path, "--k", "1", "--grid", "16",
-         "--out-prefix", out + ".dec"],
-        ["verify", "--prefix", out + ".dec", "--k", "1"],
-        ["oracle-diff", "--n", "2", "--m", "1", "--lines", "3", "--out", out + ".od.json"],
-        ["rank-probe", "--n", "2", "--m", "2", "--k", "1", "--trials", "2",
-         "--out", out + ".rp.csv"],
-        ["check-kernel", "--n", "2", "--m", "2", "--k", "1", "--lines", "3",
-         "--out", out + ".ck.json"],
-        ["check-range", "--n", "3", "--m", "1", "--k", "1", "--dirs", "4",
-         "--offsets", "2", "--ntuples", "1", "--out", out + ".cr.json"],
-        ["chi-verify", "--n", "2", "--m", "2", "--ell", "1", "--points", "3",
-         "--out", out + ".cv.json"],
-        ["slice-check", "--field", field_path, "--trials", "1", "--offsets", "16",
-         "--out", out + ".sc.json"],
-    ]
-    for args in runs:
-        csv = str(tmp_path / f"{args[0]}.csv")
-        assert main(args + ["--csv", csv]) in (0, 1), args[0]
-        text = (tmp_path / f"{args[0]}.csv").read_text()
-        assert "np." not in text, (args[0], text[:200])
+    # _write_csv writes floats by repr, which numpy 2 spells np.float64(...);
+    # check-range at n = 3 adds the rows of its control
+    runs = {**cli_runs(tmp_path, field_path), "check-range-n3": [
+        "check-range", "--n", "3", "--m", "1", "--k", "1", "--dirs", "4", "--offsets", "2",
+        "--ntuples", "1", "--out", str(tmp_path / "cr3.json")]}
+    for name, args in runs.items():
+        table = tmp_path / f"{name}.csv"
+        assert main(args + ["--csv", str(table)]) in (0, 1), name
+        assert "np." not in table.read_text(), (name, table.read_text()[:200])
 
 
 class TestDeterminism:
@@ -344,7 +331,6 @@ class TestDeterminism:
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
     def test_report_echoes_config(self, tmp_path):
-        out = str(tmp_path / "o.json")
         assert main(["rank-probe", "--n", "2", "--m", "2", "--k", "1",
                      "--trials", "2", "--seed", "5",
                      "--out", str(tmp_path / "r.csv"), "--csv",
@@ -354,4 +340,3 @@ class TestDeterminism:
         assert report["generator"] == "numpy PCG64"
         assert set(report["versions"]) == {"python", "numpy", "scipy",
                                            "raymoments"}
-        _ = out

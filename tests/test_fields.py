@@ -614,6 +614,11 @@ class TestFieldJson:
             GaussPolyField.from_json(json.dumps(
                 {"n": 2, "m": 2, "a": 1.0,
                  "components": {"12": [{"c": 1.0, "pow": [1, -1]}]}}))
+        # one symmetric component under two key orders would be read as a sum
+        with pytest.raises(ValueError, match="components '21' and '12' are one symmetric"):
+            GaussPolyField.from_json(json.dumps(
+                {"n": 2, "m": 2, "a": 1.0, "components": {
+                    "21": [{"c": 1.0, "pow": [0, 0]}], "12": [{"c": 1.0, "pow": [0, 0]}]}}))
 
     def test_unparseable_text(self):
         with pytest.raises(ValueError, match="malformed field JSON"):

@@ -1,9 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from raymoments import claims
 from raymoments.fields import random_field
 from raymoments.john import (
     chi_build,
@@ -29,7 +29,8 @@ from raymoments.ray import (
     restricted_transform,
 )
 
-from references import component_field, john_residuals_per_table, mixed_central, poly_eval
+from references import component_field, john_residuals_per_table, mixed_central, poly_eval, \
+    psi_split_residuals
 
 
 def poly_diff(p, axis):
@@ -46,15 +47,6 @@ def john_pair(psi, i, j, h):
     """J_ij psi as an (x, xi) callable: the one-pair table that range_test composes."""
     return lambda x, xi: (apply_stencil(psi, [_john_table(((i, j),), np.size(x))], x, xi, h)[0]
                           / (2 * h) ** 2)
-
-
-def ladder_field(n, m, depth, rng, a=1.0):
-    """f = sum_s d^s g_s with correction fields of ranks m, m-1, ..."""
-    gs = [random_field(n, m - s, rng, a=a, degree=1) for s in range(depth + 1)]
-    f = gs[0]
-    for s in range(1, depth + 1):
-        f = f + gs[s].inner_derivative(s)
-    return f, gs
 
 
 def phase_points(n, rng, count=3):
@@ -246,20 +238,13 @@ class TestTransportIdentity:
 
 class TestChiBuild:
     def test_equals_transform_of_correction(self):
+        # chi^l of a ladder is I^0 g_l, translation invariant and homogeneous
         rng = np.random.default_rng(6)
-        n, m = 2, 2
-        f, gs = ladder_field(n, m, 2, rng)
-        moments = oracle_moment_callables(f, 2)
-        for ell in (1, 2):
-            psi = psi_from_phi(moments, m, ell)
-            chi = chi_build(psi, gs[:ell], ell, m)
-            for x, xi in phase_points(n, rng):
-                want = moment_oracle(gs[ell], x, xi, 0)
-                assert chi(x, xi) == pytest.approx(want, abs=1e-8)
+        assert all(claims.chi_identities(2, 2, ell, 3, rng)[3] for ell in (1, 2))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
-        f, gs = ladder_field(2, 2, 1, rng)
+        f, gs = claims.ladder_field(2, 2, 1, rng)
         moments = oracle_moment_callables(f, 1)
         chi = chi_build(psi_from_phi(moments, 2, 1), gs[:1], 1, 2)
         x, xi = np.array([0.4, -0.6]), np.array([0.8, 0.6])
@@ -269,7 +254,7 @@ class TestChiBuild:
     def test_homogeneity(self):
         rng = np.random.default_rng(8)
         n, m, ell = 2, 2, 1
-        f, gs = ladder_field(n, m, 1, rng)
+        f, gs = claims.ladder_field(n, m, 1, rng)
         moments = oracle_moment_callables(f, 1)
         chi = chi_build(psi_from_phi(moments, m, ell), gs[:1], ell, m)
         x, xi = np.array([0.3, 0.7]), np.array([0.6, -0.8])
@@ -280,7 +265,7 @@ class TestChiBuild:
 
     def test_validation(self):
         rng = np.random.default_rng(9)
-        f, gs = ladder_field(2, 2, 1, rng)
+        f, gs = claims.ladder_field(2, 2, 1, rng)
         psi = psi_from_phi(oracle_moment_callables(f, 1), 2, 1)
         with pytest.raises(ValueError):
             chi_build(psi, [], 1, 2)
@@ -318,32 +303,13 @@ class TestCapitalPsi:
         # realizations converges at second order.
         rng = np.random.default_rng(12)
         n, m = 2, 2
-        f, gs = ladder_field(n, m, 2, rng)
+        f, gs = claims.ladder_field(n, m, 2, rng)
         moments = oracle_moment_callables(f, m)
         psis = [psi_from_phi(moments, m, ell) for ell in range(m + 1)]
         pts = phase_points(n, rng, 2)
-        steps = (0.05, 0.025)
         for ell in (1, 2):
             chi = chi_build(psis[ell], gs[:ell], ell, m)
-            binom = math.comb(m, ell)
-            for idx in itertools.combinations_with_replacement(range(n), ell):
-                residuals = []
-                for h in steps:
-                    acc = 0.0
-                    for x, xi in pts:
-                        lhs = restricted_transform(psis[:ell + 1], idx, x, xi, h=h, m=m)
-                        rhs = mixed_central(chi, x, xi, idx, (), h) / binom
-                        perms = list(itertools.permutations(idx))
-                        for pi in perms:
-                            for s in range(ell):
-                                comp = component_field(gs[s], tuple(sorted(pi[:ell - s])))
-                                term = mixed_central(
-                                    lambda a, b, c=comp: moment_oracle(c, a, b, 0),
-                                    x, xi, pi[ell - s:], (), h)
-                                rhs += (math.comb(m - s, ell - s) * term
-                                        / (binom * len(perms)))
-                        acc += abs(lhs - rhs)
-                    residuals.append(acc)
+            for residuals in psi_split_residuals(psis, chi, gs, ell, m, pts, (0.05, 0.025)):
                 order = math.log(residuals[0] / residuals[1]) / math.log(2.0)
                 assert residuals[1] < 1e-2
                 assert 1.5 < order < 2.5
@@ -351,32 +317,31 @@ class TestCapitalPsi:
 
 class TestRangeTest:
     def test_clean_data_passes(self):
-        rng = np.random.default_rng(13)
-        f = random_field(2, 2, rng)
-        data = batch_transform(f, 1, ndirs=8, noffsets=8)
-        report = range_test(data, 2, 1,
-                            moment_callables=oracle_moment_callables(f, 1),
-                            npoints=2, seed=0)
-        assert report.parity_pass
-        assert report.john_pass
-        assert report.transport_pass
-        assert report.passed
+        f = random_field(2, 2, np.random.default_rng(13))
+        *_, res, passed = claims.range_conditions(f, 1, dirs=8, offsets=8, ntuples=64, seed=0)
+        assert passed and res["parity_pass"] and res["john_pass"] and res["transport_pass"]
 
     def test_corrupted_data_fails_john(self):
         # the failure needs n = 3: the two-dimensional iterated John stencil
         # annihilates this multiplicative corruption as well
-        rng = np.random.default_rng(14)
-        f = random_field(3, 2, rng)
-        clean = oracle_moment_callables(f, 1)
-        corrupted = [lambda x, xi, g=clean[0]: g(x, xi) * (1.0 + 0.1 * x[0]),
-                     clean[1]]
-        good = range_test(None, 2, 1, moment_callables=clean,
-                          npoints=2, ntuples=4, seed=0, n=3)
-        bad = range_test(None, 2, 1, moment_callables=corrupted,
-                         npoints=2, ntuples=4, seed=0, n=3)
-        assert good.passed
-        assert not bad.john_pass
-        assert bad.max_john_residual() > 10.0 * good.max_john_residual()
+        f = random_field(3, 2, np.random.default_rng(14))
+        _, rows, res, passed = claims.range_conditions(f, 1, dirs=8, offsets=4, ntuples=4, seed=0)
+        assert passed and not res["control_john_pass"]
+        assert res["control_plateau"] >= claims.PLATEAU_MIN
+        assert [row[0] for row in rows].count("control") == 4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_control_that_passes_john_fails_the_claim(self, monkeypatch, n):
+        # uncorrupted control data satisfies John, so the claim must fail at
+        # n = 3; in R^2 the John condition is empty and no control runs
+        monkeypatch.setattr(claims, "corrupted", lambda moments: moments)
+        f = random_field(n, 2, np.random.default_rng(14))
+        _, rows, res, passed = claims.range_conditions(f, 1, dirs=8, offsets=4, ntuples=4, seed=0)
+        controls = [row for row in rows if row[0] == "control"]
+        if n == 3:
+            assert res["john_pass"] and res["control_john_pass"] and controls and not passed
+        else:
+            assert passed and not controls and "control_john_pass" not in res
 
     def test_zero_residual_has_no_order(self):
         # check-range --n 3 --m 2 --k 2 --seed 3: one transport row is exactly

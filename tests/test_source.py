@@ -238,8 +238,9 @@ def test_one_tensor_type():
 
 
 def test_one_cli_exit_path():
-    # subcommands return their table and verdict; main alone writes the CSV
-    # and the report, and alone turns an error into exit 2
+    # subcommands and claims return their table and verdict; main alone
+    # writes the CSV and the report, and alone turns an error into exit 2.
+    # A claim writes no file at all
     def is_exit(node):
         if isinstance(node, ast.Name):
             return node.id == "SystemExit"
@@ -249,19 +250,60 @@ def test_one_cli_exit_path():
                 and any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
                         for kw in node.keywords))
 
-    def writes(node):
-        return (isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) in ("_write_csv", "_write_report"))
+    def writes(node, names=("_write_csv", "_write_report")):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] in names
 
-    tree = ast.parse((SRC / "cli.py").read_text())
+    tree, claims = (ast.parse((SRC / name).read_text()) for name in ("cli.py", "claims.py"))
     funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    exits = [f"{fn.name}:{node.lineno}" for fn in funcs if fn.name.startswith("cmd_")
-             for node in ast.walk(fn) if is_exit(node)]
-    assert not exits, f"subcommands that exit or print errors themselves: {exits}"
+    judged = ([fn for fn in funcs if fn.name.startswith("cmd_")]
+              + [fn for fn in claims.body if isinstance(fn, ast.FunctionDef)])
+    exits = [f"{fn.name}:{node.lineno}" for fn in judged for node in ast.walk(fn) if is_exit(node)]
+    assert not exits, f"subcommands or claims that exit or print errors themselves: {exits}"
     writers = {node.lineno for node in ast.walk(tree) if writes(node)}
     in_main = {node.lineno for fn in funcs if fn.name == "main"
                for node in ast.walk(fn) if writes(node)}
     assert in_main and writers == in_main, f"CSV/report writes outside main: {writers - in_main}"
+    files = ("_write_csv", "_write_report", "open", "write", "writer", "dump", "tofile")
+    found = [node.lineno for node in ast.walk(claims) if writes(node, files)]
+    # the positive control: the same search finds the outputs of transform and decompose
+    assert any(writes(node, files) for node in ast.walk(tree))
+    assert not found, f"file writes in claims.py: lines {found}"
+
+
+def test_one_implementation_per_claim():
+    # each gate is a float constant of claims.py, set nowhere else; cli.py
+    # judges nothing itself: no float literal below 1 and no check function.
+    # Criteria 1, 2, 4, 5 and 7 judge through a claim
+    checks = {"kernel_check", "rank_probe", "range_test", "moment_numeric", "slice_check",
+              "chi_build", "verify_decomposition"}
+    tests = Path(__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")])}
+
+    def names(tree):
+        return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+
+    def stored(tree):
+        return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                if isinstance(getattr(node, "ctx", None), ast.Store)}
+
+    def small_floats(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, float) and node.value < 1]
+
+    claims, cli = trees.pop("claims.py"), trees["cli.py"]
+    gates = {node.targets[0].id for node in claims.body if isinstance(node, ast.Assign)
+             and isinstance(getattr(node.value, "value", None), float)}
+    assert len(gates) == 8 and small_floats(claims) and checks <= names(claims)
+    again = {name: stored(tree) & gates for name, tree in trees.items() if stored(tree) & gates}
+    assert not again, f"gates set outside claims.py: {again}"
+    assert not small_floats(cli), f"float literals below 1 in cli.py: lines {small_floats(cli)}"
+    assert not checks & names(cli), f"checks in cli.py: {checks & names(cli)}"
+    claim_names = {node.name for node in claims.body if isinstance(node, ast.FunctionDef)}
+    criteria = {node.name.split("_")[2]: names(node) for node in trees["test_acceptance.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")}
+    bypass = [c for c in "12457" if not criteria[c] & claim_names or criteria[c] & checks]
+    assert not bypass, f"criteria judged outside raymoments.claims: {bypass}"
 
 
 def test_no_environment_reads_and_one_thread_pool():
