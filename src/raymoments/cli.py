@@ -28,6 +28,7 @@ import scipy
 from . import __version__, claims
 from .fields import GaussPolyField, GridField, GridSpec, random_field
 from .helmholtz import decompose_k
+from .john import _DEFAULT_STEPS
 from .ray import batch_transform
 
 _GENERATOR = "numpy PCG64"
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--steps", default="0.025,0.0125")
+    p.add_argument("--steps", default=",".join(map(str, _DEFAULT_STEPS)))
     p.add_argument("--dirs", type=int, default=16)
     p.add_argument("--offsets", type=int, default=8)
     p.add_argument("--ntuples", type=int, default=8)

@@ -10,10 +10,9 @@ Two realizations of a symmetric-tensor field:
   Fourier transform scatter them into one dense box[s, e_1, ..., e_n] and
   act on it axis by axis.
 * :class:`GridField` -- real uniform-grid samples.  On the grid, d^k and
-  delta^k exist only as :func:`apply_symbol` with :func:`d_symbol` and
-  :func:`delta_symbol`, on the real-FFT half spectrum under periodic
-  extension; the same applier with the real y gives i_{y^(k)} and
-  j_{y^(k)} at one frequency.
+  delta^k exist only as the symtensor applier ``apply_symbol`` with the
+  tables ``d_symbol`` and ``delta_symbol``, on the real-FFT half spectrum
+  under periodic extension; GaussPolyField reads the same tables in space.
 
 Fourier convention throughout: F u(y) = (2 pi)^{-n/2} int e^{-i<x,y>} u(x) dx.
 """
@@ -27,18 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .symtensor import (
-    _index_map,
-    _json_real,
-    json_index,
-    json_keys,
-    json_value,
-    monomials,
-    multi_indices,
-    mult_weights,
-    sym_dim,
-    sym_mult_monomials,
-)
+from .symtensor import _index_map, _json_real, d_symbol, delta_symbol, json_index, json_keys, \
+    json_value, monomials, multi_indices, mult_weights, sym_dim
 
 __all__ = [
     "GaussPolyField",
@@ -361,50 +350,13 @@ class GridSpec:
         return float((per_bin[0::2] + per_bin[1::2]) @ bins)
 
 
-def apply_symbol(hats: np.ndarray, dim_out: int, terms, ys) -> np.ndarray:
-    """Apply a packed differential operator, a list of terms, to packed hats.
-
-    Each term (dst, src, coeff, exponents) adds coeff * d^exponents of
-    component src to component dst of the (dim_out,) result, with d_a
-    realized as the symbol ys[a]: i k_a broadcast over the half spectrum on
-    the grid, or the real y_a at one frequency, where d_symbol and
-    delta_symbol give i_{y^(r)} and j_{y^(r)}.  The symbol matrix is never formed.
-    """
-    out = np.zeros((dim_out,) + hats.shape[1:], np.result_type(hats, *ys))
-    for dst, src, coeff, e in terms:
-        symbol = coeff
-        for y, p in zip(ys, e):
-            if p:
-                symbol = symbol * y ** p
-        out[dst] += symbol * hats[src]
-    return out
-
-
-def d_symbol(n: int, m: int, order: int):
-    """Terms (dst, src, coeff, e) of d^order on rank m: A(d), A = i_{y^(order)}.
-
-    coeff is the real coefficient of the partial derivative d^e.
-    """
-    return sym_mult_monomials(n, m, order)
-
-
-def delta_symbol(n: int, m: int, order: int) -> list:
-    """Terms (dst, src, coeff, e) of delta^order on rank m: W_lo^-1 A(d)^T W_hi."""
-    if not 0 <= order <= m:
-        raise ValueError(f"divergence order {order} outside 0..{m}")
-    lo = m - order
-    w_hi, w_lo = mult_weights(n, m), mult_weights(n, lo)
-    return [(c, r, v * w_hi[r] / w_lo[c], e)
-            for r, c, v, e in sym_mult_monomials(n, lo, order)]
-
-
 @dataclass(frozen=True)
 class GridField:
     """Per-node packed symmetric tensor samples on a uniform grid.
 
     ``data`` is real, of shape (sym_dim(n, m),) + (count,)*n with n the
     dimension of ``spec``; complex data raises ValueError.  Periodic
-    extension is assumed by the spectral symbols of :func:`apply_symbol`;
+    extension is assumed by the spectral symbols of ``symtensor.apply_symbol``;
     fields are expected to decay below the boundary cutoff of their
     generating :class:`GaussPolyField`.
     """

@@ -11,7 +11,8 @@ the k-potential generator v with f = g + d^k v.  Both peel f from the top
 down (:func:`_peel`), with no solve: f = sum_j i_y^j h_j uniquely, with h_j
 of rank m-j and j_y h_j = 0, and j_y^j i_y^j h_j = |y|^{2j} h_j / C(m, j)
 (Sharafutdinov, *Integral Geometry of Tensor Fields*, 1994, ch. 2).  Each
-step applies the d_symbol and delta_symbol tables through :func:`apply_symbol`,
+step applies the symtensor tables d_symbol (i_{y^(r)}) and delta_symbol
+(its adjoint j_{y^(r)}) through their one applier, symtensor.apply_symbol,
 with d_a realized as y_a at one frequency and as i k_a on the grid, so the
 grid decomposition is exact for the grid operators: at every bin f_hat =
 g_hat + i^k A(k) v_hat and i^k W^{-1} A(k)^T W g_hat = 0, A(k) = i_{k^(k)}.
@@ -34,15 +35,10 @@ import os
 
 import numpy as np
 
-from .fields import GridField, GridSpec, apply_symbol, d_symbol, delta_symbol
+from .fields import GridField, GridSpec
 from .ray import householder_frame
-from .symtensor import (
-    multi_indices,
-    multiplicity,
-    mult_weights,
-    sym_dim,
-    symmetric_products,
-)
+from .symtensor import apply_symbol, d_symbol, delta_symbol, multi_indices, multiplicity, \
+    mult_weights, sym_dim, symmetric_products
 
 __all__ = [
     "freq_project",

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _GEOM_TOL = 1e-12
+_QUADRATURE_NODES = 200
 
 
 def householder_frame(xi: np.ndarray) -> np.ndarray:
@@ -128,19 +129,16 @@ def _gauss_rule(nodes_weights, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre quadrature for the line parameter t on [-radius, radius]."""
+    """Gauss-Legendre quadrature with _QUADRATURE_NODES nodes for t on [-radius, radius]."""
 
-    count: int = 200
     radius: float = 8.0
 
     def __post_init__(self):
-        if self.count < 8:
-            raise ValueError("need at least 8 quadrature nodes")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"truncation radius must be positive and finite, got {self.radius}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        t, w = _gauss_rule(np.polynomial.legendre.leggauss, self.count)
+        t, w = _gauss_rule(np.polynomial.legendre.leggauss, _QUADRATURE_NODES)
         return t * self.radius, w * self.radius
 
     @classmethod

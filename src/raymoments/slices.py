@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GaussPolyField
-from .ray import _offset_grid, householder_frame, moment_oracle
+from .ray import _GEOM_TOL, _offset_grid, householder_frame, moment_oracle
 from .symtensor import multi_indices, mult_weights, symmetric_products, xi_power_weights
 
 __all__ = [
@@ -53,9 +53,9 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
         raise ValueError(f"slice identity needs dimension n >= 2, got n={f.n}")
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(xi) - 1.0) > _GEOM_TOL:
         raise ValueError("direction must be a unit vector")
-    if abs(y @ xi) > 1e-12:
+    if abs(y @ xi) > _GEOM_TOL:
         raise ValueError("frequency point must lie in the direction's orthocomplement")
     if noffsets < 2:
         raise ValueError(f"need at least two offsets per axis, got {noffsets}")

@@ -4,6 +4,11 @@ A rank-m symmetric tensor over R^n is stored as one coefficient per
 non-decreasing multi-index, ordered colexicographically, in a 1-D array of
 length sym_dim(n, m).  That array is the one tensor type; every operation is
 a pure function of such arrays.
+
+The symmetric multiplication i_{y^(k)} and its adjoint j_{y^(k)}, the
+symbols of d^k and delta^k, are one monomial table, :func:`d_symbol`, and
+its weighted transpose, :func:`delta_symbol`; :func:`apply_symbol` is their
+one applier, on the grid's half spectrum and at one frequency alike.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ __all__ = [
     "multiplicity",
     "mult_weights",
     "monomials",
-    "sym_mult_matrix",
-    "sym_mult_monomials",
+    "d_symbol",
+    "delta_symbol",
+    "apply_symbol",
     "symmetric_products",
     "xi_power_weights",
 ]
@@ -118,12 +124,16 @@ def json_index(key: str, n: int, m: int, what: str) -> tuple[int, ...]:
 
 
 def symmetric_products(n: int, m: int, U: np.ndarray) -> dict:
-    """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of U."""
+    """{gamma: packed sigma(u_g1 (x) ... (x) u_gm)} over the n columns u_j of a real (n, n) U."""
     if m < 0:
         raise ValueError(f"rank must be non-negative, got m={m}")
+    U = np.asarray(U)
+    if np.iscomplexobj(U) or U.shape != (n, n):
+        raise ValueError(f"U must be a real ({n}, {n}) array, got {U.dtype} of shape {U.shape}")
     table = {(): np.ones(1)}
     for r in range(m):
-        mult = sym_mult_matrix(n, r, U.T)              # mult[j]: i_{u_j} on rank r
+        # mult[j]: i_{u_j} on rank r, one product u_ja C_a[row, col] per entry
+        mult = (U.T @ _first_order_table(n, r)).reshape(n, sym_dim(n, r + 1), sym_dim(n, r))
         table = {g: mult[g[-1]] @ table[g[:-1]] for g in multi_indices(n, r + 1)}
     return table
 
@@ -147,57 +157,69 @@ def xi_power_weights(n: int, m: int, xi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def sym_mult_monomials(n: int, m: int, k: int):
-    """Monomial table of the packed matrix of i_{x^(k)}: S^m -> S^{m+k}.
+def d_symbol(n: int, m: int, order: int):
+    """Terms (dst, src, coeff, e) of d^order on rank m: A(d), A = i_{y^(order)}.
 
-    Returns tuples (row, col, coeff, exponents) with
-    A(x)[row, col] = sum coeff * prod_j x_j^exponents[j].  This is the one
-    encoding of the symmetrization: :func:`sym_mult_matrix`, and the symbols
-    of d^k and delta^k that the grid, the one-frequency splitting and the
-    derivatives of GaussPolyField apply (x_j standing for d_j in space).
+    A(y)[dst, src] = sum coeff * prod_j y_j^e[j]; coeff is the real
+    coefficient of the partial derivative d^e.  This is the one encoding of
+    the symmetrization: the first-order matrices of
+    :func:`symmetric_products`, delta_symbol, and the symbols that the grid,
+    the one-frequency splitting and the derivatives of GaussPolyField apply.
     """
-    if k < 0:
-        raise ValueError(f"order k must be non-negative, got k={k}")
+    if order < 0:
+        raise ValueError(f"derivative order must be non-negative, got {order}")
     idx_lo = _index_map(n, m)
     table: dict[tuple[int, int, tuple[int, ...]], float] = {}
-    nslots = math.comb(m + k, k)
-    for row, gamma in enumerate(multi_indices(n, m + k)):
-        for S in itertools.combinations(range(m + k), k):
+    nslots = math.comb(m + order, order)
+    for row, gamma in enumerate(multi_indices(n, m + order)):
+        for S in itertools.combinations(range(m + order), order):
             exps = [0] * n
             for i in S:
                 exps[gamma[i]] += 1
-            rest = tuple(gamma[i] for i in range(m + k) if i not in S)
+            rest = tuple(gamma[i] for i in range(m + order) if i not in S)
             key = (row, idx_lo[rest], tuple(exps))
             table[key] = table.get(key, 0.0) + 1.0 / nslots
     return tuple((r, c, v, e) for (r, c, e), v in sorted(table.items()))
 
 
+def delta_symbol(n: int, m: int, order: int) -> list:
+    """Terms (dst, src, coeff, e) of delta^order on rank m: W_lo^-1 A(d)^T W_hi."""
+    if not 0 <= order <= m:
+        raise ValueError(f"divergence order {order} outside 0..{m}")
+    lo = m - order
+    w_hi, w_lo = mult_weights(n, m), mult_weights(n, lo)
+    return [(c, r, v * w_hi[r] / w_lo[c], e) for r, c, v, e in d_symbol(n, lo, order)]
+
+
+def apply_symbol(hats: np.ndarray, dim_out: int, terms, ys) -> np.ndarray:
+    """Apply a packed differential operator, a list of terms, to packed hats.
+
+    Each term (dst, src, coeff, exponents) adds coeff * d^exponents of
+    component src to component dst of the (dim_out,) result, with d_a
+    realized as the symbol ys[a]: i k_a broadcast over the half spectrum on
+    the grid, or the real y_a at one frequency, where d_symbol and
+    delta_symbol give i_{y^(r)} and j_{y^(r)}.  The symbol matrix is never formed.
+    """
+    out = np.zeros((dim_out,) + hats.shape[1:], np.result_type(hats, *ys))
+    for dst, src, coeff, e in terms:
+        symbol = coeff
+        for y, p in zip(ys, e):
+            if p:
+                symbol = symbol * y ** p
+        out[dst] += symbol * hats[src]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _first_order_table(n: int, m: int) -> np.ndarray:
     """The matrices C_a of A(x) = sum_a x_a C_a on rank m, stacked and flattened to (n, -1)."""
-    terms = sym_mult_monomials(n, m, 1)        # first: it names a negative rank
+    terms = d_symbol(n, m, 1)                  # first: it names a negative rank
     C = np.zeros((n, sym_dim(n, m + 1), sym_dim(n, m)))
     for r, c, v, e in terms:
         C[e.index(1), r, c] = v
     C = C.reshape(n, -1)
     C.flags.writeable = False
     return C
-
-
-def sym_mult_matrix(n: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Packed matrix of i_x: S^m -> S^{m+1}, batched over x[..., n].
-
-    Shape x.shape[:-1] + (sym_dim(n, m+1), sym_dim(n, m)).  Every entry is
-    one product x_a C_a[row, col]: a row's multi-index loses one label to
-    become the column's.
-    """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError(f"x must be real, got dtype {x.dtype}")
-    if x.shape[-1:] != (n,):
-        raise ValueError(f"x must have a trailing axis of length {n}, got shape {x.shape}")
-    A = x @ _first_order_table(n, m)
-    return A.reshape(x.shape[:-1] + (sym_dim(n, m + 1), sym_dim(n, m)))
 
 
 def monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Independent term-by-term references that the tests compare the package against."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from raymoments.fields import GaussPolyField, GridField, apply_symbol, d_symbol, delta_symbol
+from raymoments.fields import GaussPolyField, GridField
 from raymoments.ray import apply_stencil, central_table, householder_frame, moment_oracle, \
     restricted_transform
-from raymoments.symtensor import _index_map, multi_indices, mult_weights, sym_dim, sym_mult_matrix
+from raymoments.symtensor import _index_map, apply_symbol, d_symbol, delta_symbol, \
+    multi_indices, mult_weights, sym_dim
 
 
 def comps(f):
@@ -96,10 +98,29 @@ def verify_full_array(f, g, v, k):
             half_norm_full_array(spec, sol, m - k) / half_norm_full_array(spec, scale, m + k))
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_mult_basis(n, m):
+    """C[:, a, c] = symmetrize(e_a (x) u_c), u_c the c-th packed basis tensor of rank m."""
+    raw = np.multiply.outer(np.eye(n), to_full(np.eye(sym_dim(n, m)), n, m))  # (a, i_0..i_m, c)
+    return symmetrize(np.moveaxis(raw, 0, -2), m + 1)
+
+
+def sym_mult_vector(n, m, x):
+    """Packed matrix of i_x: S^m -> S^{m+1}, batched over x[..., n], by brute force.
+
+    Column c is sum_a x_a C[:, a, c], with no use of the package's table; a
+    complex x is a ValueError.
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"x must be real, got dtype {x.dtype}")
+    return np.einsum("...a,jac->...jc", x, _sym_mult_basis(n, m))
+
+
 def sym_mult_power(n, m, k, x):
     """Packed matrix of i_{x^(k)}: S^m -> S^{m+k}, batched over x[..., n].
 
-    The product of k first-order sym_mult_matrix factors, since
+    The product of k brute-force factors sym_mult_vector, since
     sigma(x (x) sigma(x^(k-1) (x) u)) = sigma(x^(k) (x) u): i_{x^(k)} = (i_x)^k.
     """
     if k < 0:
@@ -107,7 +128,7 @@ def sym_mult_power(n, m, k, x):
     x = np.asarray(x)
     A = np.broadcast_to(np.eye(sym_dim(n, m)), x.shape[:-1] + (sym_dim(n, m),) * 2)
     for r in range(m, m + k):
-        A = sym_mult_matrix(n, r, x) @ A
+        A = sym_mult_vector(n, r, x) @ A
     return A
 
 
@@ -157,19 +178,23 @@ def psi_split_residuals(psis, chi, gs, ell, m, points, steps):
 
 
 def to_full(c, n, m):
-    """Packed rank-m coefficients c on R^n unpacked to the full n^m table."""
-    full = np.zeros((n,) * m, dtype=np.asarray(c).dtype)
+    """Packed rank-m coefficients c on R^n unpacked to the full n^m table; later axes are a batch."""
+    full = np.zeros((n,) * m + np.shape(c)[1:], dtype=np.asarray(c).dtype)
     for p, alpha in enumerate(multi_indices(n, m)):
         for perm in set(itertools.permutations(alpha)):
             full[perm] = c[p]
     return full
 
 
-def symmetrize(raw):
-    """The packed symmetric part of a full n^m table: each entry averaged over its orderings."""
+def symmetrize(raw, m=None):
+    """The packed symmetric part of a full n^m table: each entry averaged over its orderings.
+
+    The table is the leading m axes of raw, by default all of them; later axes are a batch.
+    """
     raw = np.asarray(raw)
-    m, n = raw.ndim, (raw.shape[0] if raw.ndim else 1)
-    out = np.zeros(sym_dim(n, m), dtype=raw.dtype)
+    m = raw.ndim if m is None else m
+    n = raw.shape[0] if m else 1
+    out = np.zeros((sym_dim(n, m),) + raw.shape[m:], dtype=raw.dtype)
     for p, alpha in enumerate(multi_indices(n, m)):
         perms = set(itertools.permutations(alpha))
         out[p] = sum(raw[q] for q in perms) / len(perms)
@@ -208,7 +233,7 @@ def slice_system_rows(n, m, k, y):
     def row(ypow, mono):
         t = np.ones(1)
         for r, j in enumerate(mono):
-            t = sym_mult_matrix(n, r, zeta[:, j]) @ t
+            t = sym_mult_vector(n, r, zeta[:, j]) @ t
         return mult_weights(n, m) * (sym_mult_power(n, len(mono), ypow, y) @ t)
 
     rows, tags = [], []

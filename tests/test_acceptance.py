@@ -10,7 +10,7 @@ from raymoments.claims import decomposition, kernel, ladder_field, oracle_equiva
 from raymoments.cli import main as cli_main
 from raymoments.fields import GridSpec, random_field
 from raymoments.helmholtz import decompose_k, freq_project, projector_formula
-from raymoments.john import chi_build, homogeneity_residual, psi_from_phi
+from raymoments.john import _phase_point, chi_build, homogeneity_residual, psi_from_phi
 from raymoments.ray import moment_oracle, oracle_moment_callables, restricted_transform
 from raymoments.symtensor import sym_dim
 
@@ -157,9 +157,9 @@ def test_criterion_8_chi_psi_suite():
             worst_chi = max(worst_chi, homogeneity_residual(chi, m - ell - 1, x, xi))
 
     # the decomposition of Psi into chi and correction-field terms must hold
-    # with second-order convergence of the finite-difference realization
-    pts = [(rng.uniform(-1.0, 1.0, size=n),
-            rng.normal(size=n) / 1.0) for _ in range(2)]
+    # with second-order convergence of the finite-difference realization,
+    # at points with |xi| in 0.8..1.2 where the steps are asymptotic
+    pts = [_phase_point(n, rng) for _ in range(2)]
     worst_order = (math.inf, -math.inf)
     for ell in (1, 2):
         for residuals in psi_split_residuals(psis, chis[ell], gs, ell, m, pts, (0.05, 0.025)):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from raymoments.fields import GridField, GridSpec, d_symbol, delta_symbol, random_field
+from raymoments.fields import GridField, GridSpec, random_field
 from raymoments.helmholtz import (
     _peel,
     _row_slabs,
@@ -15,7 +15,7 @@ from raymoments.helmholtz import (
     projector_formula,
     verify_decomposition,
 )
-from raymoments.symtensor import mult_weights, sym_dim
+from raymoments.symtensor import d_symbol, delta_symbol, mult_weights, sym_dim
 
 from references import (
     contract_power,

@@ -106,8 +106,6 @@ class TestGeometry:
             direction_grid(4, 8)
 
     def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(count=4)
         for radius in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="radius must be positive and finite"):
                 QuadratureRule(radius=radius)

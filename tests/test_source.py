@@ -28,16 +28,16 @@ def test_all_names_resolve():
 
 
 def test_one_symmetrization_table():
-    # sym_mult_monomials is the one encoding of the symmetrization
+    # the table of d_symbol is the one encoding of the symmetrization
     pattern = re.compile(r"\bitertools\.combinations\(")
     table = next(node for node in ast.walk(ast.parse((SRC / "symtensor.py").read_text()))
-                 if isinstance(node, ast.FunctionDef) and node.name == "sym_mult_monomials")
-    inside = range(table.lineno, table.end_lineno + 1)
-    found = [f"{path.relative_to(SRC)}:{lineno}"
-             for path in sorted(SRC.rglob("*.py"))
-             for lineno, line in enumerate(path.read_text().splitlines(), 1)
-             if pattern.search(line) and not (path.name == "symtensor.py" and lineno in inside)]
-    assert not found, f"itertools.combinations outside sym_mult_monomials: {found}"
+                 if isinstance(node, ast.FunctionDef) and node.name == "d_symbol")
+    inside = {("symtensor.py", lineno) for lineno in range(table.lineno, table.end_lineno + 1)}
+    hits = {(path.name, lineno) for path in sorted(SRC.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)}
+    assert hits & inside, "positive control: the search finds the table's own enumeration"
+    assert not hits - inside, f"itertools.combinations outside d_symbol: {sorted(hits - inside)}"
 
 
 def test_only_the_real_fft_pair():
@@ -150,8 +150,8 @@ def test_one_line_quadrature():
 
 def test_one_monomial_table():
     # symtensor.monomials is the one power table of field evaluation; no
-    # term-by-term evaluator remains beside it.  sym_mult_matrix is first
-    # order, so it needs no powers
+    # term-by-term evaluator remains beside it.  The first-order table of
+    # symmetric_products needs no powers
     def calls_monomials(node):
         return any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "monomials"
                    for c in ast.walk(node))
@@ -169,16 +169,27 @@ def test_one_monomial_table():
 
 def test_one_symbol_applier():
     # i/j at one frequency and d^k/delta^k on the grid are the d_symbol and
-    # delta_symbol tables through one applier, fields.apply_symbol; no dense
-    # order-k operator pair and no second applier remain beside it
+    # delta_symbol tables through their one applier, all three in symtensor;
+    # no dense operator, second name of the table or second applier remains
+    symbols = ("apply_symbol", "d_symbol", "delta_symbol")
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     defined = sorted(f"{name}:{node.name}" for name, tree in trees.items()
                      for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                     and node.name in ("apply_symbol", "sym_mult_operators", "_sym_mult_terms"))
-    assert defined == ["fields.py:apply_symbol"], f"symbol appliers in src/raymoments: {defined}"
-    matrix = next(node for node in trees["symtensor.py"].body
-                  if getattr(node, "name", None) == "sym_mult_matrix")
-    assert [a.arg for a in matrix.args.args] == ["n", "m", "x"], "sym_mult_matrix takes an order"
+                     and node.name in symbols + ("sym_mult_operators", "_sym_mult_terms"))
+    assert defined == [f"symtensor.py:{s}" for s in symbols], f"symbols defined in {defined}"
+    named = {(path.name, word) for path in sorted(SRC.rglob("*.py")) for word in
+             re.findall(r"\b(sym_mult_matrix|sym_mult_monomials|d_symbol)\b", path.read_text())}
+    assert ("helmholtz.py", "d_symbol") in named, "positive control"
+    assert {word for _, word in named} == {"d_symbol"}, f"deleted names in src: {named}"
+    # src/ and tests/ import the three from symtensor; fields exports fields and grids only
+    tests = (SRC.parents[1] / "tests").glob("*.py")
+    trees.update((path.name, ast.parse(path.read_text())) for path in tests)
+    imported = {(name, node.module) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & set(symbols)}
+    assert ("helmholtz.py", "symtensor") in imported, "positive control"
+    assert all(module.endswith("symtensor") for _, module in imported), imported
+    assert importlib.import_module("raymoments.fields").__all__ == [
+        "GaussPolyField", "GridField", "GridSpec", "random_field"]
 
     helm = trees["helmholtz.py"]
     parent = {child: node for node in ast.walk(helm) for child in ast.iter_child_nodes(node)}
@@ -192,7 +203,7 @@ def test_one_symbol_applier():
                   and not (isinstance(parent[node], ast.Call)
                            and name(parent[node]) == "apply_symbol")
                   or name(node).endswith(".apply_symbol")
-                  or name(node) in ("sym_mult_matrix", "sym_mult_monomials", "monomials"))]
+                  or name(node) == "monomials")]
     assert not stray, f"symbols applied outside apply_symbol: {stray}"
     peel = next(node for node in helm.body if getattr(node, "name", None) == "_peel")
     assert [a.arg for a in peel.args.args] == ["r", "m", "k", "ys"], "_peel takes callables"

@@ -5,20 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raymoments.fields import GaussPolyField, apply_symbol, d_symbol, delta_symbol
-from raymoments.symtensor import (
-    _json_real,
-    json_index,
-    json_keys,
-    monomials,
-    multi_indices,
-    multiplicity,
-    mult_weights,
-    sym_dim,
-    sym_mult_matrix,
-    symmetric_products,
-    xi_power_weights,
-)
+from raymoments.fields import GaussPolyField
+from raymoments.symtensor import _json_real, apply_symbol, d_symbol, delta_symbol, json_index, \
+    json_keys, monomials, multi_indices, multiplicity, mult_weights, sym_dim, symmetric_products, \
+    xi_power_weights
 
 from references import contract_power, field_from_comps, sym_mult_power, symmetrize, to_full
 
@@ -148,10 +138,6 @@ class TestSymMult:
             np.testing.assert_allclose(
                 apply_symbol(u, sym_dim(n, m + k), d_symbol(n, m, k), x.tolist()),
                 sym_mult(u, n, m, x, k), atol=1e-14)
-            xs = rng.normal(size=(2, 3, n))          # batched over leading axes
-            batch = sym_mult_matrix(n, m, xs)
-            for i, j in np.ndindex(2, 3):
-                np.testing.assert_allclose(batch[i, j], sym_mult_matrix(n, m, xs[i, j]))
 
 
 class TestContract:
@@ -186,7 +172,7 @@ class TestContract:
 
 
 class TestFullTableReference:
-    """The packed table against full n^m tables, symmetrized by brute force."""
+    """The packed table and the reference against full n^m tables, symmetrized by brute force."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -198,8 +184,9 @@ class TestFullTableReference:
         raw = to_full(u, n, m)
         for _ in range(k):
             raw = np.multiply.outer(x, raw)
-        np.testing.assert_allclose(sym_mult(u, n, m, x, k), symmetrize(raw),
-                                   rtol=1e-13, atol=1e-14)
+        for got in (sym_mult(u, n, m, x, k),
+                    apply_symbol(u, sym_dim(n, m + k), d_symbol(n, m, k), x.tolist())):
+            np.testing.assert_allclose(got, symmetrize(raw), rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -211,14 +198,14 @@ class TestFullTableReference:
         full = to_full(w, n, m + k)
         for _ in range(k):
             full = np.tensordot(full, x, axes=([-1], [0]))
-        np.testing.assert_allclose(contract(w, n, m + k, x, k), symmetrize(full),
-                                   rtol=1e-13, atol=1e-13)
+        for got in (contract(w, n, m + k, x, k),
+                    apply_symbol(w, sym_dim(n, m), delta_symbol(n, m + k, k), x.tolist())):
+            np.testing.assert_allclose(got, symmetrize(full), rtol=1e-13, atol=1e-13)
 
 
 TABLE_OPS = {
     "sym_mult": lambda x, k: sym_mult(np.ones(3), 2, 2, x, k),
     "contract": lambda x, k: contract(np.ones(3), 2, 2, x, k),
-    "sym_mult_matrix": lambda x, k: sym_mult_power(2, 2, k, x),
 }
 
 
@@ -235,12 +222,19 @@ class TestValidation:
     @pytest.mark.parametrize("call", [
         lambda: mult_weights(2, -1),
         lambda: xi_power_weights(2, -1, np.array([0.6, 0.8])),
-        lambda: sym_mult_matrix(2, -1, np.array([0.6, 0.8])),
         lambda: symmetric_products(2, -1, np.eye(2)),
-    ], ids=["mult_weights", "xi_power_weights", "sym_mult_matrix", "symmetric_products"])
+    ], ids=["mult_weights", "xi_power_weights", "symmetric_products"])
     def test_negative_rank_named(self, call):
         with pytest.raises(ValueError, match="rank must be non-negative, got m=-1"):
             call()
+
+    @pytest.mark.parametrize("U, message", [
+        (np.eye(2) * (1 + 1j), "got complex128 of shape"),
+        (np.eye(3)[:, :2], r"U must be a real \(2, 2\) array, got float64 of shape \(3, 2\)"),
+    ], ids=["complex-U", "wrong-rows"])
+    def test_bad_frame_named(self, U, message):
+        with pytest.raises(ValueError, match=message):
+            symmetric_products(2, 2, U)
 
     @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 2))])
     def test_wrong_shape_rejected(self, x):
