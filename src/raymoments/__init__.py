@@ -5,13 +5,14 @@ Submodules:
 * ``symtensor`` -- packed symmetric tensor algebra
 * ``fields`` -- Gaussian-polynomial and grid tensor fields, derivative and
   Fourier operators
-* ``ray`` -- momentum ray transforms, the closed-form oracle, the
-  phase-space stencils and the moment-reduction stencil
+* ``ray`` -- momentum ray transforms: line geometry, quadrature, the
+  closed-form oracle and sampled moment data
 * ``helmholtz`` -- k-solenoidal / k-potential decomposition
 * ``slices`` -- Fourier-slice checks, injectivity slice systems, kernel
   structure of the moments
-* ``john`` -- the extensions psi^l and chi^l, John-operator machinery and
-  the range characterization
+* ``john`` -- phase space: the stencil engine, the John and transport
+  operators, the extensions psi^l and chi^l, Psi and the range
+  characterization
 * ``claims`` -- one function per checkable claim, with its gate and control
 * ``cli`` -- command-line front end
 """
@@ -24,6 +25,7 @@ from .john import (
     homogeneity_residual,
     psi_from_phi,
     range_test,
+    restricted_transform,
     transport_identity_residual,
 )
 from .ray import (
@@ -37,7 +39,6 @@ from .ray import (
     moment_oracle,
     oracle_moment_callables,
     random_line,
-    restricted_transform,
 )
 from .slices import (
     RankResult,

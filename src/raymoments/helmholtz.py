@@ -192,13 +192,9 @@ def _row_slabs(spec: GridSpec) -> list[slice]:
     """The half spectrum's row slabs: consecutive slices of its first grid axis.
 
     As many slabs as hold _SLAB_BYTES per component each, at least one.
-    The partition depends only on spec, so every result does too.  With
-    n = 1 the first axis is the half axis, and it is one slab.
+    The partition depends only on spec, so every result does too.
     """
-    half = spec.count // 2 + 1
-    if spec.n == 1:
-        return [slice(0, half)]
-    row_bytes = 16 * spec.count ** (spec.n - 2) * half
+    row_bytes = 16 * spec.count ** (spec.n - 2) * (spec.count // 2 + 1)
     slabs = max(1, spec.count // -(-_SLAB_BYTES // row_bytes))
     bounds = [i * spec.count // slabs for i in range(slabs + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

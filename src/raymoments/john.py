@@ -1,27 +1,31 @@
-"""John-operator machinery and the range characterization of moment data.
+"""Phase space: finite differences on (x, xi), Psi and the range characterization.
+
+Every stencil table on R^n x R^n lives here with its step scaling: the
+engine (:func:`central_table`, composed with ``poly_add``/``poly_mul`` and
+evaluated by :func:`apply_stencil`), the John and transport operators, and
+the symmetrized construction Psi (:func:`restricted_transform` on psi-data).
 
 A family (phi^0, ..., phi^k) on the line space is in the range of the
 stacked moment transform of a rank-m field exactly when (1) each phi^l has
 parity (-1)^{m-l} under xi -> -xi and (2) the extension psi^k solves the
 iterated John equations J_{i_1 j_1} ... J_{i_{m+1} j_{m+1}} psi^k = 0.  This
 module provides the psi^l / chi^l constructions as plain (x, xi) -> float
-callables, finite-difference realizations of the John and transport
-operators, and :func:`range_test`, which packages the residuals and
+callables and :func:`range_test`, which packages the residuals and
 convergence verdicts into a :class:`RangeReport`.  ``range_test`` evaluates
 John and transport on moment callables and reads only parity from sampled
-data.  The symmetrized construction Psi is
-:func:`raymoments.ray.restricted_transform` applied to psi-data.
+data.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .ray import MomentData, apply_stencil, central_table, moment_oracle, poly_add, poly_mul
+from .ray import MomentData, moment_oracle
 
 __all__ = [
     "RangeReport",
@@ -30,6 +34,7 @@ __all__ = [
     "transport_identity_residual",
     "chi_build",
     "range_test",
+    "restricted_transform",
 ]
 
 # Step window bounded on both sides: iterated mixed stencils amplify
@@ -44,6 +49,96 @@ _ORDER_WINDOW = (1.5, 2.5)
 _NOISE_FLOOR = 1e-10
 # absolute tolerance of the antipodal parity of sampled data, an exact symmetry
 _PARITY_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# finite differences in phase space
+#
+# A stencil table is a Laurent polynomial {integer offset: integer weight}:
+# tables compose with poly_mul and poly_add, shared offsets merge and
+# cancellations are exact.  Callers apply the step scale.
+
+
+def poly_add(p: dict, q: dict, scale=1.0) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0.0) + scale * c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def central_table(axes, dim: int) -> dict:
+    """(2h)^r times the nested central difference along ``axes`` of R^dim."""
+    table = {(0,) * dim: 1}
+    for ax in axes:
+        e = tuple(int(a == ax) for a in range(dim))
+        table = poly_mul(table, {e: 1, tuple(-c for c in e): -1})
+    return table
+
+
+def apply_stencil(fun, tables, x, xi, h: float, basis=None) -> list[float]:
+    """[sum_o table[o] fun((x, xi) + h o @ basis) for table in tables].
+
+    ``fun`` is called once per distinct offset o in the union of the tables,
+    so tables that share offsets, such as the John tables of one phase
+    point, share their evaluations.  The rows of ``basis`` are the
+    phase-space directions (in R^n x R^n) of the offset coordinates, by
+    default the 2n phase axes.  Each table's products are summed exactly
+    (math.fsum), so a sum does not depend on which tables came with it.
+    """
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    n = x.size
+    basis = h * (np.eye(2 * n) if basis is None else np.asarray(basis))
+    offsets = list(dict.fromkeys(o for table in tables for o in table))
+    # each displacement from its own offset alone, not a matrix product over
+    # the union, so that no sum depends on the tables that came with it
+    disp = (np.array(offsets, dtype=float).reshape(len(offsets), len(basis), 1)
+            * basis).sum(axis=1)
+    values = {o: float(fun(x + d[:n], xi + d[n:])) for o, d in zip(offsets, disp)}
+    return [math.fsum(w * values[o] for o, w in table.items()) for table in tables]
+
+
+def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
+                         h: float = 1e-3, *, m: int) -> float:
+    """J^0 of the field restricted to ``fixed_indices``, from J^0..J^r data.
+
+    ``J_callables[p]`` evaluates J^p on a neighborhood in phase space; the
+    fixed indices are the FIRST r slots of the rank-m field.  The result is
+    ((m-r)!/m!) sum_p (-1)^p C(r,p) d^r J^p, the first p indices
+    differentiating in x and the rest in xi, averaged over all orderings of
+    the indices.  Central differences of step ``h`` realize the mixed
+    derivatives, so the result carries an O(h^2) discretization error.  On
+    psi^0..psi^r data (see :func:`psi_from_phi`) this is the
+    symmetrized construction Psi_{i_1..i_r} of the range theory.
+    """
+    r = len(fixed_indices)
+    if r > m:
+        raise ValueError("cannot fix more indices than the rank")
+    n = np.asarray(x).size
+    perms = list(itertools.permutations(fixed_indices))
+    acc = 0.0
+    for p in range(r + 1):
+        table: dict = {}
+        for perm in perms:
+            axes = (*perm[:p], *(n + a for a in perm[p:]))
+            table = poly_add(table, central_table(axes, 2 * n))
+        acc += ((-1) ** p * math.comb(r, p)
+                * apply_stencil(J_callables[p], [table], x, xi, h)[0])
+    pref = math.factorial(m - r) / math.factorial(m)
+    return pref * acc / (len(perms) * (2 * h) ** r)
 
 
 def homogeneity_residual(fun, degree: float, x, xi) -> float:
@@ -224,8 +319,8 @@ def _phase_point(n: int, rng: np.random.Generator):
 
 
 def range_test(data: MomentData | None, m: int, k: int,
-               steps: tuple = _DEFAULT_STEPS,
-               moment_callables=None,
+               steps: tuple = _DEFAULT_STEPS, *,
+               moment_callables,
                npoints: int = 2, ntuples: int = 64,
                seed: int = 0, n: int | None = None) -> RangeReport:
     """Evaluate the range conditions on moment data.
@@ -238,8 +333,6 @@ def range_test(data: MomentData | None, m: int, k: int,
     in ``steps``, and judged by the measured convergence order between
     consecutive steps.
     """
-    if moment_callables is None:
-        raise ValueError("range_test needs moment callables; data supplies parity only")
     if len(steps) < 2:
         raise ValueError("need at least two step sizes for order estimates")
     if not all(0 < h < math.inf for h in steps) or len(set(steps)) != len(steps):

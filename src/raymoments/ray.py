@@ -1,4 +1,4 @@
-"""Momentum ray transforms, their phase-space extensions and the analytic oracle.
+"""Momentum ray transforms: line geometry, quadrature, the analytic oracle, sampled data.
 
 The q-th moment transform of a rank-m field f along the line (x, xi) is
 
@@ -7,12 +7,12 @@ The q-th moment transform of a rank-m field f along the line (x, xi) is
 defined for (x, xi) with |xi| = 1 and <x, xi> = 0.  Its extension J^q accepts
 any xi != 0 and is what makes x- and xi-derivatives of moment data well
 defined; the two are related by an explicit conversion sum, which
-:func:`raymoments.john.psi_from_phi` implements on I-data callables.
+:func:`raymoments.john.psi_from_phi` implements on I-data callables.  The
+finite differences in phase space are in :mod:`raymoments.john`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -35,9 +35,6 @@ __all__ = [
     "moment_oracle",
     "oracle_moment_callables",
     "batch_transform",
-    "restricted_transform",
-    "central_table",
-    "apply_stencil",
 ]
 
 _GEOM_TOL = 1e-12
@@ -163,7 +160,7 @@ def moment_numeric(f: GaussPolyField, line: Line, q: int, rule: QuadratureRule) 
                       RuntimeWarning, stacklevel=2)
     pts = line.x + t[:, None] * line.xi
     vals = f.eval_packed(pts) @ xi_power_weights(f.n, f.m, line.xi)
-    return float((w * t ** q * vals).sum()) if q else float((w * vals).sum())
+    return float((w * t ** q * vals).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -346,93 +343,3 @@ def batch_transform(f: GaussPolyField, k: int, ndirs: int = 64,
     for d in range(dirs.shape[0]):
         values[:, d] = _gauss_hermite(f, s @ frames[d].T, dirs[d], k, count).T
     return MomentData(f.n, f.m, k, dirs, frames, offsets, values)
-
-
-# ---------------------------------------------------------------------------
-# finite differences in phase space
-#
-# A stencil table is a Laurent polynomial {integer offset: integer weight}:
-# tables compose with poly_mul and poly_add, shared offsets merge and
-# cancellations are exact.  Callers apply the step scale.
-
-
-def poly_add(p: dict, q: dict, scale=1.0) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0.0) + scale * c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def central_table(axes, dim: int) -> dict:
-    """(2h)^r times the nested central difference along ``axes`` of R^dim."""
-    table = {(0,) * dim: 1}
-    for ax in axes:
-        e = tuple(int(a == ax) for a in range(dim))
-        table = poly_mul(table, {e: 1, tuple(-c for c in e): -1})
-    return table
-
-
-def apply_stencil(fun, tables, x, xi, h: float, basis=None) -> list[float]:
-    """[sum_o table[o] fun((x, xi) + h o @ basis) for table in tables].
-
-    ``fun`` is called once per distinct offset o in the union of the tables,
-    so tables that share offsets, such as the John tables of one phase
-    point, share their evaluations.  The rows of ``basis`` are the
-    phase-space directions (in R^n x R^n) of the offset coordinates, by
-    default the 2n phase axes.  Each table's products are summed exactly
-    (math.fsum), so a sum does not depend on which tables came with it.
-    """
-    if not 0 < h < math.inf:
-        raise ValueError(f"step size must be positive and finite, got {h}")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    n = x.size
-    basis = h * (np.eye(2 * n) if basis is None else np.asarray(basis))
-    offsets = list(dict.fromkeys(o for table in tables for o in table))
-    # each displacement from its own offset alone, not a matrix product over
-    # the union, so that no sum depends on the tables that came with it
-    disp = (np.array(offsets, dtype=float).reshape(len(offsets), len(basis), 1)
-            * basis).sum(axis=1)
-    values = {o: float(fun(x + d[:n], xi + d[n:])) for o, d in zip(offsets, disp)}
-    return [math.fsum(w * values[o] for o, w in table.items()) for table in tables]
-
-
-def restricted_transform(J_callables, fixed_indices: tuple[int, ...], x, xi,
-                         h: float = 1e-3, *, m: int) -> float:
-    """J^0 of the field restricted to ``fixed_indices``, from J^0..J^r data.
-
-    ``J_callables[p]`` evaluates J^p on a neighborhood in phase space; the
-    fixed indices are the FIRST r slots of the rank-m field.  The result is
-    ((m-r)!/m!) sum_p (-1)^p C(r,p) d^r J^p, the first p indices
-    differentiating in x and the rest in xi, averaged over all orderings of
-    the indices.  Central differences of step ``h`` realize the mixed
-    derivatives, so the result carries an O(h^2) discretization error.  On
-    psi^0..psi^r data (see :func:`raymoments.john.psi_from_phi`) this is the
-    symmetrized construction Psi_{i_1..i_r} of the range theory.
-    """
-    r = len(fixed_indices)
-    if r > m:
-        raise ValueError("cannot fix more indices than the rank")
-    n = np.asarray(x).size
-    perms = list(itertools.permutations(fixed_indices))
-    acc = 0.0
-    for p in range(r + 1):
-        table: dict = {}
-        for perm in perms:
-            axes = (*perm[:p], *(n + a for a in perm[p:]))
-            table = poly_add(table, central_table(axes, 2 * n))
-        acc += ((-1) ** p * math.comb(r, p)
-                * apply_stencil(J_callables[p], [table], x, xi, h)[0])
-    pref = math.factorial(m - r) / math.factorial(m)
-    return pref * acc / (len(perms) * (2 * h) ** r)

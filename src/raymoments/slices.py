@@ -38,12 +38,12 @@ _RANK_THRESHOLD = 1e-10
 
 
 def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
-                noffsets: int = 256, extent: float | None = None,
-                scale_floor: float = 1e-300) -> float:
+                noffsets: int = 256, scale_floor: float = 1e-300) -> float:
     """Relative deviation between the two sides of the slice identity at y.
 
     The left side is a direct numeric Fourier sum over an offset grid in
-    xi-perp of the transform values I^q f(x, xi); the right side contracts
+    xi-perp of the transform values I^q f(x, xi), on [-R, R)^(n-1) with R
+    the field's effective radius; the right side contracts
     p = <f, xi^(x)m> first (xi is constant, so F commutes with it) and
     evaluates (2 pi)^{1/2} i^q <d^q phat(y), xi^(x)q> in closed form.
     Requires y in xi-perp and |xi| = 1.  ``scale_floor`` guards the
@@ -59,11 +59,8 @@ def slice_check(f: GaussPolyField, xi: np.ndarray, y: np.ndarray, q: int,
         raise ValueError("frequency point must lie in the direction's orthocomplement")
     if noffsets < 2:
         raise ValueError(f"need at least two offsets per axis, got {noffsets}")
-    if extent is None:
-        extent = f.effective_radius()
-    elif not 0 < extent < math.inf:
-        raise ValueError(f"offset extent must be positive and finite, got {extent}")
     n = f.n
+    extent = f.effective_radius()
     frame = householder_frame(xi)                      # (n, n-1)
     ax = np.linspace(-extent, extent, noffsets, endpoint=False)
     ds = ax[1] - ax[0]

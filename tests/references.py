@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from raymoments.fields import GaussPolyField, GridField
-from raymoments.ray import apply_stencil, central_table, householder_frame, moment_oracle, \
-    restricted_transform
+from raymoments.john import apply_stencil, central_table, restricted_transform
+from raymoments.ray import householder_frame, moment_oracle
 from raymoments.symtensor import _index_map, apply_symbol, d_symbol, delta_symbol, \
     multi_indices, mult_weights, sym_dim
 

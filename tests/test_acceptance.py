@@ -10,8 +10,9 @@ from raymoments.claims import decomposition, kernel, ladder_field, oracle_equiva
 from raymoments.cli import main as cli_main
 from raymoments.fields import GridSpec, random_field
 from raymoments.helmholtz import decompose_k, freq_project, projector_formula
-from raymoments.john import _phase_point, chi_build, homogeneity_residual, psi_from_phi
-from raymoments.ray import moment_oracle, oracle_moment_callables, restricted_transform
+from raymoments.john import _phase_point, chi_build, homogeneity_residual, psi_from_phi, \
+    restricted_transform
+from raymoments.ray import moment_oracle, oracle_moment_callables
 from raymoments.symtensor import sym_dim
 
 from references import cli_runs, component_field, grid_norm_full_array, psi_split_residuals

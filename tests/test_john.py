@@ -6,10 +6,14 @@ import pytest
 from raymoments import claims
 from raymoments.fields import random_field
 from raymoments.john import (
+    RangeReport,
+    apply_stencil,
     chi_build,
     homogeneity_residual,
+    poly_add,
     psi_from_phi,
     range_test,
+    restricted_transform,
     transport_identity_residual,
 )
 from raymoments.john import (
@@ -20,17 +24,10 @@ from raymoments.john import (
     _orders_pass,
     _phase_point,
 )
-from raymoments.ray import (
-    apply_stencil,
-    batch_transform,
-    moment_oracle,
-    oracle_moment_callables,
-    poly_add,
-    restricted_transform,
-)
+from raymoments.ray import batch_transform, moment_oracle, oracle_moment_callables, random_line
 
 from references import component_field, john_residuals_per_table, mixed_central, poly_eval, \
-    psi_split_residuals
+    psi_split_residuals, scalar_field
 
 
 def poly_diff(p, axis):
@@ -273,6 +270,65 @@ class TestChiBuild:
             chi_build(psi, [random_field(2, 1, rng, degree=1)], 1, 2)
 
 
+class TestRestrictedTransform:
+    def test_r_zero_is_J0(self):
+        rng = np.random.default_rng(14)
+        f = random_field(2, 2, rng)
+        moments = oracle_moment_callables(f, 0)
+        J = [psi_from_phi(moments, f.m, 0)]
+        ln = random_line(2, rng)
+        got = restricted_transform(J, (), ln.x, ln.xi, m=f.m)
+        assert got == pytest.approx(moment_oracle(f, ln.x, ln.xi, 0), rel=1e-12)
+
+    def test_rank_one_component(self):
+        # m=1, r=1: (d/dxi^i) J^0 f - (d/dx^i) J^1 f = J^0 of the component f_i
+        rng = np.random.default_rng(15)
+        f = random_field(2, 1, rng, degree=1)
+        moments = oracle_moment_callables(f, 1)
+        Js = [psi_from_phi(moments, f.m, q) for q in range(2)]
+        ln = random_line(2, rng)
+        for i in range(2):
+            got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=1)
+            comp = component_field(f, (i,))
+            want = moment_oracle(comp, ln.x, ln.xi, 0)
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
+
+    def test_potential_input_consistency(self):
+        # f = d w: restricted data consistent with the ladder-generated J data
+        rng = np.random.default_rng(16)
+        w = random_field(2, 1, rng, degree=1)
+        f = w.inner_derivative()
+        Js = [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(2)]
+        ln = random_line(2, rng)
+        for i in range(2):
+            got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=2)
+            comp = component_field(f, (i,))
+            want = moment_oracle(comp, ln.x, ln.xi, 0)
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
+
+    def test_second_order_convergence(self):
+        rng = np.random.default_rng(17)
+        f = random_field(2, 2, rng, degree=1)
+        Js = [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(3)]
+        ln = random_line(2, rng)
+        comp = component_field(f, (0, 1))
+        want = moment_oracle(comp, ln.x, ln.xi, 0)
+        errs = []
+        for h in (2e-3, 1e-3):
+            got = restricted_transform(Js, (0, 1), ln.x, ln.xi, h=h, m=2)
+            errs.append(abs(got - want))
+        ratio = errs[0] / errs[1]
+        assert 3.5 < ratio < 4.5
+
+    def test_validation(self):
+        f = scalar_field(2)
+        Js = [lambda x, xi: moment_oracle(f, x, xi, 0)]
+        with pytest.raises(ValueError):
+            restricted_transform(Js, (0, 0), np.zeros(2), np.ones(2), m=1)
+        with pytest.raises(ValueError):
+            restricted_transform(Js, (0,), np.zeros(2), np.ones(2), h=0.0, m=1)
+
+
 class TestCapitalPsi:
     def test_no_indices_is_psi0(self):
         rng = np.random.default_rng(10)
@@ -368,6 +424,15 @@ class TestRangeTest:
         assert not _orders_pass([row])
         assert _orders_pass([{"residuals": [1e-3, 0.0], "order": math.nan}])
 
+    @pytest.mark.parametrize("fine, order, want", [
+        (1e-5, 1.0, False), (1e-5, 3.0, False), (1e-5, 2.0, True), (1e-5, math.nan, False),
+        (1e-11, 1.0, True), (1e-11, 3.0, True), (1e-11, math.nan, True)])
+    def test_john_verdict_window_and_floor(self, fine, order, want):
+        # a row passes with an order in [1.5, 2.5] or a fine residual below 1e-10
+        row = {"tuple": ((0, 1),), "residuals": [4.0 * fine, fine], "order": order}
+        report = RangeReport(1, 1, (0.025, 0.0125), {}, [row], [])
+        assert report.john_pass is want
+
     def test_union_matches_per_table_loop(self):
         # one apply_stencil call per (point, step) over all 16 tables gives
         # the residuals of one call per table, bit for bit
@@ -418,7 +483,7 @@ class TestRangeTest:
         # sampled data supplies parity only; John needs moment callables
         f = random_field(n, 2, np.random.default_rng(18))
         data = batch_transform(f, 1, ndirs=8, noffsets=4)
-        with pytest.raises(ValueError, match="callables"):
+        with pytest.raises(TypeError, match="moment_callables"):
             range_test(data, 2, 1, npoints=0, ntuples=1)
 
     @pytest.mark.parametrize("m, k, n, match", [
@@ -463,7 +528,7 @@ class TestRangeTest:
         assert report.max_john_residual() == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             range_test(None, 2, 1)
         with pytest.raises(ValueError):
             range_test(None, 2, 1, moment_callables=[lambda x, xi: 0.0] * 2)

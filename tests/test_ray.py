@@ -17,13 +17,12 @@ from raymoments.ray import (
     moment_oracle,
     oracle_moment_callables,
     random_line,
-    restricted_transform,
 )
 from raymoments.ray import _gauss_hermite
 from raymoments.john import psi_from_phi
 from raymoments.symtensor import multi_indices, mult_weights
 
-from references import comps, component_field, scalar_field
+from references import comps, scalar_field
 
 
 def unit(v):
@@ -493,62 +492,3 @@ class TestBatchTransform:
                 want = moment_oracle(f, x, data.directions[d], ell)
                 np.testing.assert_allclose(data.values[ell, d], want,
                                            rtol=0, atol=1e-15 * np.abs(want).max())
-
-
-class TestRestrictedTransform:
-    def test_r_zero_is_J0(self):
-        rng = np.random.default_rng(14)
-        f = random_field(2, 2, rng)
-        moments = oracle_moment_callables(f, 0)
-        J = [psi_from_phi(moments, f.m, 0)]
-        ln = random_line(2, rng)
-        got = restricted_transform(J, (), ln.x, ln.xi, m=f.m)
-        assert got == pytest.approx(moment_oracle(f, ln.x, ln.xi, 0), rel=1e-12)
-
-    def test_rank_one_component(self):
-        # m=1, r=1: (d/dxi^i) J^0 f - (d/dx^i) J^1 f = J^0 of the component f_i
-        rng = np.random.default_rng(15)
-        f = random_field(2, 1, rng, degree=1)
-        moments = oracle_moment_callables(f, 1)
-        Js = [psi_from_phi(moments, f.m, q) for q in range(2)]
-        ln = random_line(2, rng)
-        for i in range(2):
-            got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=1)
-            comp = component_field(f, (i,))
-            want = moment_oracle(comp, ln.x, ln.xi, 0)
-            assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
-
-    def test_potential_input_consistency(self):
-        # f = d w: restricted data consistent with the ladder-generated J data
-        rng = np.random.default_rng(16)
-        w = random_field(2, 1, rng, degree=1)
-        f = w.inner_derivative()
-        Js = [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(2)]
-        ln = random_line(2, rng)
-        for i in range(2):
-            got = restricted_transform(Js, (i,), ln.x, ln.xi, h=1e-3, m=2)
-            comp = component_field(f, (i,))
-            want = moment_oracle(comp, ln.x, ln.xi, 0)
-            assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
-
-    def test_second_order_convergence(self):
-        rng = np.random.default_rng(17)
-        f = random_field(2, 2, rng, degree=1)
-        Js = [lambda x, xi, q=q: moment_oracle(f, x, xi, q) for q in range(3)]
-        ln = random_line(2, rng)
-        comp = component_field(f, (0, 1))
-        want = moment_oracle(comp, ln.x, ln.xi, 0)
-        errs = []
-        for h in (2e-3, 1e-3):
-            got = restricted_transform(Js, (0, 1), ln.x, ln.xi, h=h, m=2)
-            errs.append(abs(got - want))
-        ratio = errs[0] / errs[1]
-        assert 3.5 < ratio < 4.5
-
-    def test_validation(self):
-        f = scalar_field(2)
-        Js = [lambda x, xi: moment_oracle(f, x, xi, 0)]
-        with pytest.raises(ValueError):
-            restricted_transform(Js, (0, 0), np.zeros(2), np.ones(2), m=1)
-        with pytest.raises(ValueError):
-            restricted_transform(Js, (0,), np.zeros(2), np.ones(2), h=0.0, m=1)

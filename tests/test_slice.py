@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from raymoments.claims import CONTROL_MIN, kernel, slice_rank
+from raymoments.claims import CONTROL_MIN, kernel, slice_identity, slice_rank
 from raymoments.fields import random_field
 from raymoments.ray import householder_frame, moment_oracle, random_line
 from raymoments.slices import (
@@ -71,22 +71,25 @@ class TestSliceCheck:
         with pytest.raises(ValueError, match="n >= 2"):
             slice_check(scalar_field(1), np.array([1.0]), np.zeros(1), 0)
 
-    @pytest.mark.parametrize("extent", [-8.0, 0.0, math.nan, math.inf])
-    def test_bad_extent_rejected(self, extent):
-        # a non-positive extent folds or collapses the offset grid and would
-        # still return a deviation
-        f = random_field(2, 2, np.random.default_rng(4))
-        with pytest.raises(ValueError, match="extent"):
-            slice_check(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, extent=extent)
-
     def test_refinement_improves(self):
         rng = np.random.default_rng(3)
         f = random_field(2, 1, rng)
         xi = np.array([0.6, 0.8])
         y = 0.9 * np.array([-0.8, 0.6])
-        coarse = slice_check(f, xi, y, 0, noffsets=16, extent=4.0)
-        fine = slice_check(f, xi, y, 0, noffsets=128, extent=8.0)
+        coarse = slice_check(f, xi, y, 0, noffsets=16)
+        fine = slice_check(f, xi, y, 0, noffsets=128)
         assert fine < coarse
+
+    def test_identity_at_its_rounding_floor(self):
+        # over seeds 0-19, m = 1..3 and every q the deviation stays below
+        # 1.2e-14 at n = 2 with 128 offsets and 4.6e-14 at n = 3 with 32;
+        # SLICE_TOL stays at 1e-6 because n = 3 with 24 offsets reaches 4.8e-10
+        for n, offsets in [(2, 128), (3, 32)]:
+            for seed in range(2):
+                for m in (1, 2, 3):
+                    rng = np.random.default_rng(seed)
+                    *_, res, _ = slice_identity(random_field(n, m, rng), 2, offsets, rng)
+                    assert res["max_deviation"] < 1e-12, (n, offsets, seed, m)
 
 
 class TestSliceSystem:

@@ -76,7 +76,7 @@ def test_no_not_implemented():
 def test_one_polynomial_form():
     # a GaussPolyField is its two arrays: no dict or cached second form of
     # its polynomials, and the dict algebra that is left builds only the
-    # phase-space stencil tables of ray
+    # phase-space stencil tables, which john owns with their step scaling
     deleted = {"PackedPoly", "poly_scale", "poly_diff", "poly_shift_axis",
                "gauss_partial", "poly_dtype"}
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
@@ -85,10 +85,20 @@ def test_one_polynomial_form():
              if isinstance(node, ast.Attribute) and node.attr in ("comps", "packed")
              or isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in deleted]
     assert not found, f"second polynomial form in src/raymoments: {found}"
+    engine = ("poly_add", "poly_mul", "central_table", "apply_stencil", "restricted_transform")
     defined = sorted(f"{name}:{node.name}" for name, tree in trees.items()
                      for node in ast.walk(tree)
-                     if isinstance(node, ast.FunctionDef) and node.name in ("poly_add", "poly_mul"))
-    assert defined == ["ray.py:poly_add", "ray.py:poly_mul"], f"dict algebra defined in {defined}"
+                     if isinstance(node, ast.FunctionDef) and node.name in engine)
+    assert defined == sorted(f"john.py:{name}" for name in engine), \
+        f"stencil engine defined in {defined}"
+    from_ray = [alias.name for node in ast.walk(trees["john.py"])
+                if isinstance(node, ast.ImportFrom) and node.module == "ray"
+                for alias in node.names]
+    assert from_ray == ["MomentData", "moment_oracle"], f"john imports {from_ray} from ray"
+    ray_imports = {alias.name for node in ast.walk(trees["ray.py"])
+                   if isinstance(node, ast.Import) for alias in node.names}
+    assert "json" in ray_imports, "positive control: the search finds ray's own imports"
+    assert "itertools" not in ray_imports, "ray imports itertools"
 
 
 def test_no_second_operator_layer():
